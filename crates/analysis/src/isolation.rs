@@ -30,10 +30,28 @@
 //! `anchor_divergence_fuzz` example (tens of thousands of adversarial
 //! schedules phased against the window boundaries) on top of the general
 //! soundness property tests.
+//!
+//! ## The flat kernel
+//!
+//! The GA calls this walk hundreds of times per optimisation, so the model
+//! cache is not the simulator's generic `SetAssocCache` but a flat kernel:
+//! three parallel arrays of `sets × ways` entries (tag, fill anchor,
+//! modified bit), set `s` owning the slice `[s·ways, (s+1)·ways)` and
+//! indexed by mask. Each set's slice is kept MRU-first with its resident
+//! lines as a prefix and empty ways (tag `None`) at the tail. Every access
+//! rotates the slice prefix ending at the line's way — or, for a line not
+//! resident, the whole slice, whose last way is empty or the LRU victim —
+//! one step right, so the accessed line lands in way 0. That is exactly
+//! `SetAssocCache`'s `touch` (remove, insert at the front) and `insert`
+//! (replace and promote a resident line, else evict the last way of a full
+//! set), so the true-LRU order, and with it every hit and miss, is the
+//! same; a property test checks the two walks against each other. The
+//! paper's direct-mapped L1 (256 sets × 1 way) has nothing to rotate and
+//! gets its own monomorphised loop.
 
-use cohort_sim::{CacheGeometry, SetAssocCache};
+use cohort_sim::CacheGeometry;
 use cohort_trace::Trace;
-use cohort_types::{Cycles, TimerValue};
+use cohort_types::{Cycles, LineAddr, TimerValue};
 
 /// Result of the guaranteed-hit analysis.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -50,14 +68,6 @@ impl HitMissCounts {
     pub fn total(&self) -> u64 {
         self.hits + self.misses
     }
-}
-
-#[derive(Debug, Clone, Copy)]
-struct ModelLine {
-    /// Virtual fill instant (window anchor).
-    fill: Cycles,
-    /// Whether the fill granted write permission.
-    modified: bool,
 }
 
 /// Computes the guaranteed hits and misses of `trace` on a core with timer
@@ -102,24 +112,63 @@ pub fn guaranteed_hits(
         // MSI (or a zero window): no guaranteed hits.
         return HitMissCounts { hits: 0, misses: trace.len() as u64 };
     };
-    let mut cache: SetAssocCache<ModelLine> = SetAssocCache::new(*geometry);
+    let theta = Cycles::new(theta);
+    if geometry.ways == 1 {
+        flat_walk::<true>(trace, theta, geometry, hit_latency, miss_penalty)
+    } else {
+        flat_walk::<false>(trace, theta, geometry, hit_latency, miss_penalty)
+    }
+}
+
+/// The flat-kernel walk behind [`guaranteed_hits`] (see the module docs);
+/// `DIRECT_MAPPED` selects the rotation-free loop for one-way geometries.
+fn flat_walk<const DIRECT_MAPPED: bool>(
+    trace: &Trace,
+    theta: Cycles,
+    geometry: &CacheGeometry,
+    hit_latency: Cycles,
+    miss_penalty: Cycles,
+) -> HitMissCounts {
+    let sets = geometry.sets();
+    let ways = geometry.ways as usize;
+    // A struct-literal geometry may bypass `CacheGeometry::new`'s
+    // power-of-two check; such set counts index by `LineAddr::set_index`'s `%`.
+    let mask = sets.is_power_of_two().then(|| sets - 1);
+    let entries = sets as usize * ways;
+    let mut tags: Vec<Option<LineAddr>> = vec![None; entries];
+    let mut fills = vec![Cycles::ZERO; entries];
+    let mut modified = vec![false; entries];
     let mut counts = HitMissCounts::default();
     let mut now = Cycles::ZERO;
     for op in trace {
         now += op.gap;
-        let in_window = cache
-            .peek(op.line)
-            .map(|l| (now.get() - l.fill.get()) < theta && (!op.kind.is_store() || l.modified));
-        if let Some(true) = in_window {
+        let set = mask.map_or_else(|| op.line.set_index(sets), |m| op.line.raw() & m) as usize;
+        // The entry that holds the line after this access.
+        let (slot, resident) = if DIRECT_MAPPED {
+            (set, tags[set] == Some(op.line))
+        } else {
+            let base = set * ways;
+            let way = tags[base..base + ways].iter().position(|&t| t == Some(op.line));
+            // Promote to MRU: the line's own way, else the last (empty or
+            // LRU victim) way.
+            let end = base + way.map_or(ways, |w| w + 1);
+            tags[base..end].rotate_right(1);
+            fills[base..end].rotate_right(1);
+            modified[base..end].rotate_right(1);
+            (base, way.is_some())
+        };
+        let store = op.kind.is_store();
+        if resident && now - fills[slot] < theta && (!store || modified[slot]) {
             counts.hits += 1;
-            cache.touch(op.line);
             now += hit_latency;
         } else {
             counts.misses += 1;
             now += miss_penalty;
             // Refill: a fresh window anchored at the (worst-case)
             // completion instant, with the permission the request gains.
-            cache.insert(op.line, ModelLine { fill: now, modified: op.kind.is_store() });
+            tags[slot] = Some(op.line);
+            fills[slot] = now;
+            modified[slot] = store;
         }
     }
     counts

@@ -1,9 +1,135 @@
 //! Property-based tests of the static analyses.
 
 use proptest::prelude::*;
+use rand::{Rng, SeedableRng};
+use rand_chacha::ChaCha8Rng;
 
-use cohort_trace::{AccessKind, Trace, TraceOp};
-use cohort_types::{Cycles, LineAddr, TimerValue};
+use cohort_analysis::{guaranteed_hits, theta_saturation, HitMissCounts};
+#[allow(unused_imports)] // used only inside proptest! (the offline stub expands to nothing)
+use cohort_analysis::{wcl_miss, wcml_snoop, wcml_timed};
+use cohort_sim::{CacheGeometry, SetAssocCache};
+use cohort_trace::{AccessKind, Kernel, KernelSpec, Trace, TraceOp};
+#[allow(unused_imports)] // used only inside proptest! (the offline stub expands to nothing)
+use cohort_types::LatencyConfig;
+use cohort_types::{Cycles, Fingerprint, LineAddr, TimerValue};
+
+/// The reference walk: the guaranteed-hit analysis run on the simulator's
+/// generic true-LRU [`SetAssocCache`], indexed by [`LineAddr::set_index`].
+/// The flat kernel behind [`guaranteed_hits`] must agree with it exactly.
+fn reference_hits(
+    trace: &Trace,
+    timer: TimerValue,
+    geometry: &CacheGeometry,
+    hit_latency: Cycles,
+    miss_penalty: Cycles,
+) -> HitMissCounts {
+    let Some(theta) = timer.theta().filter(|&t| t > 0) else {
+        return HitMissCounts { hits: 0, misses: trace.len() as u64 };
+    };
+    // Payload: (fill anchor, modified).
+    let mut cache: SetAssocCache<(Cycles, bool)> = SetAssocCache::new(*geometry);
+    let mut counts = HitMissCounts::default();
+    let mut now = Cycles::ZERO;
+    for op in trace {
+        now += op.gap;
+        let hit = cache.peek(op.line).is_some_and(|&(fill, modified)| {
+            now.get() - fill.get() < theta && (!op.kind.is_store() || modified)
+        });
+        if hit {
+            counts.hits += 1;
+            cache.touch(op.line);
+            now += hit_latency;
+        } else {
+            counts.misses += 1;
+            now += miss_penalty;
+            cache.insert(op.line, (now, op.kind.is_store()));
+        }
+    }
+    counts
+}
+
+/// A geometry of `sets` × `ways` 64-byte lines, built as a struct literal
+/// so non-power-of-two set counts (which `CacheGeometry::new` rejects)
+/// reach the kernel too.
+fn geometry(sets: u64, ways: u64) -> CacheGeometry {
+    CacheGeometry { size_bytes: sets * ways * 64, line_bytes: 64, ways }
+}
+
+/// A random load/store trace over `lines` distinct lines.
+fn random_trace(rng: &mut ChaCha8Rng, lines: u64) -> Trace {
+    let len = rng.gen_range(0usize..300);
+    Trace::from_ops(
+        (0..len)
+            .map(|_| {
+                let kind = if rng.gen_bool(0.4) { AccessKind::Store } else { AccessKind::Load };
+                TraceOp::new(
+                    LineAddr::new(rng.gen_range(0..lines)),
+                    kind,
+                    Cycles::new(rng.gen_range(0u64..40)),
+                )
+            })
+            .collect(),
+    )
+}
+
+/// The flat kernel against the reference walk on seeded random traces:
+/// ways ∈ {1, 2, 4, 8}, power-of-two and other set counts, θ ∈ {MSI, 0,
+/// 1, random, MAX_THETA}, random hit latency and miss penalty. Runs
+/// offline, where the `proptest!` twin below is compiled out.
+#[test]
+fn flat_kernel_matches_the_reference_walk() {
+    let mut rng = ChaCha8Rng::seed_from_u64(13);
+    for ways in [1u64, 2, 4, 8] {
+        for sets in [1u64, 3, 4, 5, 16, 256] {
+            let geom = geometry(sets, ways);
+            for _ in 0..24 {
+                let trace = random_trace(&mut rng, sets * ways * 3);
+                let hit = Cycles::new(rng.gen_range(0u64..5));
+                let penalty = Cycles::new(rng.gen_range(1u64..600));
+                let random = TimerValue::timed(rng.gen_range(1u64..2_000)).unwrap();
+                for timer in [
+                    TimerValue::MSI,
+                    TimerValue::timed(0).unwrap(),
+                    TimerValue::timed(1).unwrap(),
+                    random,
+                    TimerValue::timed(TimerValue::MAX_THETA).unwrap(),
+                ] {
+                    assert_eq!(
+                        guaranteed_hits(&trace, timer, &geom, hit, penalty),
+                        reference_hits(&trace, timer, &geom, hit, penalty),
+                        "{sets} sets × {ways} ways, {timer:?}, hit {hit:?}, penalty {penalty:?}"
+                    );
+                }
+            }
+        }
+    }
+}
+
+/// Golden digest of `(hits, misses)` over the six paper kernels (4 cores,
+/// paper L1, `L^hit` = 1) at θ ∈ {1, 24, 512, θ_sat} and miss penalties
+/// 54 and 216, θ_sat included. Recorded with the `SetAssocCache`-backed
+/// walk; any kernel change that moves one count breaks it.
+#[test]
+fn paper_kernel_hit_counts_match_the_golden_digest() {
+    let l1 = CacheGeometry::paper_l1();
+    let hit = Cycles::new(1);
+    let mut digest = Fingerprint::builder();
+    for kernel in Kernel::ALL {
+        let workload = KernelSpec::new(kernel, 4).with_total_requests(8_000).generate();
+        for trace in workload.traces() {
+            let sat = theta_saturation(trace, &l1, hit, Cycles::new(54));
+            digest = digest.u64(sat);
+            for theta in [1, 24, 512, sat] {
+                for penalty in [54, 216] {
+                    let timer = TimerValue::timed(theta).unwrap();
+                    let counts = guaranteed_hits(trace, timer, &l1, hit, Cycles::new(penalty));
+                    digest = digest.u64(counts.hits).u64(counts.misses);
+                }
+            }
+        }
+    }
+    assert_eq!(digest.finish().to_hex(), "c891985942d9fab4e3d13e31d4a4d01f");
+}
 
 #[allow(dead_code)] // used only inside proptest! (the offline stub expands to nothing)
 fn trace_strategy() -> impl Strategy<Value = Trace> {
@@ -29,6 +155,32 @@ fn timers_strategy() -> impl Strategy<Value = Vec<TimerValue>> {
 }
 
 proptest! {
+    /// The flat kernel agrees with the reference walk on random traces,
+    /// geometries (non-power-of-two set counts included), timers and
+    /// latencies.
+    #[test]
+    fn flat_kernel_matches_reference(
+        trace in trace_strategy(),
+        ways in prop_oneof![Just(1u64), Just(2), Just(4), Just(8)],
+        sets in prop_oneof![Just(1u64), Just(3), Just(4), Just(5), Just(16), Just(256)],
+        timer in prop_oneof![
+            Just(TimerValue::MSI),
+            Just(TimerValue::timed(0).unwrap()),
+            Just(TimerValue::timed(1).unwrap()),
+            (1u64..2_000).prop_map(|t| TimerValue::timed(t).unwrap()),
+            Just(TimerValue::timed(TimerValue::MAX_THETA).unwrap()),
+        ],
+        hit in 0u64..5,
+        penalty in 1u64..600,
+    ) {
+        let geom = geometry(sets, ways);
+        let (hit, penalty) = (Cycles::new(hit), Cycles::new(penalty));
+        prop_assert_eq!(
+            guaranteed_hits(&trace, timer, &geom, hit, penalty),
+            reference_hits(&trace, timer, &geom, hit, penalty)
+        );
+    }
+
     /// Guaranteed hits are monotone non-decreasing in θ — the assumption
     /// the θ_sat binary search and the GA's search-space shape rely on.
     #[test]

@@ -12,20 +12,26 @@
 //! 2. **Timer problem** — the real offline objective (static cache
 //!    analysis + Eq. 1) on an Ocean-style workload, reporting how far the
 //!    genome memo cache cuts the evaluation count in practice.
+//! 3. **Hit kernel** — the guaranteed-hit walk that fitness evaluations
+//!    call, timed directly (no memo) over the same workload's four traces
+//!    at θ ∈ {1, 24, 512, θ_sat}, as nanoseconds per analysed access.
 //!
 //! ```text
 //! cargo run --release -p cohort-bench --bin optim [-- --quick --json <path>]
 //! ```
 
+use std::hint::black_box;
 use std::time::Instant;
 
+use cohort_analysis::{guaranteed_hits, theta_saturation, HitMissCounts};
 use cohort_bench::report::{self, ReportWriter};
 use cohort_bench::{bench_ga, CliOptions};
 use cohort_optim::{
     GaConfig, GaOutcome, GaRun, GeneticAlgorithm, SearchSpace, StopReason, TimerProblem,
 };
-use cohort_trace::{Kernel, KernelSpec};
-use cohort_types::Cycles;
+use cohort_sim::CacheGeometry;
+use cohort_trace::{Kernel, KernelSpec, Trace, Workload};
+use cohort_types::{Cycles, LatencyConfig, TimerValue};
 use serde_json::json;
 
 /// A deterministic, sequentially-dependent busy function: each call costs
@@ -90,6 +96,73 @@ fn run_to_json(run: &TimedRun, generations: usize) -> serde_json::Value {
         "best_fitness": run.outcome.best_fitness,
         "stop": stop_label(run.outcome.stop),
     })
+}
+
+/// The timed θ values besides each trace's own θ_sat.
+const HIT_KERNEL_THETAS: [u64; 3] = [1, 24, 512];
+
+/// Accesses each timed repetition of the hit kernel walks at least, so the
+/// quick run's small traces still give a measurable interval.
+const HIT_KERNEL_MIN_ACCESSES: u64 = 16_000_000;
+
+/// Section 3's measurement: `rounds` passes over every (trace, θ) pair,
+/// best wall-clock over `reps`.
+struct HitKernelRun {
+    calls: u64,
+    accesses: u64,
+    rounds: u64,
+    counts: HitMissCounts,
+    seconds: f64,
+}
+
+impl HitKernelRun {
+    fn ns_per_access(&self) -> f64 {
+        self.seconds * 1e9 / self.accesses.max(1) as f64
+    }
+}
+
+/// Times direct [`guaranteed_hits`] calls over `workload`'s traces on the
+/// paper's L1 with the uncontended miss penalty, at
+/// [`HIT_KERNEL_THETAS`] plus each trace's θ_sat.
+fn hit_kernel_run(workload: &Workload, reps: usize) -> HitKernelRun {
+    let l1 = CacheGeometry::paper_l1();
+    let latency = LatencyConfig::paper();
+    let (hit, penalty) = (latency.hit, latency.slot_width());
+    let grid: Vec<(&Trace, TimerValue)> = workload
+        .traces()
+        .iter()
+        .flat_map(|trace| {
+            let sat = theta_saturation(trace, &l1, hit, penalty);
+            HIT_KERNEL_THETAS
+                .into_iter()
+                .chain([sat])
+                .map(move |theta| (trace, TimerValue::timed(theta).expect("θ in range")))
+        })
+        .collect();
+    let pass_accesses: u64 = grid.iter().map(|(trace, _)| trace.len() as u64).sum();
+    let rounds = HIT_KERNEL_MIN_ACCESSES.div_ceil(pass_accesses.max(1));
+    let mut seconds = f64::INFINITY;
+    let mut counts = HitMissCounts::default();
+    for _ in 0..reps.max(1) {
+        let start = Instant::now();
+        let mut total = HitMissCounts::default();
+        for _ in 0..rounds {
+            for &(trace, timer) in &grid {
+                let c = guaranteed_hits(black_box(trace), timer, &l1, hit, penalty);
+                total.hits += c.hits;
+                total.misses += c.misses;
+            }
+        }
+        seconds = seconds.min(start.elapsed().as_secs_f64());
+        counts = total;
+    }
+    HitKernelRun {
+        calls: rounds * grid.len() as u64,
+        accesses: rounds * pass_accesses,
+        rounds,
+        counts,
+        seconds,
+    }
 }
 
 fn main() {
@@ -169,6 +242,16 @@ fn main() {
         100.0 * timer_outcome.cache_hit_rate(),
     );
 
+    // Section 3 — the guaranteed-hit kernel under the timer problem.
+    let kernel = hit_kernel_run(&workload, reps);
+    println!(
+        "hit kernel: {} calls, {} accesses, {:.3} s, {:.2} ns/access",
+        kernel.calls,
+        kernel.accesses,
+        kernel.seconds,
+        kernel.ns_per_access(),
+    );
+
     if let Some(path) = &options.json {
         let writer = ReportWriter::new(&report::OPTIM, "optim");
         let report = json!({
@@ -194,6 +277,16 @@ fn main() {
                 "best_fitness": timer_outcome.best_fitness,
                 "feasible": feasible,
                 "stop": stop_label(timer_outcome.stop),
+            }),
+            "hit_kernel": json!({
+                "thetas": HIT_KERNEL_THETAS,
+                "rounds": kernel.rounds,
+                "calls": kernel.calls,
+                "accesses": kernel.accesses,
+                "hits": kernel.counts.hits,
+                "misses": kernel.counts.misses,
+                "seconds": kernel.seconds,
+                "ns_per_access": kernel.ns_per_access(),
             }),
         });
         writer.write(path, report).expect("write JSON report");

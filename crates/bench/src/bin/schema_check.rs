@@ -195,6 +195,22 @@ fn check_optim(doc: &serde_json::Value) -> CheckResult {
     if get(timer, "feasible", what)?.as_bool().is_none() {
         return Err(format!("{what}: `feasible` is not a boolean"));
     }
+    let kernel = get(doc, "hit_kernel", "optim")?;
+    let what = "optim.hit_kernel";
+    for key in ["rounds", "calls", "accesses", "hits", "misses"] {
+        expect_u64(kernel, key, what)?;
+    }
+    for key in ["seconds", "ns_per_access"] {
+        expect_f64(kernel, key, what)?;
+    }
+    let field = |key| kernel.get(key).and_then(serde_json::Value::as_u64).unwrap_or(0);
+    if field("hits") + field("misses") != field("accesses") {
+        return Err(format!("{what}: hits + misses is not the access count"));
+    }
+    let ns = kernel.get("ns_per_access").and_then(serde_json::Value::as_f64).unwrap_or(0.0);
+    if !(ns.is_finite() && ns > 0.0) {
+        return Err(format!("{what}: ns_per_access {ns} is not a positive time"));
+    }
     println!("optim ok: speedup {}×", get(doc, "speedup", "optim")?.as_f64().unwrap_or(0.0));
     Ok(())
 }

@@ -25,8 +25,9 @@ pub struct Schema {
 
 /// Figure/table run reports (`{"runs": [...]}` — fig1/fig5/fig6/repro).
 pub const REPORT: Schema = Schema::new("report", 1);
-/// GA engine benchmark reports (`BENCH_optim.json`).
-pub const OPTIM: Schema = Schema::new("optim", 1);
+/// GA engine benchmark reports (`BENCH_optim.json`). Version 2 adds the
+/// `hit_kernel` section.
+pub const OPTIM: Schema = Schema::new("optim", 2);
 /// Fault-campaign reports (`BENCH_chaos.json`).
 pub const CHAOS: Schema = Schema::new("chaos", 1);
 /// Engine-throughput reports (`BENCH_sim.json`).

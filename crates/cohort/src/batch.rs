@@ -337,35 +337,6 @@ impl<'o> Sweep<'o> {
         }
     }
 
-    /// Runs every job, reporting progress to `observer`.
-    #[deprecated(
-        since = "0.3.0",
-        note = "configure the observer on the builder (`SweepBuilder::observer`) and call `run()`"
-    )]
-    #[must_use]
-    pub fn run_observed(&self, observer: &dyn SweepObserver) -> SweepReport {
-        if self.collect_metrics {
-            self.run_inner(observer, &|job| {
-                run_experiment_with_metrics(&job.spec, &job.protocol, &job.workload)
-            })
-        } else {
-            self.run_inner(observer, &|job| run_experiment(&job.spec, &job.protocol, &job.workload))
-        }
-    }
-
-    /// Runs every job through a custom `runner`.
-    #[deprecated(
-        since = "0.3.0",
-        note = "configure the runner and observer on the builder (`SweepBuilder::runner` / \
-                `SweepBuilder::observer`) and call `run()`"
-    )]
-    pub fn run_with<F>(&self, observer: &dyn SweepObserver, runner: F) -> SweepReport
-    where
-        F: Fn(&ExperimentJob) -> Result<ExperimentOutcome> + Sync,
-    {
-        self.run_inner(observer, &runner)
-    }
-
     /// The engine underneath [`Sweep::run`]: the bounded pool, per-job
     /// panic isolation and progress reporting.
     fn run_inner(&self, observer: &dyn SweepObserver, runner: SweepRunner<'_>) -> SweepReport {
