@@ -81,9 +81,14 @@ impl Rate {
     ///
     /// # Errors
     ///
-    /// Returns [`Error::Codec`] on a malformed document.
+    /// Returns [`Error::Codec`] on a malformed document, including one with
+    /// more successes than trials.
     pub fn from_json(doc: &Value) -> Result<Rate> {
-        Ok(Rate { successes: get_u64(doc, "successes")?, trials: get_u64(doc, "trials")? })
+        let (successes, trials) = (get_u64(doc, "successes")?, get_u64(doc, "trials")?);
+        if successes > trials {
+            return Err(Error::Codec(format!("rate has {successes} successes in {trials} trials")));
+        }
+        Ok(Rate { successes, trials })
     }
 }
 
@@ -156,7 +161,8 @@ impl LogHistogram {
     ///
     /// # Errors
     ///
-    /// Returns [`Error::Codec`] on a malformed document.
+    /// Returns [`Error::Codec`] on a malformed document, including a bucket
+    /// index above 64 (the bucket of `u64::MAX`).
     pub fn from_json(doc: &Value) -> Result<LogHistogram> {
         let mut hist = LogHistogram {
             counts: Vec::new(),
@@ -172,9 +178,11 @@ impl LogHistogram {
                 .as_array()
                 .filter(|p| p.len() == 2)
                 .ok_or_else(|| Error::Codec("histogram bucket is not a pair".into()))?;
-            let bucket =
-                entry[0].as_u64().ok_or_else(|| Error::Codec("histogram bucket index".into()))?
-                    as usize;
+            let bucket = entry[0]
+                .as_u64()
+                .filter(|&b| b <= 64) // the bucket of `u64::MAX`
+                .ok_or_else(|| Error::Codec("histogram bucket index".into()))?
+                as usize;
             let count =
                 entry[1].as_u64().ok_or_else(|| Error::Codec("histogram bucket count".into()))?;
             if hist.counts.len() <= bucket {
@@ -486,6 +494,26 @@ mod tests {
         assert_eq!(left, whole);
         let back = LogHistogram::from_json(&whole.to_json()).expect("round-trips");
         assert_eq!(back, whole);
+    }
+
+    #[test]
+    fn rate_with_more_successes_than_trials_is_a_codec_error() {
+        let doc = json!({ "successes": 3, "trials": 2 });
+        assert!(matches!(Rate::from_json(&doc), Err(Error::Codec(_))));
+        let doc = json!({ "successes": 2, "trials": 2 });
+        assert_eq!(Rate::from_json(&doc).expect("valid"), Rate { successes: 2, trials: 2 });
+    }
+
+    #[test]
+    fn histogram_bucket_index_above_64_is_a_codec_error() {
+        let hist = |bucket: u64| json!({ "total": 1, "max": 1, "buckets": [[bucket, 1]] });
+        for bucket in [65, 1u64 << 40, u64::MAX] {
+            assert!(
+                matches!(LogHistogram::from_json(&hist(bucket)), Err(Error::Codec(_))),
+                "bucket {bucket}"
+            );
+        }
+        assert_eq!(LogHistogram::from_json(&hist(64)).expect("valid").counts.len(), 65);
     }
 
     #[test]

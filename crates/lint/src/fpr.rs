@@ -1,7 +1,8 @@
 //! FPR — fingerprint coverage of digested structs.
 //!
 //! The fleet memoizes on content addresses: `JobSpec::fingerprint` folds
-//! every outcome-affecting knob through [`FingerprintBuilder`]. The bug
+//! every outcome-affecting knob through
+//! [`FingerprintBuilder`](cohort_types::FingerprintBuilder). The bug
 //! class this pass exists for is *drift*: someone adds a field to
 //! `GaConfig` or `SystemSpec`, forgets the digest helper, and two
 //! different configurations silently share a fingerprint — the store

@@ -5,7 +5,7 @@ use cohort_sim::{
     ArbiterKind, CacheGeometry, DataPath, LlcModel, ProtocolFlavor, SimBuilder, SimConfig,
 };
 use cohort_trace::{AccessKind, Trace, TraceOp, Workload};
-use cohort_types::{Cycles, LineAddr, TimerValue};
+use cohort_types::{wcl_miss, Cycles, LineAddr, TimerValue};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
@@ -35,10 +35,11 @@ fn workload(rng: &mut ChaCha8Rng, cores: usize) -> Workload {
 
 fn main() {
     // Derived from the same LatencyConfig the simulator runs with, so a
-    // latency retune keeps the fuzzer honest. (The bound *formulas* are
-    // intentionally inlined: cohort-analysis sits above cohort-sim in the
-    // crate DAG; the root integration tests cross-check the library
-    // formulas against the simulator.)
+    // latency retune keeps the fuzzer honest. (Eq. 1 is the shared
+    // `wcl_miss`; the PCC and PENDULUM formulas are inlined because
+    // cohort-analysis sits above cohort-sim in the crate DAG, and the root
+    // integration tests cross-check the library formulas against the
+    // simulator.)
     let lat = cohort_types::LatencyConfig::paper();
     let sw = lat.slot_width().get();
     let mut violations = 0u64;
@@ -67,11 +68,7 @@ fn main() {
                     .unwrap();
                 let stats = SimBuilder::new(config, &w).build().unwrap().run().unwrap();
                 for i in 0..cores {
-                    let theta_terms: u64 = (0..cores)
-                        .filter(|&j| j != i)
-                        .filter_map(|j| timers[j].theta().map(|t| t + sw))
-                        .sum();
-                    let bound = sw * cores as u64 + theta_terms;
+                    let bound = wcl_miss(i, &timers, &lat).get();
                     if stats.cores[i].worst_request.get() > bound {
                         violations += 1;
                         println!(

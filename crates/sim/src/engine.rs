@@ -74,23 +74,23 @@ enum TxnKind {
 
 /// The cycle-accurate simulator, generic over one [`SimProbe`].
 ///
-/// The default probe is [`NoProbe`], which observes nothing and costs
-/// nothing — [`Simulator::new`] builds that uninstrumented engine. To
-/// observe a run, pass a probe (or a tuple of probes) to
-/// [`Simulator::with_probe`]; the probe receives every protocol event,
-/// bus tenure and arbitration decision as the run streams past.
+/// Build one with [`SimBuilder`]. The default probe is [`NoProbe`], which
+/// observes nothing and costs nothing. To observe a run, pass a probe (or
+/// a tuple of probes) to [`SimBuilder::probe`]; the probe receives every
+/// protocol event, bus tenure and arbitration decision as the run streams
+/// past.
 ///
 /// # Examples
 ///
 /// ```
-/// use cohort_sim::{SimConfig, Simulator};
+/// use cohort_sim::{SimBuilder, SimConfig};
 /// use cohort_trace::micro;
 /// use cohort_types::TimerValue;
 ///
 /// // Two MSI cores ping-pong one line.
 /// let config = SimConfig::builder(2).build()?;
 /// let workload = micro::ping_pong(2, 4);
-/// let mut sim = Simulator::new(config, &workload)?;
+/// let mut sim = SimBuilder::new(config, &workload).build()?;
 /// let stats = sim.run()?;
 /// assert_eq!(stats.cores[0].accesses(), 4);
 /// assert!(stats.execution_time().get() > 0);
@@ -100,12 +100,12 @@ enum TxnKind {
 /// Observing the same run with a probe stack:
 ///
 /// ```
-/// use cohort_sim::{EventLogProbe, MetricsProbe, SimConfig, Simulator};
+/// use cohort_sim::{EventLogProbe, MetricsProbe, SimBuilder, SimConfig};
 /// use cohort_trace::micro;
 ///
 /// let config = SimConfig::builder(2).build()?;
 /// let probes = (MetricsProbe::new(), EventLogProbe::new());
-/// let mut sim = Simulator::with_probe(config, &micro::ping_pong(2, 4), probes)?;
+/// let mut sim = SimBuilder::new(config, &micro::ping_pong(2, 4)).probe(probes).build()?;
 /// sim.run()?;
 /// let (metrics, log) = sim.into_probe();
 /// assert_eq!(metrics.report().cores.len(), 2);
@@ -221,63 +221,7 @@ impl<'w, P: SimProbe> SimBuilder<'w, P> {
     /// not match the configuration or the fault plan targets an
     /// out-of-range core.
     pub fn build(self) -> Result<Simulator<P>> {
-        Simulator::build_inner(self.config, self.workload, self.probe, self.faults, self.engine)
-    }
-}
-
-impl Simulator {
-    /// Creates an uninstrumented simulator for `workload` under `config`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::InvalidConfig`] if the workload's core count does
-    /// not match the configuration.
-    pub fn new(config: SimConfig, workload: &Workload) -> Result<Self> {
-        Simulator::with_probe(config, workload, NoProbe)
-    }
-}
-
-impl<P: SimProbe> Simulator<P> {
-    /// Creates a simulator whose run streams through `probe`.
-    ///
-    /// Pass the probe by value to have the simulator own it (retrieve it
-    /// with [`Simulator::into_probe`]), or pass `&mut probe` to keep
-    /// ownership at the call site.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::InvalidConfig`] if the workload's core count does
-    /// not match the configuration.
-    pub fn with_probe(config: SimConfig, workload: &Workload, probe: P) -> Result<Self> {
-        Simulator::with_probe_and_faults(config, workload, probe, FaultPlan::empty())
-    }
-
-    /// Creates an instrumented simulator that injects `plan`'s faults.
-    ///
-    /// An empty plan is the bit-identity baseline: the simulator behaves
-    /// exactly as if built with [`Simulator::with_probe`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::InvalidConfig`] if the workload's core count does
-    /// not match the configuration or the plan targets an out-of-range
-    /// core.
-    pub fn with_probe_and_faults(
-        config: SimConfig,
-        workload: &Workload,
-        probe: P,
-        plan: FaultPlan,
-    ) -> Result<Self> {
-        Simulator::build_inner(config, workload, probe, plan, EngineKind::default())
-    }
-
-    fn build_inner(
-        config: SimConfig,
-        workload: &Workload,
-        mut probe: P,
-        plan: FaultPlan,
-        engine: EngineKind,
-    ) -> Result<Self> {
+        let SimBuilder { config, workload, mut probe, faults: plan, engine } = self;
         if let Some(bad) = plan.specs().iter().find(|s| s.core >= config.cores()) {
             return Err(Error::InvalidConfig(format!(
                 "fault plan targets core {} but the configuration has {} cores",
@@ -303,10 +247,9 @@ impl<P: SimProbe> Simulator<P> {
             LlcModel::Finite(geom) => Some(SetAssocCache::new(*geom)),
         };
         // TDM slots must fit a worst-case transaction, which with a finite
-        // LLC includes the memory latency — the same effective slot width
-        // the analysis uses.
-        let slot = config.latency().slot_width() + config.latency().memory;
-        let arbiter = Arbiter::new(config.arbiter(), config.cores(), slot);
+        // LLC includes the memory latency.
+        let arbiter =
+            Arbiter::new(config.arbiter(), config.cores(), config.latency().effective_slot());
         let stats =
             SimStats { cores: vec![CoreStats::default(); config.cores()], ..Default::default() };
         if P::ACTIVE {
@@ -334,19 +277,9 @@ impl<P: SimProbe> Simulator<P> {
             config,
         })
     }
+}
 
-    /// The engine kind selected at build time.
-    #[must_use]
-    pub fn engine_kind(&self) -> EngineKind {
-        self.engine
-    }
-
-    /// The fault plan the simulator was built with (empty by default).
-    #[must_use]
-    pub fn fault_plan(&self) -> &FaultPlan {
-        self.faults.plan()
-    }
-
+impl<P: SimProbe> Simulator<P> {
     /// The faults the engine has applied so far, in injection order.
     #[must_use]
     pub fn injected_faults(&self) -> &[InjectedFault] {

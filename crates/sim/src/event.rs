@@ -113,12 +113,12 @@ pub struct Event {
 /// # Examples
 ///
 /// ```
-/// use cohort_sim::{EventKind, EventLogProbe, SimConfig, Simulator};
+/// use cohort_sim::{EventKind, EventLogProbe, SimBuilder, SimConfig};
 /// use cohort_trace::micro;
 ///
 /// let config = SimConfig::builder(2).build()?;
 /// let mut probe = EventLogProbe::new();
-/// let mut sim = Simulator::with_probe(config, &micro::ping_pong(2, 4), &mut probe)?;
+/// let mut sim = SimBuilder::new(config, &micro::ping_pong(2, 4)).probe(&mut probe).build()?;
 /// sim.run()?;
 /// assert!(probe.iter().any(|e| matches!(e.kind, EventKind::Fill { .. })));
 /// # Ok::<(), Box<dyn std::error::Error>>(())

@@ -267,10 +267,6 @@ impl FaultState {
         self.plan.is_empty()
     }
 
-    pub(crate) fn plan(&self) -> &FaultPlan {
-        &self.plan
-    }
-
     pub(crate) fn injected(&self) -> &[InjectedFault] {
         &self.injected
     }

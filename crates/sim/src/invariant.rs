@@ -33,12 +33,13 @@
 //! # Examples
 //!
 //! ```
-//! use cohort_sim::{InvariantProbe, SimConfig, Simulator};
+//! use cohort_sim::{InvariantProbe, SimBuilder, SimConfig};
 //! use cohort_trace::micro;
 //! use cohort_types::TimerValue;
 //!
 //! let config = SimConfig::builder(2).timer(0, TimerValue::timed(20)?).build()?;
-//! let mut sim = Simulator::with_probe(config, &micro::ping_pong(2, 6), InvariantProbe::new())?;
+//! let workload = micro::ping_pong(2, 6);
+//! let mut sim = SimBuilder::new(config, &workload).probe(InvariantProbe::new()).build()?;
 //! sim.run()?;
 //! assert!(sim.probe().is_clean(), "{:?}", sim.probe().violations());
 //! # Ok::<(), Box<dyn std::error::Error>>(())
@@ -151,8 +152,9 @@ impl ShadowLine {
 }
 
 /// A [`SimProbe`] that checks coherence invariants online against the
-/// event stream of a live run — see the [module docs](self) for the
-/// invariant set and the cross-validation story.
+/// event stream of a live run: SWMR, data-value (source), timer protection
+/// and liveness (one [`InvariantKind`] each), over a shadow coherence state
+/// rebuilt from the events alone.
 ///
 /// Violations accumulate in [`InvariantProbe::violations`]; construct the
 /// probe with [`InvariantProbe::strict`] to panic on the first violation

@@ -7,10 +7,9 @@
 //!
 //! - per-core **log2-bucketed latency histograms** (p50 / p99 / max /
 //!   mean) over every completed request, hits included;
-//! - the **Eq. 1 analytical bound** per core (mirrored from
-//!   `cohort_analysis::wcl_miss`; the analysis crate sits *above* the
-//!   simulator in the dependency DAG, so the three-line formula is
-//!   restated here) and whether the observed maximum respects it;
+//! - the **Eq. 1 analytical bound** per core ([`wcl_miss`], the one
+//!   definition the analysis crate re-exports) and whether the observed
+//!   maximum respects it;
 //! - per-core **bus occupancy** and tenure counts, plus arbitration
 //!   grant/stall counters per arbiter slot;
 //! - per-core **timer occupancy**: how many timer-protected lines the
@@ -20,13 +19,14 @@
 //! # Examples
 //!
 //! ```
-//! use cohort_sim::{MetricsProbe, SimConfig, Simulator};
+//! use cohort_sim::{MetricsProbe, SimBuilder, SimConfig};
 //! use cohort_trace::micro;
 //! use cohort_types::TimerValue;
 //!
 //! let config = SimConfig::builder(2).timer(0, TimerValue::timed(30)?).build()?;
+//! let workload = micro::ping_pong(2, 6);
 //! let mut probe = MetricsProbe::new();
-//! let mut sim = Simulator::with_probe(config, &micro::ping_pong(2, 6), &mut probe)?;
+//! let mut sim = SimBuilder::new(config, &workload).probe(&mut probe).build()?;
 //! let stats = sim.run()?;
 //! let report = probe.report();
 //! assert_eq!(report.cores[0].latency.count(), stats.cores[0].accesses());
@@ -36,7 +36,7 @@
 
 use std::collections::BTreeSet;
 
-use cohort_types::{Cycles, LineAddr, TimerValue};
+use cohort_types::{wcl_miss, Cycles, LineAddr, TimerValue};
 
 use crate::event::EventKind;
 use crate::probe::{BusTenure, SimProbe};
@@ -353,9 +353,11 @@ impl Occupancy {
     }
 }
 
-/// The built-in metrics probe. See the [module docs](self) for what it
-/// derives; call [`MetricsProbe::report`] (or
-/// [`MetricsProbe::into_report`]) after the run.
+/// The built-in metrics probe: per-core latency histograms against the
+/// Eq. 1 bound ([`wcl_miss`]), bus occupancy, arbitration grants and
+/// stalls, timer occupancy and the mode-switch count. Call
+/// [`MetricsProbe::report`] (or [`MetricsProbe::into_report`]) after the
+/// run.
 #[derive(Debug, Clone, Default)]
 pub struct MetricsProbe {
     hit_latency: Cycles,
@@ -377,26 +379,6 @@ impl MetricsProbe {
     #[must_use]
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Mirror of `cohort_analysis::wcl_miss` (Eq. 1): the analysis crate
-    /// depends on nothing below it and the simulator must not depend *up*
-    /// on it, so the formula is restated here; a cross-crate test in the
-    /// repro package keeps the two in lock-step.
-    pub(crate) fn eq1_bound(core: usize, timers: &[TimerValue], config: &SimConfig) -> u64 {
-        let latency = config.latency();
-        let sw = latency.slot_width().get() + latency.memory.get();
-        let n = timers.len() as u64;
-        let mut bound = sw * n;
-        for (j, timer) in timers.iter().enumerate() {
-            if j == core {
-                continue;
-            }
-            if let Some(theta) = timer.theta() {
-                bound += theta + sw;
-            }
-        }
-        bound
     }
 
     /// Whether Eq. 1 describes this configuration at all: RROF
@@ -454,8 +436,9 @@ impl SimProbe for MetricsProbe {
         self.hit_latency = config.latency().hit;
         self.timers = config.timers().to_vec();
         self.latency = vec![LatencyHistogram::new(); n];
+        let analysable = Self::analysable(config);
         self.wcl_bounds = (0..n)
-            .map(|i| Self::analysable(config).then(|| Self::eq1_bound(i, config.timers(), config)))
+            .map(|i| analysable.then(|| wcl_miss(i, config.timers(), config.latency()).get()))
             .collect();
         self.bus_busy_per_core = vec![0; n];
         self.tenures = vec![0; n];

@@ -1,5 +1,5 @@
 //! The discrete-event scheduler behind the event-driven engine, the
-//! [`Engine`] selection surface, and the cross-engine event-log differ.
+//! [`EngineKind`] selector, and the cross-engine event-log differ.
 //!
 //! # Architecture
 //!
@@ -35,11 +35,11 @@
 //! visited instants restricted to each component — spurious wakes
 //! self-heal. The one observable exception is retryable fault injection
 //! (line corruption / spurious eviction retry at every visited instant),
-//! which the event engine gates on [`Simulator`]'s "real instant" test so
-//! both engines attempt retries at exactly the same cycles. The
-//! [`compare_engines`] differ checks the resulting identity event by
-//! event, and the `engine_equivalence` property tests sweep it across
-//! protocol presets, mode switches and fault plans.
+//! which the event engine gates on [`Simulator`](crate::Simulator)'s
+//! "real instant" test so both engines attempt retries at exactly the
+//! same cycles. The [`compare_engines`] differ checks the resulting
+//! identity event by event, and the `engine_equivalence` property tests
+//! sweep it across protocol presets, mode switches and fault plans.
 
 use std::cmp::{Ordering, Reverse};
 use std::collections::BinaryHeap;
@@ -49,9 +49,8 @@ use cohort_types::{Cycles, LineAddr, Result, TimerValue};
 
 use crate::event::{Event, EventLogProbe};
 use crate::fault::FaultPlan;
-use crate::probe::SimProbe;
 use crate::stats::SimStats;
-use crate::{SimBuilder, SimConfig, Simulator};
+use crate::{SimBuilder, SimConfig};
 
 /// Which driver advances the simulator clock.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -66,62 +65,6 @@ pub enum EngineKind {
     /// engine.
     #[default]
     EventDriven,
-}
-
-impl EngineKind {
-    /// A stable identifier for reports and JSON documents.
-    #[must_use]
-    pub fn slug(self) -> &'static str {
-        match self {
-            EngineKind::CycleRound => "cycle-round",
-            EngineKind::EventDriven => "event-driven",
-        }
-    }
-}
-
-/// An engine strategy: a driver that advances a [`Simulator`] to a
-/// deadline. Both built-in engines implement it, and
-/// [`Simulator::run_until`] dispatches through the kind selected at build
-/// time ([`SimBuilder::engine`]).
-pub trait Engine {
-    /// Which engine this is.
-    fn kind(&self) -> EngineKind;
-
-    /// Advances `sim` until `deadline` (exclusive) or completion.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::Deadlock`](cohort_types::Error::Deadlock) if the
-    /// engine makes no observable progress for the watchdog window.
-    fn run_until<P: SimProbe>(&self, sim: &mut Simulator<P>, deadline: Cycles) -> Result<()>;
-}
-
-/// The legacy cycle-round strategy (see [`EngineKind::CycleRound`]).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct CycleRoundEngine;
-
-/// The discrete-event strategy (see [`EngineKind::EventDriven`]).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct EventDrivenEngine;
-
-impl Engine for CycleRoundEngine {
-    fn kind(&self) -> EngineKind {
-        EngineKind::CycleRound
-    }
-
-    fn run_until<P: SimProbe>(&self, sim: &mut Simulator<P>, deadline: Cycles) -> Result<()> {
-        sim.run_until_cycle_rounds(deadline)
-    }
-}
-
-impl Engine for EventDrivenEngine {
-    fn kind(&self) -> EngineKind {
-        EngineKind::EventDriven
-    }
-
-    fn run_until<P: SimProbe>(&self, sim: &mut Simulator<P>, deadline: Cycles) -> Result<()> {
-        sim.run_until_events(deadline)
-    }
 }
 
 /// What a popped wake entry asks the engine to look at. The entry does not
@@ -307,7 +250,10 @@ impl std::fmt::Display for EngineDivergence {
 /// (including one log being a strict prefix of the other), or `None` if
 /// they are identical.
 #[must_use]
-pub fn diff_event_logs(cycle_round: &[Event], event_driven: &[Event]) -> Option<EngineDivergence> {
+pub(crate) fn diff_event_logs(
+    cycle_round: &[Event],
+    event_driven: &[Event],
+) -> Option<EngineDivergence> {
     let shared = cycle_round.len().min(event_driven.len());
     for index in 0..shared {
         if cycle_round[index] != event_driven[index] {

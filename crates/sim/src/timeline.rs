@@ -77,12 +77,12 @@ fn line_of(kind: &EventKind) -> Option<LineAddr> {
 /// # Examples
 ///
 /// ```
-/// use cohort_sim::{render_timeline, EventLogProbe, SimConfig, Simulator, TimelineOptions};
+/// use cohort_sim::{render_timeline, EventLogProbe, SimBuilder, SimConfig, TimelineOptions};
 /// use cohort_trace::micro;
 ///
 /// let config = SimConfig::builder(2).build()?;
 /// let mut probe = EventLogProbe::new();
-/// let mut sim = Simulator::with_probe(config, &micro::ping_pong(2, 2), &mut probe)?;
+/// let mut sim = SimBuilder::new(config, &micro::ping_pong(2, 2)).probe(&mut probe).build()?;
 /// sim.run()?;
 /// let art = render_timeline(&probe.to_vec(), 2, &TimelineOptions::default());
 /// assert!(art.contains("c0"));
@@ -148,7 +148,7 @@ pub fn render_timeline(events: &[Event], cores: usize, options: &TimelineOptions
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{EventLogProbe, SimConfig, Simulator};
+    use crate::{EventLogProbe, SimBuilder, SimConfig};
     use cohort_trace::micro;
     use cohort_types::{Cycles, TimerValue};
 
@@ -156,7 +156,7 @@ mod tests {
         let config =
             SimConfig::builder(cores).timer(0, TimerValue::timed(40).unwrap()).build().unwrap();
         let mut probe = EventLogProbe::new();
-        let mut sim = Simulator::with_probe(config, workload, &mut probe).unwrap();
+        let mut sim = SimBuilder::new(config, workload).probe(&mut probe).build().unwrap();
         sim.run().unwrap();
         probe.to_vec()
     }
@@ -206,7 +206,8 @@ mod tests {
     fn switches_appear_in_header() {
         let config = SimConfig::builder(1).build().unwrap();
         let mut probe = EventLogProbe::new();
-        let mut sim = Simulator::with_probe(config, &micro::streaming(1, 5), &mut probe).unwrap();
+        let mut sim =
+            SimBuilder::new(config, &micro::streaming(1, 5)).probe(&mut probe).build().unwrap();
         sim.schedule_timer_switch(Cycles::new(10), vec![TimerValue::MSI]).unwrap();
         sim.run().unwrap();
         let art = render_timeline(&probe.to_vec(), 1, &TimelineOptions::default());

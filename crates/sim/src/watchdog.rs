@@ -19,7 +19,7 @@
 
 use std::collections::BTreeSet;
 
-use cohort_types::{Cycles, LineAddr, TimerValue};
+use cohort_types::{wcl_miss, Cycles, LineAddr, TimerValue};
 
 use crate::event::EventKind;
 use crate::metrics::MetricsProbe;
@@ -87,13 +87,13 @@ pub struct WcmlViolation {
 /// # Examples
 ///
 /// ```
-/// use cohort_sim::{SimConfig, Simulator, WcmlGuard};
+/// use cohort_sim::{SimBuilder, SimConfig, WcmlGuard};
 /// use cohort_trace::micro;
 /// use cohort_types::TimerValue;
 ///
 /// let config = SimConfig::builder(2).timers(vec![TimerValue::timed(100)?; 2]).build()?;
 /// let mut guard = WcmlGuard::new();
-/// let mut sim = Simulator::with_probe(config, &micro::ping_pong(2, 8), &mut guard)?;
+/// let mut sim = SimBuilder::new(config, &micro::ping_pong(2, 8)).probe(&mut guard).build()?;
 /// sim.run()?;
 /// assert!(guard.violations().is_empty(), "a clean run stays inside Eq. 1");
 /// # Ok::<(), Box<dyn std::error::Error>>(())
@@ -160,20 +160,16 @@ impl WcmlGuard {
 
     fn recompute_bounds(&mut self) {
         let Some(config) = &self.config else { return };
-        if MetricsProbe::analysable(config) {
-            self.bounds = (0..self.timers.len())
-                .map(|core| {
-                    // MSI cores renounce their latency guarantee — that is
-                    // the degradation the watchdog drives *to*, so it must
-                    // not keep convicting them afterwards.
-                    self.timers[core]
-                        .is_timed()
-                        .then(|| MetricsProbe::eq1_bound(core, &self.timers, config))
-                })
-                .collect();
-        } else {
-            self.bounds = vec![None; self.timers.len()];
-        }
+        let analysable = MetricsProbe::analysable(config);
+        // MSI cores renounce their latency guarantee — that is the
+        // degradation the watchdog drives *to*, so it must not keep
+        // convicting them afterwards.
+        self.bounds = (0..self.timers.len())
+            .map(|core| {
+                (analysable && self.timers[core].is_timed())
+                    .then(|| wcl_miss(core, &self.timers, config.latency()).get())
+            })
+            .collect();
     }
 
     /// Driver-assisted progress check between `run_until` slices: convicts

@@ -18,7 +18,7 @@ use proptest::prelude::*;
 
 use cohort_sim::{
     CacheGeometry, EventLogProbe, FaultKind, FaultPlan, FaultSpec, InvariantKind, InvariantProbe,
-    LlcModel, MetricsProbe, ProtocolFlavor, SimBuilder, SimConfig, SimProbe, Simulator, WcmlGuard,
+    LlcModel, MetricsProbe, ProtocolFlavor, SimBuilder, SimConfig, SimProbe, WcmlGuard,
     WcmlViolationKind,
 };
 use cohort_trace::{micro, Trace, TraceOp, Workload};
@@ -49,21 +49,17 @@ fn spec(kind: FaultKind, core: usize, at: u64) -> FaultSpec {
 /// Runs `workload` twice — once without a plan, once with the empty plan —
 /// and asserts the runs are indistinguishable.
 fn assert_empty_plan_identity(config: SimConfig, workload: &Workload) {
-    let mut plain = Simulator::with_probe(
-        config.clone(),
-        workload,
-        (EventLogProbe::new(), MetricsProbe::new()),
-    )
-    .expect("plain sim");
+    let mut plain = SimBuilder::new(config.clone(), workload)
+        .probe((EventLogProbe::new(), MetricsProbe::new()))
+        .build()
+        .expect("plain sim");
     let plain_stats = plain.run().expect("plain run");
 
-    let mut faulted = Simulator::with_probe_and_faults(
-        config,
-        workload,
-        (EventLogProbe::new(), MetricsProbe::new()),
-        FaultPlan::empty(),
-    )
-    .expect("empty-plan sim");
+    let mut faulted = SimBuilder::new(config, workload)
+        .probe((EventLogProbe::new(), MetricsProbe::new()))
+        .faults(FaultPlan::empty())
+        .build()
+        .expect("empty-plan sim");
     let faulted_stats = faulted.run().expect("empty-plan run");
 
     assert_eq!(plain_stats, faulted_stats, "statistics diverge");
@@ -138,7 +134,7 @@ fn bus_drop_storm_breaks_the_latency_bound() {
     let w = duet("bus-drop", vec![TraceOp::store(1).after(10)], vec![TraceOp::load(9)]);
     let mut guard = WcmlGuard::new();
     let mut sim =
-        Simulator::with_probe_and_faults(two_timed(50), &w, &mut guard, plan).expect("sim");
+        SimBuilder::new(two_timed(50), &w).probe(&mut guard).faults(plan).build().expect("sim");
     sim.run().expect("run completes despite drops");
     assert_eq!(
         sim.injected_faults().iter().filter(|f| f.kind == FaultKind::BusDrop).count(),
@@ -157,7 +153,7 @@ fn bus_duplicate_storm_breaks_the_latency_bound() {
     let w = duet("bus-duplicate", vec![TraceOp::store(1).after(10)], vec![TraceOp::load(9)]);
     let mut guard = WcmlGuard::new();
     let mut sim =
-        Simulator::with_probe_and_faults(two_timed(50), &w, &mut guard, plan).expect("sim");
+        SimBuilder::new(two_timed(50), &w).probe(&mut guard).faults(plan).build().expect("sim");
     sim.run().expect("run completes");
     assert!(sim.injected_faults().iter().all(|f| f.kind == FaultKind::BusDuplicate));
     drop(sim);
@@ -170,7 +166,7 @@ fn bus_delay_breaks_the_latency_bound() {
     let w = duet("bus-delay", vec![TraceOp::store(1).after(10)], vec![TraceOp::load(9)]);
     let mut guard = WcmlGuard::new();
     let mut sim =
-        Simulator::with_probe_and_faults(two_timed(50), &w, &mut guard, plan).expect("sim");
+        SimBuilder::new(two_timed(50), &w).probe(&mut guard).faults(plan).build().expect("sim");
     sim.run().expect("run completes");
     assert_eq!(sim.injected_faults().len(), 1);
     drop(sim);
@@ -196,7 +192,7 @@ fn line_corruption_is_detected_as_swmr_violation() {
     );
     let mut probe = InvariantProbe::new();
     let config = SimConfig::builder(2).build().expect("valid config");
-    let mut sim = Simulator::with_probe_and_faults(config, &w, &mut probe, plan).expect("sim");
+    let mut sim = SimBuilder::new(config, &w).probe(&mut probe).faults(plan).build().expect("sim");
     sim.run().expect("run completes");
     assert_eq!(sim.injected_faults().len(), 1, "the corruption fired");
     assert!(
@@ -221,7 +217,7 @@ fn spurious_eviction_is_detected_as_data_value_violation() {
     let w = duet("spurious-eviction", vec![TraceOp::store(5)], vec![TraceOp::load(5).after(800)]);
     let mut probe = InvariantProbe::new();
     let config = SimConfig::builder(2).build().expect("valid config");
-    let mut sim = Simulator::with_probe_and_faults(config, &w, &mut probe, plan).expect("sim");
+    let mut sim = SimBuilder::new(config, &w).probe(&mut probe).faults(plan).build().expect("sim");
     sim.run().expect("run completes");
     assert_eq!(sim.injected_faults().len(), 1, "the eviction fired");
     drop(sim);
@@ -246,7 +242,7 @@ fn timer_early_expiry_is_detected_as_timer_protection_violation() {
         .build()
         .expect("valid config");
     let mut probe = InvariantProbe::new();
-    let mut sim = Simulator::with_probe_and_faults(config, &w, &mut probe, plan).expect("sim");
+    let mut sim = SimBuilder::new(config, &w).probe(&mut probe).faults(plan).build().expect("sim");
     sim.run().expect("run completes");
     assert_eq!(sim.injected_faults().len(), 1);
     drop(sim);
@@ -267,7 +263,7 @@ fn timer_stuck_is_detected_as_liveness_violation() {
     let w = duet("timer-stuck", vec![TraceOp::store(5)], vec![TraceOp::store(5).after(50)]);
     let config = SimConfig::builder(2).timers(vec![timed(100); 2]).build().expect("valid config");
     let mut probe = InvariantProbe::new();
-    let mut sim = Simulator::with_probe_and_faults(config, &w, &mut probe, plan).expect("sim");
+    let mut sim = SimBuilder::new(config, &w).probe(&mut probe).faults(plan).build().expect("sim");
     sim.run_until(Cycles::new(5_000)).expect("bounded run");
     assert!(!sim.is_finished(), "the stuck timer must stall c1 past the horizon");
     let stats = sim.stats().clone();
@@ -294,7 +290,7 @@ fn timer_corruption_starves_the_victim_core() {
     );
     let mut guard = WcmlGuard::new();
     let mut sim =
-        Simulator::with_probe_and_faults(two_timed(50), &w, &mut guard, plan).expect("sim");
+        SimBuilder::new(two_timed(50), &w).probe(&mut guard).faults(plan).build().expect("sim");
     sim.run().expect("run completes");
     assert_eq!(sim.injected_faults().len(), 1);
     drop(sim);
@@ -315,7 +311,7 @@ fn core_stall_is_detected_as_progress_violation() {
     let w = duet("core-stall", vec![TraceOp::load(1).after(10)], vec![TraceOp::load(2)]);
     let mut guard = WcmlGuard::new().with_progress_timeout(10_000);
     let mut sim =
-        Simulator::with_probe_and_faults(two_timed(50), &w, &mut guard, plan).expect("sim");
+        SimBuilder::new(two_timed(50), &w).probe(&mut guard).faults(plan).build().expect("sim");
     let mut slices = 0;
     while !sim.is_finished() && slices < 200 {
         let deadline = sim.now() + Cycles::new(1_000);
@@ -354,7 +350,10 @@ fn seeded_campaign_is_deterministic() {
     assert_eq!(plan, FaultPlan::seeded(0xC0FF_EE00, 4, 5_000, 6), "plan derivation is pure");
 
     let run = |plan: FaultPlan| {
-        let mut sim = Simulator::with_probe_and_faults(config(), &w, EventLogProbe::new(), plan)
+        let mut sim = SimBuilder::new(config(), &w)
+            .probe(EventLogProbe::new())
+            .faults(plan)
+            .build()
             .expect("sim");
         let stats = sim.run().expect("run completes");
         (stats, sim.injected_faults().to_vec(), sim.probe().to_vec())

@@ -1,12 +1,12 @@
 //! The MESI extension: Exclusive fills and silent upgrades, with the MSI
 //! configuration (the paper's baseline) byte-for-byte unaffected.
 
-use cohort_sim::{EventKind, EventLogProbe, ProtocolFlavor, SimConfig, SimStats, Simulator};
+use cohort_sim::{EventKind, EventLogProbe, ProtocolFlavor, SimBuilder, SimConfig, SimStats};
 use cohort_trace::{micro, Trace, TraceOp, Workload};
-use cohort_types::TimerValue;
+use cohort_types::{wcl_miss, LatencyConfig, TimerValue};
 
 fn run(config: SimConfig, w: &Workload) -> SimStats {
-    let mut sim = Simulator::new(config, w).expect("sim");
+    let mut sim = SimBuilder::new(config, w).build().expect("sim");
     let stats = sim.run().expect("runs");
     sim.validate_coherence().expect("invariants");
     stats
@@ -81,7 +81,7 @@ fn mesi_never_reduces_hits_on_kernels() {
     use std::collections::{HashMap, HashSet};
 
     let hits_per_line = |config: SimConfig, w: &Workload| -> HashMap<(usize, u64), u64> {
-        let mut sim = Simulator::with_probe(config, w, EventLogProbe::new()).expect("sim");
+        let mut sim = SimBuilder::new(config, w).probe(EventLogProbe::new()).build().expect("sim");
         sim.run().expect("runs");
         sim.validate_coherence().expect("invariants");
         let mut hits = HashMap::new();
@@ -142,12 +142,8 @@ fn eq1_bound_still_holds_under_mesi() {
     let config =
         SimConfig::builder(4).timers(timers.to_vec()).flavor(ProtocolFlavor::Mesi).build().unwrap();
     let stats = run(config, &w);
-    // Eq. 1 inlined (cohort-analysis sits above cohort-sim in the DAG).
-    let sw = cohort_types::LatencyConfig::paper().slot_width().get();
     for i in 0..4 {
-        let theta_terms: u64 =
-            (0..4).filter(|&j| j != i).filter_map(|j| timers[j].theta().map(|t| t + sw)).sum();
-        let bound = 4 * sw + theta_terms;
+        let bound = wcl_miss(i, &timers, &LatencyConfig::paper()).get();
         assert!(
             stats.cores[i].worst_request.get() <= bound,
             "core {i}: {} > {bound}",

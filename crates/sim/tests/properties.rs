@@ -5,7 +5,11 @@
 use proptest::prelude::*;
 
 use cohort_sim::ArbiterKind;
+#[allow(unused_imports)] // used only inside proptest! (the offline stub expands to nothing)
+use cohort_sim::{DataPath, SimBuilder, SimConfig};
 use cohort_trace::{AccessKind, Trace, TraceOp, Workload};
+#[allow(unused_imports)] // used only inside proptest! (the offline stub expands to nothing)
+use cohort_types::wcl_miss;
 use cohort_types::{Cycles, LineAddr, TimerValue};
 
 /// An arbitrary timer value: MSI or a small θ.
@@ -68,7 +72,7 @@ proptest! {
             .data_path(if via_llc { DataPath::ViaSharedMemory } else { DataPath::CacheToCache })
             .build()
             .expect("valid config");
-        let mut sim = Simulator::new(config, &workload).expect("valid sim");
+        let mut sim = SimBuilder::new(config, &workload).build().expect("valid sim");
         let stats = sim.run().expect("no deadlock");
         sim.validate_coherence().expect("invariants hold");
         for (core, trace) in stats.cores.iter().zip(workload.traces()) {
@@ -85,17 +89,11 @@ proptest! {
         timers in proptest::collection::vec(timer_strategy(), 4),
     ) {
         let config = SimConfig::builder(4).timers(timers.clone()).build().expect("valid");
-        let sw = config.latency().slot_width().get();
-        let n = 4u64;
-        let mut sim = Simulator::new(config, &workload).expect("valid sim");
+        let latency = *config.latency();
+        let mut sim = SimBuilder::new(config, &workload).build().expect("valid sim");
         let stats = sim.run().expect("no deadlock");
         for i in 0..4 {
-            // Eq. 1: SW + (N−1)·SW + Σ_{j≠i, θ_j ≥ 0} (θ_j + SW).
-            let timer_terms: u64 = (0..4)
-                .filter(|&j| j != i)
-                .filter_map(|j| timers[j].theta().map(|t| t + sw))
-                .sum();
-            let bound = sw + (n - 1) * sw + timer_terms;
+            let bound = wcl_miss(i, &timers, &latency).get();
             prop_assert!(
                 stats.cores[i].worst_request.get() <= bound,
                 "core {} observed {} > bound {} (timers {:?})",
@@ -111,8 +109,8 @@ proptest! {
         timers in proptest::collection::vec(timer_strategy(), 2),
     ) {
         let config = SimConfig::builder(2).timers(timers).build().expect("valid");
-        let a = Simulator::new(config.clone(), &workload).expect("sim").run().expect("ok");
-        let b = Simulator::new(config, &workload).expect("sim").run().expect("ok");
+        let a = SimBuilder::new(config.clone(), &workload).build().expect("sim").run().expect("ok");
+        let b = SimBuilder::new(config, &workload).build().expect("sim").run().expect("ok");
         prop_assert_eq!(a, b);
     }
 
@@ -128,7 +126,7 @@ proptest! {
             .timers(vec![TimerValue::timed(theta).expect("small"); 3])
             .build()
             .expect("valid");
-        let mut sim = Simulator::new(config, &workload).expect("sim");
+        let mut sim = SimBuilder::new(config, &workload).build().expect("sim");
         sim.schedule_timer_switch(Cycles::new(switch_at), vec![TimerValue::MSI; 3])
             .expect("future switch");
         let stats = sim.run().expect("no deadlock");
@@ -155,7 +153,8 @@ proptest! {
                 .timer(0, TimerValue::timed(theta).expect("small"))
                 .build()
                 .expect("valid");
-            Simulator::new(config, &workload).expect("sim").run().expect("ok").cores[0].hits
+            let mut sim = SimBuilder::new(config, &workload).build().expect("sim");
+            sim.run().expect("ok").cores[0].hits
         };
         prop_assert!(run(small + extra) >= run(small));
     }

@@ -1,6 +1,6 @@
 use serde::{Deserialize, Serialize};
 
-use crate::{Cycles, Error, Result};
+use crate::{Cycles, Error, Result, TimerValue};
 
 /// Latency parameters of the modelled memory hierarchy.
 ///
@@ -88,6 +88,64 @@ impl LatencyConfig {
     pub fn slot_width(&self) -> Cycles {
         self.request + self.data
     }
+
+    /// The effective slot width used by every bound and by the TDM
+    /// arbiter: `SW`, plus the fixed main-memory latency when the LLC is
+    /// non-perfect (every LLC-sourced transfer may miss and pay it). For
+    /// the paper's perfect-LLC configuration this is exactly `SW`.
+    #[must_use]
+    pub fn effective_slot(&self) -> Cycles {
+        self.slot_width() + self.memory
+    }
+}
+
+/// **Eq. 1** — the per-request worst-case miss latency of core `i` under
+/// CoHoRT (heterogeneous coherence, RROF arbitration):
+///
+/// ```text
+/// WCL_i = SW + (N−1)·SW + Σ_{j≠i} { θ_j + SW   if θ_j ≥ 0
+///                                  { 0          if θ_j = −1
+/// ```
+///
+/// The first term covers the first core in the broadcast order fetching the
+/// line from the shared memory; the second covers one data hand-over per
+/// interfering core; the third adds, for every *timed* interferer, its
+/// timer hold plus a slot of expiry/slot misalignment. A core's own timer
+/// never appears in its own bound (`j ≠ i`) — the modelled cache controller
+/// drops timer protection of a line the core itself is waiting on. `SW` is
+/// the [effective slot](LatencyConfig::effective_slot).
+///
+/// This is the one definition of Eq. 1: the analysis, the GA, the
+/// simulator's metrics probe and its run-time watchdog all call it.
+///
+/// # Examples
+///
+/// ```
+/// use cohort_types::{wcl_miss, LatencyConfig, TimerValue};
+///
+/// // All-MSI quad core: N·SW = 216.
+/// let msi = [TimerValue::MSI; 4];
+/// assert_eq!(wcl_miss(0, &msi, &LatencyConfig::paper()).get(), 216);
+/// ```
+///
+/// # Panics
+///
+/// Panics if `core` is out of range of `timers`.
+#[must_use]
+pub fn wcl_miss(core: usize, timers: &[TimerValue], latency: &LatencyConfig) -> Cycles {
+    assert!(core < timers.len(), "core {core} out of range");
+    let sw = latency.effective_slot();
+    let n = timers.len() as u64;
+    let mut bound = sw + sw * (n - 1);
+    for (j, timer) in timers.iter().enumerate() {
+        if j == core {
+            continue;
+        }
+        if let Some(theta) = timer.theta() {
+            bound += Cycles::new(theta) + sw;
+        }
+    }
+    bound
 }
 
 impl Default for LatencyConfig {

@@ -10,7 +10,8 @@
 //!   the special MSI value θ = −1),
 //! - the mixed-criticality task model ([`Criticality`], [`Mode`], [`Task`]),
 //! - the latency parameters of the modelled memory hierarchy
-//!   ([`LatencyConfig`]),
+//!   ([`LatencyConfig`]) and the per-request bound of Eq. 1 they feed
+//!   ([`wcl_miss`]),
 //! - the fleet coordination vocabulary ([`Fingerprint`] content-addresses,
 //!   claim [`Epoch`]s and [`WorkerId`]s),
 //! - and a common error type ([`Error`]).
@@ -53,7 +54,7 @@ pub use criticality::{Criticality, Mode};
 pub use error::Error;
 pub use fleet::{Epoch, Fingerprint, FingerprintBuilder, WorkerId};
 pub use ids::{Address, CoreId, LineAddr};
-pub use latency::LatencyConfig;
+pub use latency::{wcl_miss, LatencyConfig};
 pub use task::{Requirements, Task};
 pub use time::Cycles;
 pub use timer::TimerValue;

@@ -206,7 +206,7 @@ pub fn replay_workload(sim_cfg: SimConfig, workload: &Workload) -> Result<Replay
 
 /// Replays `trace` through the real engine with the [`InvariantProbe`]
 /// attached, sampling the engine's deep coherence validator every
-/// [`EVENT_STRIDE`] cycles.
+/// `EVENT_STRIDE` (200) cycles.
 ///
 /// # Errors
 ///

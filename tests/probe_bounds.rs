@@ -1,8 +1,9 @@
-//! Cross-crate lock-step between the simulator's [`MetricsProbe`] and the
-//! analysis crate's Eq. 1. The probe restates the bound internally (the
-//! simulator cannot depend *up* on `cohort-analysis`), so this test is the
-//! only thing holding the two formulas together: if either side drifts,
-//! it fails loudly here.
+//! The simulator's [`MetricsProbe`] attaches the shared Eq. 1 bound.
+//! Eq. 1 has one definition, `cohort_types::wcl_miss`, which
+//! `cohort-analysis` re-exports and the probe calls; these tests check
+//! that the probe attaches exactly that bound on analysable
+//! configurations, none elsewhere, and that measured latencies respect
+//! it.
 
 use cohort_sim::{MetricsProbe, SimBuilder, SimConfig};
 use cohort_trace::micro;
