@@ -25,6 +25,7 @@ use std::path::Path;
 use std::process::ExitCode;
 
 use cohort_bench::report;
+use cohort_cert::{FaultAggregate, SchedAggregate};
 
 type CheckResult = Result<(), String>;
 
@@ -688,18 +689,10 @@ fn check_lint(doc: &serde_json::Value) -> CheckResult {
     Ok(())
 }
 
-/// Checks one `{successes, trials, rate, wilson_lo, wilson_hi}` rate
-/// document; the Wilson interval must bracket the point estimate inside
-/// `[0, 1]`, and successes must not exceed trials.
-fn check_rate(doc: &serde_json::Value, what: &str) -> CheckResult {
-    for key in ["successes", "trials"] {
-        expect_u64(doc, key, what)?;
-    }
-    let successes = get(doc, "successes", what)?.as_u64().unwrap_or(0);
-    let trials = get(doc, "trials", what)?.as_u64().unwrap_or(0);
-    if successes > trials {
-        return Err(format!("{what}: successes {successes} exceed trials {trials}"));
-    }
+/// Checks that a rate document's own `rate` lies inside its own
+/// `[wilson_lo, wilson_hi]` within `[0, 1]` (the counts themselves are
+/// decoded, and `successes <= trials` enforced, by `cohort-cert`).
+fn check_wilson(doc: &serde_json::Value, what: &str) -> CheckResult {
     let num = |key: &str| -> Result<f64, String> {
         get(doc, key, what)?.as_f64().ok_or_else(|| format!("{what}: `{key}` is not a number"))
     };
@@ -746,90 +739,66 @@ fn check_cert(doc: &serde_json::Value) -> CheckResult {
     }
     check_health(get(memo, "health", what)?, &format!("{what}.health"))?;
 
-    // The fault campaign: counts must partition and every rate must carry
-    // a well-formed Wilson interval.
-    let fault = get(doc, "fault", "cert")?;
+    // The fault campaign, decoded by cert's own codec: counts must
+    // partition and every rate must sit inside its Wilson interval.
+    let fault_doc = get(doc, "fault", "cert")?;
     let what = "cert.fault";
-    for key in ["trials", "control_trials", "machine_violations"] {
-        expect_u64(fault, key, what)?;
+    let fault = FaultAggregate::from_json(fault_doc).map_err(|e| format!("{what}: {e}"))?;
+    for key in ["detected", "false_convictions", "degraded", "degradation_success"] {
+        check_wilson(get(fault_doc, key, what)?, &format!("{what}.{key}"))?;
+    }
+    let (control, faulted) = (fault.control_trials, fault.detected.trials);
+    if control + faulted != fault.trials {
+        return Err(format!(
+            "{what}: control {control} + faulted {faulted} != trials {}",
+            fault.trials
+        ));
+    }
+    if fault.false_convictions.trials != control {
+        return Err(format!(
+            "{what}.false_convictions: trials differ from control_trials {control}"
+        ));
+    }
+
+    // The schedulability curve: bucket trials must sum to the campaign.
+    let sched_doc = get(doc, "schedulability", "cert")?;
+    let what = "cert.schedulability";
+    let sched = SchedAggregate::from_json(sched_doc).map_err(|e| format!("{what}: {e}"))?;
+    if sched.schedulable > sched.trials {
+        return Err(format!("{what}: more schedulable task sets than trials"));
+    }
+    if sched.buckets.is_empty() {
+        return Err(format!("{what}: empty `curve` array"));
+    }
+    let curve = get(sched_doc, "curve", what)?.as_array().map_or(&[][..], Vec::as_slice);
+    for (i, (bucket, bucket_doc)) in sched.buckets.iter().zip(curve).enumerate() {
+        let b_what = format!("{what}.curve[{i}]");
+        check_wilson(bucket_doc, &b_what)?;
+        if bucket.lo_pct >= bucket.hi_pct {
+            return Err(format!(
+                "{b_what}: utilisation edges [{}, {}) are empty",
+                bucket.lo_pct, bucket.hi_pct
+            ));
+        }
+    }
+    let curve_trials: u64 = sched.buckets.iter().map(|b| b.rate.trials).sum();
+    if curve_trials != sched.trials {
+        return Err(format!(
+            "{what}: curve bucket trials sum to {curve_trials}, campaign ran {}",
+            sched.trials
+        ));
     }
     let count = |sec: &serde_json::Value, key: &str, what: &str| -> Result<u64, String> {
         get(sec, key, what)?
             .as_u64()
             .ok_or_else(|| format!("{what}: `{key}` is not an unsigned integer"))
     };
-    for key in ["detected", "false_convictions", "degraded", "degradation_success"] {
-        check_rate(get(fault, key, what)?, &format!("{what}.{key}"))?;
-    }
-    let fault_trials = count(fault, "trials", what)?;
-    let control = count(fault, "control_trials", what)?;
-    let faulted = count(get(fault, "detected", what)?, "trials", &format!("{what}.detected"))?;
-    if control + faulted != fault_trials {
-        return Err(format!(
-            "{what}: control {control} + faulted {faulted} != trials {fault_trials}"
-        ));
-    }
-    let fc_what = format!("{what}.false_convictions");
-    if count(get(fault, "false_convictions", what)?, "trials", &fc_what)? != control {
-        return Err(format!("{fc_what}: trials differ from control_trials {control}"));
-    }
-    let hist = get(fault, "detection_latency", what)?;
-    let h_what = format!("{what}.detection_latency");
-    for key in ["total", "max"] {
-        expect_u64(hist, key, &h_what)?;
-    }
-    let buckets = get(hist, "buckets", &h_what)?
-        .as_array()
-        .ok_or_else(|| format!("{h_what}: `buckets` is not an array"))?;
-    let mut bucketed = 0u64;
-    for bucket in buckets {
-        let pair = bucket
-            .as_array()
-            .filter(|p| p.len() == 2)
-            .ok_or_else(|| format!("{h_what}: bucket is not a [bucket, count] pair"))?;
-        bucketed +=
-            pair[1].as_u64().ok_or_else(|| format!("{h_what}: bucket count is not an integer"))?;
-    }
-    let hist_total = count(hist, "total", &h_what)?;
-    if bucketed != hist_total {
-        return Err(format!("{h_what}: bucket counts sum to {bucketed}, total says {hist_total}"));
-    }
-
-    // The schedulability curve: bucket trials must sum to the campaign.
-    let sched = get(doc, "schedulability", "cert")?;
-    let what = "cert.schedulability";
-    for key in ["trials", "schedulable"] {
-        expect_u64(sched, key, what)?;
-    }
-    let sched_trials = count(sched, "trials", what)?;
-    if count(sched, "schedulable", what)? > sched_trials {
-        return Err(format!("{what}: more schedulable task sets than trials"));
-    }
-    let curve = get(sched, "curve", what)?
-        .as_array()
-        .ok_or_else(|| format!("{what}: `curve` is not an array"))?;
-    if curve.is_empty() {
-        return Err(format!("{what}: empty `curve` array"));
-    }
-    let mut curve_trials = 0u64;
-    for (i, bucket) in curve.iter().enumerate() {
-        let b_what = format!("{what}.curve[{i}]");
-        check_rate(bucket, &b_what)?;
-        let (lo, hi) =
-            (count(bucket, "util_lo_pct", &b_what)?, count(bucket, "util_hi_pct", &b_what)?);
-        if lo >= hi {
-            return Err(format!("{b_what}: utilisation edges [{lo}, {hi}) are empty"));
-        }
-        curve_trials += count(bucket, "trials", &b_what)?;
-    }
-    if curve_trials != sched_trials {
-        return Err(format!(
-            "{what}: curve bucket trials sum to {curve_trials}, campaign ran {sched_trials}"
-        ));
-    }
     let total = count(doc, "trials", "cert")?;
-    if fault_trials + sched_trials != total {
-        return Err(format!("cert: fault {fault_trials} + sched {sched_trials} != trials {total}"));
+    if fault.trials + sched.trials != total {
+        return Err(format!(
+            "cert: fault {} + sched {} != trials {total}",
+            fault.trials, sched.trials
+        ));
     }
 
     // The reproducibility gate: every minimized counterexample must still

@@ -9,7 +9,7 @@
 
 use serde_json::{json, Value};
 
-use cohort_types::{Error, Result};
+use cohort_types::{Error, Log2Histogram, Result};
 
 use crate::trial::{FaultTrialOutcome, SchedSpace, SchedTrialOutcome};
 
@@ -92,106 +92,39 @@ impl Rate {
     }
 }
 
-/// A log2-bucketed histogram (the same shape as the metrics probe's
-/// latency histograms): bucket `b` counts values in `[2^(b-1), 2^b)`,
-/// bucket 0 counts zeros.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct LogHistogram {
-    counts: Vec<u64>,
-    total: u64,
-    max: u64,
+/// The sparse `{total, max, buckets: [[bucket, count], ...]}` payload of a
+/// detection-latency histogram.
+fn histogram_to_json(hist: &Log2Histogram) -> Value {
+    let buckets: Vec<Value> =
+        hist.nonzero_buckets().map(|(bucket, count)| json!([bucket as u64, count])).collect();
+    json!({ "total": hist.count(), "max": hist.max(), "buckets": buckets })
 }
 
-impl LogHistogram {
-    /// An empty histogram.
-    #[must_use]
-    pub fn new() -> Self {
-        LogHistogram::default()
-    }
-
-    /// Records one value.
-    pub fn record(&mut self, value: u64) {
-        let bucket = if value == 0 { 0 } else { 64 - value.leading_zeros() as usize };
-        if self.counts.len() <= bucket {
-            self.counts.resize(bucket + 1, 0);
-        }
-        self.counts[bucket] += 1;
-        self.total += 1;
-        self.max = self.max.max(value);
-    }
-
-    /// Values recorded.
-    #[must_use]
-    pub fn total(&self) -> u64 {
-        self.total
-    }
-
-    /// Largest value recorded.
-    #[must_use]
-    pub fn max(&self) -> u64 {
-        self.max
-    }
-
-    /// Folds another histogram in.
-    pub fn merge(&mut self, other: &LogHistogram) {
-        if self.counts.len() < other.counts.len() {
-            self.counts.resize(other.counts.len(), 0);
-        }
-        for (bucket, &count) in other.counts.iter().enumerate() {
-            self.counts[bucket] += count;
-        }
-        self.total += other.total;
-        self.max = self.max.max(other.max);
-    }
-
-    /// `{total, max, buckets: [[bucket, count], ...]}` (sparse).
-    #[must_use]
-    pub fn to_json(&self) -> Value {
-        let buckets: Vec<Value> = self
-            .counts
-            .iter()
-            .enumerate()
-            .filter(|(_, &c)| c > 0)
-            .map(|(b, &c)| json!([b as u64, c]))
-            .collect();
-        json!({ "total": self.total, "max": self.max, "buckets": buckets })
-    }
-
-    /// Parses a payload produced by [`LogHistogram::to_json`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::Codec`] on a malformed document, including a bucket
-    /// index above 64 (the bucket of `u64::MAX`).
-    pub fn from_json(doc: &Value) -> Result<LogHistogram> {
-        let mut hist = LogHistogram {
-            counts: Vec::new(),
-            total: get_u64(doc, "total")?,
-            max: get_u64(doc, "max")?,
-        };
-        let buckets = doc
-            .get("buckets")
-            .and_then(Value::as_array)
-            .ok_or_else(|| Error::Codec("histogram is missing `buckets`".into()))?;
-        for pair in buckets {
-            let entry = pair
-                .as_array()
-                .filter(|p| p.len() == 2)
-                .ok_or_else(|| Error::Codec("histogram bucket is not a pair".into()))?;
-            let bucket = entry[0]
+/// Parses a [`histogram_to_json`] payload; the bucket counts must sum to
+/// the document's `total`.
+fn histogram_from_json(doc: &Value) -> Result<Log2Histogram> {
+    let total = get_u64(doc, "total")?;
+    let pairs = doc
+        .get("buckets")
+        .and_then(Value::as_array)
+        .ok_or_else(|| Error::Codec("histogram is missing `buckets`".into()))?
+        .iter()
+        .map(|pair| match pair.as_array().map(Vec::as_slice) {
+            Some([bucket, count]) => bucket
                 .as_u64()
-                .filter(|&b| b <= 64) // the bucket of `u64::MAX`
-                .ok_or_else(|| Error::Codec("histogram bucket index".into()))?
-                as usize;
-            let count =
-                entry[1].as_u64().ok_or_else(|| Error::Codec("histogram bucket count".into()))?;
-            if hist.counts.len() <= bucket {
-                hist.counts.resize(bucket + 1, 0);
-            }
-            hist.counts[bucket] = count;
-        }
-        Ok(hist)
+                .zip(count.as_u64())
+                .ok_or_else(|| Error::Codec("histogram bucket is not a u64 pair".into())),
+            _ => Err(Error::Codec("histogram bucket is not a pair".into())),
+        })
+        .collect::<Result<Vec<(u64, u64)>>>()?;
+    let hist = Log2Histogram::from_buckets(get_u64(doc, "max")?, pairs)?;
+    if hist.count() != total {
+        return Err(Error::Codec(format!(
+            "histogram bucket counts sum to {}, total says {total}",
+            hist.count()
+        )));
     }
+    Ok(hist)
 }
 
 /// The streaming aggregate of the fault-injection campaign.
@@ -213,7 +146,7 @@ pub struct FaultAggregate {
     /// Machine-attributed (coreless) convictions across all trials.
     pub machine_violations: u64,
     /// Detection-latency distribution (cycles, log2 buckets).
-    pub detection: LogHistogram,
+    pub detection: Log2Histogram,
     /// The first convicting seeds, capped at [`CONVICTING_SEEDS_CAP`] per
     /// batch, for the minimizer.
     pub convicting_seeds: Vec<u64>,
@@ -278,7 +211,7 @@ impl FaultAggregate {
             "degraded": self.degraded.to_json(),
             "degradation_success": self.degradation_success.to_json(),
             "machine_violations": self.machine_violations,
-            "detection_latency": self.detection.to_json(),
+            "detection_latency": histogram_to_json(&self.detection),
             "convicting_seeds": self.convicting_seeds.clone(),
         })
     }
@@ -304,7 +237,7 @@ impl FaultAggregate {
             degraded: Rate::from_json(get(doc, "degraded")?)?,
             degradation_success: Rate::from_json(get(doc, "degradation_success")?)?,
             machine_violations: get_u64(doc, "machine_violations")?,
-            detection: LogHistogram::from_json(get(doc, "detection_latency")?)?,
+            detection: histogram_from_json(get(doc, "detection_latency")?)?,
             convicting_seeds: seeds,
         })
     }
@@ -479,9 +412,9 @@ mod tests {
     #[test]
     fn histogram_merge_equals_streaming() {
         let values = [0u64, 1, 1, 7, 300, 5_000, 5_001, u64::from(u32::MAX)];
-        let mut whole = LogHistogram::new();
-        let mut left = LogHistogram::new();
-        let mut right = LogHistogram::new();
+        let mut whole = Log2Histogram::new();
+        let mut left = Log2Histogram::new();
+        let mut right = Log2Histogram::new();
         for (i, &v) in values.iter().enumerate() {
             whole.record(v);
             if i % 2 == 0 {
@@ -492,7 +425,7 @@ mod tests {
         }
         left.merge(&right);
         assert_eq!(left, whole);
-        let back = LogHistogram::from_json(&whole.to_json()).expect("round-trips");
+        let back = histogram_from_json(&histogram_to_json(&whole)).expect("round-trips");
         assert_eq!(back, whole);
     }
 
@@ -509,11 +442,23 @@ mod tests {
         let hist = |bucket: u64| json!({ "total": 1, "max": 1, "buckets": [[bucket, 1]] });
         for bucket in [65, 1u64 << 40, u64::MAX] {
             assert!(
-                matches!(LogHistogram::from_json(&hist(bucket)), Err(Error::Codec(_))),
+                matches!(histogram_from_json(&hist(bucket)), Err(Error::Codec(_))),
                 "bucket {bucket}"
             );
         }
-        assert_eq!(LogHistogram::from_json(&hist(64)).expect("valid").counts.len(), 65);
+        let decoded = histogram_from_json(&hist(64)).expect("valid");
+        assert_eq!(decoded.nonzero_buckets().collect::<Vec<_>>(), [(64, 1)]);
+    }
+
+    #[test]
+    fn histogram_total_that_disagrees_with_its_buckets_is_a_codec_error() {
+        let mut agg = FaultAggregate::default();
+        agg.detection.record(900);
+        assert_eq!(FaultAggregate::from_json(&agg.to_json()).expect("valid"), agg);
+        let Value::Object(mut doc) = agg.to_json() else { panic!("an object") };
+        let detection = json!({ "total": 5, "max": 900, "buckets": [[10, 1]] });
+        doc.insert("detection_latency".into(), detection);
+        assert!(matches!(FaultAggregate::from_json(&Value::Object(doc)), Err(Error::Codec(_))));
     }
 
     #[test]

@@ -48,8 +48,7 @@ pub mod trial;
 pub use batch::{Campaign, CertBatch};
 pub use driver::{run_certification, CertConfig, CertOutcome};
 pub use estimate::{
-    wilson, FaultAggregate, LogHistogram, Rate, SchedAggregate, SchedBucket, CONVICTING_SEEDS_CAP,
-    WILSON_Z95,
+    wilson, FaultAggregate, Rate, SchedAggregate, SchedBucket, CONVICTING_SEEDS_CAP, WILSON_Z95,
 };
 pub use minimize::{minimize_conviction, Counterexample};
-pub use trial::{mix, FaultCampaignSpace, FaultTrialOutcome, SchedSpace, SchedTrialOutcome};
+pub use trial::{FaultCampaignSpace, FaultTrialOutcome, SchedSpace, SchedTrialOutcome};

@@ -12,8 +12,9 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use serde_json::{json, Map, Value};
 
 use cohort_cert::{
-    mix, FaultAggregate, FaultTrialOutcome, SchedAggregate, SchedSpace, SchedTrialOutcome,
+    FaultAggregate, FaultTrialOutcome, SchedAggregate, SchedSpace, SchedTrialOutcome,
 };
+use cohort_types::splitmix64;
 
 const CASES: u64 = 4_000;
 
@@ -88,8 +89,8 @@ fn malformed_aggregate_payloads_are_errors_not_panics() {
         for (kind, base) in [&fault, &sched].into_iter().enumerate() {
             let mut doc = base.clone();
             // One to three stacked mutations.
-            for step in 0..=mix(case, 1) % 3 {
-                let r = mix(case, 2 + step);
+            for step in 0..=splitmix64(case, 1) % 3 {
+                let r = splitmix64(case, 2 + step);
                 doc = mutate(&doc, &mut ((r >> 32) % count_nodes(&doc)), r);
             }
             let parsed = catch_unwind(AssertUnwindSafe(|| match kind {

@@ -3,8 +3,9 @@
 //!
 //! The figure benches sweep kernels × protocols × criticality
 //! configurations — dozens of independent, CPU-bound simulation+analysis
-//! jobs. This module runs such batches on a worker pool sized from
-//! [`std::thread::available_parallelism`] (never one-thread-per-job), and
+//! jobs. This module runs such batches on the workspace's worker pool
+//! ([`cohort_types::run_indexed`], sized from
+//! [`std::thread::available_parallelism`] by default), and
 //! unlike a `Result<Vec<_>>` driver it reports **every** job's outcome:
 //! a job that fails — or outright panics — becomes a [`JobError`] in its
 //! slot while its siblings run to completion.
@@ -42,10 +43,9 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use cohort_trace::Workload;
-use cohort_types::{Error, Result};
+use cohort_types::{default_workers, run_indexed, Error, Result};
 
 use crate::experiment::{run_experiment, run_experiment_with_metrics, ExperimentOutcome};
-use crate::pool;
 use crate::protocol::{Protocol, ProtocolKind};
 use crate::SystemSpec;
 
@@ -291,7 +291,7 @@ impl<'o> SweepBuilder<'o> {
     pub fn build(self) -> Sweep<'o> {
         Sweep {
             jobs: self.jobs,
-            workers: self.workers.unwrap_or_else(pool::default_workers),
+            workers: self.workers.unwrap_or_else(default_workers),
             collect_metrics: self.collect_metrics,
             observer: self.observer,
             runner: self.runner,
@@ -341,7 +341,7 @@ impl<'o> Sweep<'o> {
     /// panic isolation and progress reporting.
     fn run_inner(&self, observer: &dyn SweepObserver, runner: SweepRunner<'_>) -> SweepReport {
         let started = Instant::now();
-        let results = pool::run_indexed(&self.jobs, self.workers, |index, job| {
+        let results = run_indexed(&self.jobs, self.workers, |index, job| {
             observer.job_started(index, &job.label);
             let job_started = Instant::now();
             // A panicking job must not take the batch down: catch the
@@ -586,7 +586,7 @@ mod tests {
                 self.0.lock().unwrap().insert(std::thread::current().id());
             }
         }
-        let limit = pool::default_workers();
+        let limit = default_workers();
         let threads = Mutex::new(HashSet::new());
         let recorder = ThreadRecorder(&threads);
         let runner = |job: &ExperimentJob| {

@@ -61,7 +61,6 @@ mod degrade;
 mod experiment;
 pub mod hardware;
 mod modes;
-mod pool;
 mod protocol;
 pub mod related;
 mod system;

@@ -23,12 +23,11 @@
 //!   bit-identically to the uninterrupted run.
 
 use std::collections::HashMap; // lint:allow(det-unordered) the fitness memo and pending-index are lookup-only; the only iteration (checkpointing) sorts by genes first
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
-use cohort_types::{Error, Result};
+use cohort_types::{default_workers, run_indexed, splitmix64, Error, Result};
 
 use crate::checkpoint::GaCheckpoint;
 use crate::observer::{GaObserver, GenerationReport};
@@ -187,7 +186,7 @@ impl GaConfig {
     #[must_use]
     pub fn resolved_workers(&self) -> usize {
         if self.workers == 0 {
-            std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
+            default_workers()
         } else {
             self.workers
         }
@@ -262,10 +261,7 @@ impl GaObserver for SilentObserver {}
 /// finalizer decorrelates adjacent streams (even under the offline stub
 /// RNG, whose seeding is a plain counter).
 fn stream_rng(seed: u64, stream: u64) -> ChaCha8Rng {
-    let mut z = seed ^ stream.wrapping_mul(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    ChaCha8Rng::seed_from_u64(z ^ (z >> 31))
+    ChaCha8Rng::seed_from_u64(splitmix64(seed, stream))
 }
 
 /// Mutable bookkeeping of one run: the memo cache and the counters that
@@ -632,41 +628,15 @@ impl GeneticAlgorithm {
             .collect()
     }
 
-    /// Evaluates `genomes` with at most [`GaConfig::resolved_workers`]
-    /// scoped threads, returning raw fitness values in input order. Falls
-    /// back to a plain loop when one worker suffices (no spawn overhead).
+    /// Evaluates `genomes` on the shared worker pool with at most
+    /// [`GaConfig::resolved_workers`] threads, returning raw fitness values
+    /// in input order (a plain loop when one worker suffices).
     fn evaluate(
         &self,
         genomes: &[Vec<u64>],
         fitness: &(impl Fn(&[u64]) -> f64 + Sync),
     ) -> Vec<f64> {
-        let workers = self.config.resolved_workers().min(genomes.len());
-        if workers <= 1 {
-            return genomes.iter().map(|g| fitness(g)).collect();
-        }
-        let next = AtomicUsize::new(0);
-        let mut slots: Vec<Option<f64>> = vec![None; genomes.len()];
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|_| {
-                    scope.spawn(|| {
-                        let mut local = Vec::new();
-                        loop {
-                            let index = next.fetch_add(1, Ordering::Relaxed);
-                            let Some(genes) = genomes.get(index) else { break };
-                            local.push((index, fitness(genes)));
-                        }
-                        local
-                    })
-                })
-                .collect();
-            for handle in handles {
-                for (index, value) in handle.join().expect("fitness evaluation panicked") {
-                    slots[index] = Some(value);
-                }
-            }
-        });
-        slots.into_iter().map(|s| s.expect("every genome evaluated exactly once")).collect()
+        run_indexed(genomes, self.config.resolved_workers(), |_, genes| fitness(genes))
     }
 
     fn tournament(&self, population: &[Individual], rng: &mut ChaCha8Rng) -> usize {

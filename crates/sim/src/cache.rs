@@ -32,12 +32,6 @@ impl LineState {
     pub const fn is_owned(self) -> bool {
         matches!(self, LineState::Modified | LineState::Exclusive)
     }
-
-    /// Returns `true` for the Modified state specifically.
-    #[must_use]
-    pub const fn is_modified(self) -> bool {
-        matches!(self, LineState::Modified)
-    }
 }
 
 /// Per-line payload of a private cache: coherence state plus the timer

@@ -3,9 +3,9 @@
 //! A [`FaultPlan`] is an explicit, fully-determined list of [`FaultSpec`]s:
 //! which fault, on which core, armed from which cycle. Plans are either
 //! hand-written (micro tests) or derived from a seed with
-//! [`FaultPlan::seeded`], which draws every parameter from the same
-//! splitmix64 stream discipline the GA engine uses for its per-generation
-//! RNGs — so a fault campaign is reproducible bit-for-bit from `(seed,
+//! [`FaultPlan::seeded`], which draws every parameter from the workspace's
+//! one splitmix64 ([`cohort_types::splitmix64`]), the stream discipline the
+//! GA engine also seeds its per-generation RNGs from — so a fault campaign is reproducible bit-for-bit from `(seed,
 //! cores, horizon, count)` alone.
 //!
 //! # Determinism contract
@@ -34,19 +34,7 @@
 //! | [`FaultKind::TimerCorruption`] | θ register | `WcmlGuard` latency bound |
 //! | [`FaultKind::CoreStall`] | core pipeline | `WcmlGuard` progress |
 
-use cohort_types::{Cycles, TimerValue};
-
-/// The splitmix64 finalizer — the same mixing (constants and xor-shift
-/// distances) as `cohort-optim`'s per-generation `stream_rng`, restated
-/// here because the simulator sits below the optimizer in the dependency
-/// DAG. Stream `k` of a seed yields the `k`-th raw draw of a plan.
-#[must_use]
-fn mix(seed: u64, stream: u64) -> u64 {
-    let mut z = seed ^ stream.wrapping_mul(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
+use cohort_types::{splitmix64, Cycles, TimerValue};
 
 /// One injectable hardware/timing fault.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -185,8 +173,8 @@ impl FaultPlan {
         assert!(horizon > 0, "a fault plan needs a non-empty horizon");
         let specs = (0..count)
             .map(|k| {
-                let v = mix(seed, k as u64);
-                let m = mix(seed, (k as u64) | (1 << 32));
+                let v = splitmix64(seed, k as u64);
+                let m = splitmix64(seed, (k as u64) | (1 << 32));
                 let kind = match v % 9 {
                     0 => FaultKind::BusDrop,
                     1 => FaultKind::BusDuplicate,
@@ -444,12 +432,13 @@ mod tests {
 
     #[test]
     fn mix_matches_the_ga_stream_discipline() {
-        // Fixed point of the splitmix64 finalizer documented in
-        // `cohort-optim`: identical constants and shift distances mean the
-        // same (seed, stream) pair always produces the same draw.
-        assert_eq!(mix(0, 0), 0);
-        assert_ne!(mix(1, 0), mix(1, 1));
-        assert_eq!(mix(7, 3), mix(7, 3));
+        // Fault schedules draw from the workspace splitmix64, the same
+        // finalizer the GA engine uses: identical constants and shift
+        // distances mean the same (seed, stream) pair always produces the
+        // same draw.
+        assert_eq!(splitmix64(0, 0), 0);
+        assert_ne!(splitmix64(1, 0), splitmix64(1, 1));
+        assert_eq!(splitmix64(7, 3), splitmix64(7, 3));
     }
 
     #[test]

@@ -77,7 +77,7 @@ pub use engine::{SimBuilder, Simulator};
 pub use event::{Event, EventKind, EventLogProbe, InvalidateCause};
 pub use fault::{FaultKind, FaultPlan, FaultSpec, InjectedFault};
 pub use invariant::{InvariantKind, InvariantProbe, InvariantViolation};
-pub use metrics::{CoreMetrics, LatencyHistogram, MetricsProbe, MetricsReport};
+pub use metrics::{CoreMetrics, MetricsProbe, MetricsReport};
 pub use probe::{BusTenure, NoProbe, SimProbe, TenureKind};
 pub use sched::{compare_engines, EngineComparison, EngineDivergence, EngineKind};
 pub use stats::{CoreStats, SimStats};

@@ -5,8 +5,9 @@
 //! mode-switch degradation — while [`SimStats`] only carries scalars. This
 //! probe derives, in one streaming pass:
 //!
-//! - per-core **log2-bucketed latency histograms** (p50 / p99 / max /
-//!   mean) over every completed request, hits included;
+//! - per-core **log2-bucketed latency histograms**
+//!   ([`Log2Histogram`]: p50 / p99 / max) over every completed request,
+//!   hits included, plus the latency sum behind the mean;
 //! - the **Eq. 1 analytical bound** per core ([`wcl_miss`], the one
 //!   definition the analysis crate re-exports) and whether the observed
 //!   maximum respects it;
@@ -36,170 +37,20 @@
 
 use std::collections::BTreeSet;
 
-use cohort_types::{wcl_miss, Cycles, LineAddr, TimerValue};
+use cohort_types::{wcl_miss, Cycles, LineAddr, Log2Histogram, TimerValue};
 
 use crate::event::EventKind;
 use crate::probe::{BusTenure, SimProbe};
 use crate::{ArbiterKind, DataPath, SimConfig, SimStats};
 
-/// Number of log2 buckets: bucket 0 holds the value 0, bucket `i ≥ 1`
-/// holds `[2^(i-1), 2^i)`, up to the full `u64` range.
-const BUCKETS: usize = 65;
-
-/// A log2-bucketed latency histogram.
-///
-/// Recording is O(1) (a `leading_zeros` and an increment); quantiles are
-/// read from the bucket boundaries and clamped to the observed maximum,
-/// so a reported p99 never exceeds the true worst case.
-///
-/// # Examples
-///
-/// ```
-/// use cohort_sim::LatencyHistogram;
-/// use cohort_types::Cycles;
-///
-/// let mut h = LatencyHistogram::new();
-/// for v in [1, 1, 1, 200] {
-///     h.record(Cycles::new(v));
-/// }
-/// assert_eq!(h.count(), 4);
-/// assert_eq!(h.p50().get(), 1);
-/// assert_eq!(h.max().get(), 200);
-/// assert!(h.p99() <= h.max());
-/// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct LatencyHistogram {
-    buckets: Vec<u64>,
-    count: u64,
-    sum: u64,
-    max: u64,
-}
-
-impl Default for LatencyHistogram {
-    fn default() -> Self {
-        LatencyHistogram { buckets: vec![0; BUCKETS], count: 0, sum: 0, max: 0 }
-    }
-}
-
-impl LatencyHistogram {
-    /// Creates an empty histogram.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    fn bucket_index(value: u64) -> usize {
-        if value == 0 {
-            0
-        } else {
-            64 - value.leading_zeros() as usize
-        }
-    }
-
-    /// The smallest value a bucket can hold.
-    fn bucket_lower(index: usize) -> u64 {
-        if index == 0 {
-            0
-        } else {
-            1 << (index - 1)
-        }
-    }
-
-    /// The largest value a bucket can hold.
-    fn bucket_upper(index: usize) -> u64 {
-        if index == 0 {
-            0
-        } else if index == 64 {
-            u64::MAX
-        } else {
-            (1 << index) - 1
-        }
-    }
-
-    /// Records one observation.
-    pub fn record(&mut self, value: Cycles) {
-        let v = value.get();
-        self.buckets[Self::bucket_index(v)] += 1;
-        self.count += 1;
-        self.sum = self.sum.saturating_add(v);
-        self.max = self.max.max(v);
-    }
-
-    /// Number of recorded observations.
-    #[must_use]
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Sum of all observations.
-    #[must_use]
-    pub fn sum(&self) -> u64 {
-        self.sum
-    }
-
-    /// The largest recorded observation (exact, not bucketed).
-    #[must_use]
-    pub fn max(&self) -> Cycles {
-        Cycles::new(self.max)
-    }
-
-    /// Arithmetic mean of the observations (0 when empty).
-    #[must_use]
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum as f64 / self.count as f64
-        }
-    }
-
-    /// An upper estimate of the `q`-quantile (`q` in `[0, 1]`): the upper
-    /// boundary of the bucket containing it, clamped to the exact maximum.
-    /// Returns 0 for an empty histogram.
-    #[must_use]
-    pub fn quantile(&self, q: f64) -> Cycles {
-        if self.count == 0 {
-            return Cycles::ZERO;
-        }
-        let q = q.clamp(0.0, 1.0);
-        let target = ((q * self.count as f64).ceil() as u64).max(1);
-        let mut seen = 0;
-        for (index, &n) in self.buckets.iter().enumerate() {
-            seen += n;
-            if seen >= target {
-                return Cycles::new(Self::bucket_upper(index).min(self.max));
-            }
-        }
-        Cycles::new(self.max)
-    }
-
-    /// The median (upper-bucket estimate, clamped to the maximum).
-    #[must_use]
-    pub fn p50(&self) -> Cycles {
-        self.quantile(0.50)
-    }
-
-    /// The 99th percentile (upper-bucket estimate, clamped to the maximum).
-    #[must_use]
-    pub fn p99(&self) -> Cycles {
-        self.quantile(0.99)
-    }
-
-    /// Iterates over the non-empty buckets as `(lower, upper, count)`.
-    pub fn nonzero_buckets(&self) -> impl Iterator<Item = (u64, u64, u64)> + '_ {
-        self.buckets
-            .iter()
-            .enumerate()
-            .filter(|(_, &n)| n > 0)
-            .map(|(i, &n)| (Self::bucket_lower(i), Self::bucket_upper(i), n))
-    }
-}
-
 /// Per-core slice of a [`MetricsReport`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct CoreMetrics {
     /// Latency of every completed request (hits and misses).
-    pub latency: LatencyHistogram,
+    pub latency: Log2Histogram,
+    /// Sum of those latencies (saturating), the numerator of
+    /// [`CoreMetrics::latency_mean`].
+    pub latency_sum: u64,
     /// The Eq. 1 analytical worst-case miss latency, when the configuration
     /// is analysable (RROF arbitration, direct data path, one MSHR);
     /// `None` otherwise. Computed from the *initial* timer registers —
@@ -225,7 +76,16 @@ impl CoreMetrics {
     /// (vacuously true without a bound).
     #[must_use]
     pub fn bound_ok(&self) -> bool {
-        self.wcl_bound.is_none_or(|b| self.latency.max().get() <= b)
+        self.wcl_bound.is_none_or(|b| self.latency.max() <= b)
+    }
+
+    /// Arithmetic mean request latency (0 when no request completed).
+    #[must_use]
+    pub fn latency_mean(&self) -> f64 {
+        match self.latency.count() {
+            0 => 0.0,
+            n => self.latency_sum as f64 / n as f64,
+        }
     }
 }
 
@@ -276,10 +136,10 @@ impl MetricsReport {
             .map(|core| {
                 let mut c = serde_json::Map::new();
                 c.insert("accesses".into(), serde_json::Value::from(core.latency.count()));
-                c.insert("latency_p50".into(), serde_json::Value::from(core.latency.p50().get()));
-                c.insert("latency_p99".into(), serde_json::Value::from(core.latency.p99().get()));
-                c.insert("latency_max".into(), serde_json::Value::from(core.latency.max().get()));
-                c.insert("latency_mean".into(), serde_json::Value::from(core.latency.mean()));
+                c.insert("latency_p50".into(), serde_json::Value::from(core.latency.p50()));
+                c.insert("latency_p99".into(), serde_json::Value::from(core.latency.p99()));
+                c.insert("latency_max".into(), serde_json::Value::from(core.latency.max()));
+                c.insert("latency_mean".into(), serde_json::Value::from(core.latency_mean()));
                 let bound = match core.wcl_bound {
                     Some(b) => serde_json::Value::from(b),
                     None => serde_json::Value::Null,
@@ -301,7 +161,8 @@ impl MetricsReport {
                 let buckets: Vec<serde_json::Value> = core
                     .latency
                     .nonzero_buckets()
-                    .map(|(lo, hi, n)| {
+                    .map(|(index, n)| {
+                        let (lo, hi) = Log2Histogram::bucket_bounds(index);
                         let mut b = serde_json::Map::new();
                         b.insert("lo".into(), serde_json::Value::from(lo));
                         b.insert("hi".into(), serde_json::Value::from(hi));
@@ -362,7 +223,8 @@ impl Occupancy {
 pub struct MetricsProbe {
     hit_latency: Cycles,
     timers: Vec<TimerValue>,
-    latency: Vec<LatencyHistogram>,
+    latency: Vec<Log2Histogram>,
+    latency_sum: Vec<u64>,
     wcl_bounds: Vec<Option<u64>>,
     bus_busy_per_core: Vec<u64>,
     tenures: Vec<u64>,
@@ -405,6 +267,7 @@ impl MetricsProbe {
                     if self.cycles == 0 { 0.0 } else { occ.weighted as f64 / self.cycles as f64 };
                 CoreMetrics {
                     latency: latency.clone(),
+                    latency_sum: self.latency_sum[i],
                     wcl_bound: self.wcl_bounds[i],
                     bus_busy: self.bus_busy_per_core[i],
                     tenures: self.tenures[i],
@@ -428,6 +291,11 @@ impl MetricsProbe {
     pub fn into_report(self) -> MetricsReport {
         self.report()
     }
+
+    fn record_latency(&mut self, core: usize, latency: Cycles) {
+        self.latency[core].record(latency.get());
+        self.latency_sum[core] = self.latency_sum[core].saturating_add(latency.get());
+    }
 }
 
 impl SimProbe for MetricsProbe {
@@ -435,7 +303,8 @@ impl SimProbe for MetricsProbe {
         let n = config.cores();
         self.hit_latency = config.latency().hit;
         self.timers = config.timers().to_vec();
-        self.latency = vec![LatencyHistogram::new(); n];
+        self.latency = vec![Log2Histogram::new(); n];
+        self.latency_sum = vec![0; n];
         let analysable = Self::analysable(config);
         self.wcl_bounds = (0..n)
             .map(|i| analysable.then(|| wcl_miss(i, config.timers(), config.latency()).get()))
@@ -450,9 +319,9 @@ impl SimProbe for MetricsProbe {
     fn on_event(&mut self, cycle: Cycles, kind: &EventKind) {
         let at = cycle.get();
         match kind {
-            EventKind::Hit { core, .. } => self.latency[*core].record(self.hit_latency),
+            EventKind::Hit { core, .. } => self.record_latency(*core, self.hit_latency),
             EventKind::Fill { core, line, latency, .. } => {
-                self.latency[*core].record(*latency);
+                self.record_latency(*core, *latency);
                 if self.timers[*core].is_timed() {
                     self.occupancy[*core].insert(at, *line);
                 }
@@ -504,16 +373,17 @@ mod tests {
 
     #[test]
     fn histogram_buckets_cover_the_u64_range() {
-        assert_eq!(LatencyHistogram::bucket_index(0), 0);
-        assert_eq!(LatencyHistogram::bucket_index(1), 1);
-        assert_eq!(LatencyHistogram::bucket_index(2), 2);
-        assert_eq!(LatencyHistogram::bucket_index(3), 2);
-        assert_eq!(LatencyHistogram::bucket_index(4), 3);
-        assert_eq!(LatencyHistogram::bucket_index(u64::MAX), 64);
-        for i in 1..BUCKETS {
-            assert!(LatencyHistogram::bucket_lower(i) <= LatencyHistogram::bucket_upper(i));
+        assert_eq!(Log2Histogram::bucket_index(0), 0);
+        assert_eq!(Log2Histogram::bucket_index(1), 1);
+        assert_eq!(Log2Histogram::bucket_index(2), 2);
+        assert_eq!(Log2Histogram::bucket_index(3), 2);
+        assert_eq!(Log2Histogram::bucket_index(4), 3);
+        assert_eq!(Log2Histogram::bucket_index(u64::MAX), 64);
+        for i in 1..Log2Histogram::BUCKETS {
+            let (lower, upper) = Log2Histogram::bucket_bounds(i);
+            assert!(lower <= upper);
             assert_eq!(
-                LatencyHistogram::bucket_index(LatencyHistogram::bucket_lower(i)),
+                Log2Histogram::bucket_index(lower),
                 i,
                 "lower bound of bucket {i} maps back"
             );
@@ -522,28 +392,30 @@ mod tests {
 
     #[test]
     fn histogram_quantiles_clamp_to_observed_max() {
-        let mut h = LatencyHistogram::new();
+        let mut h = Log2Histogram::new();
         for _ in 0..100 {
-            h.record(Cycles::new(54));
+            h.record(54);
         }
-        h.record(Cycles::new(216));
+        h.record(216);
         // 216's bucket upper bound is 255, but the observed max is 216:
         // a reported p99/p100 must never exceed a true worst case.
-        assert_eq!(h.quantile(1.0).get(), 216);
-        assert!(h.p99().get() <= 216);
-        assert_eq!(h.p50().get(), 63, "upper bound of 54's [32, 63] bucket");
+        assert_eq!(h.quantile(1.0), 216);
+        assert!(h.p99() <= 216);
+        assert_eq!(h.p50(), 63, "upper bound of 54's [32, 63] bucket");
         assert_eq!(h.count(), 101);
     }
 
     #[test]
     fn histogram_handles_empty_and_zero() {
-        let mut h = LatencyHistogram::new();
-        assert_eq!(h.p99(), Cycles::ZERO);
-        assert_eq!(h.mean(), 0.0);
-        h.record(Cycles::ZERO);
+        let mut h = Log2Histogram::new();
+        assert_eq!(h.p99(), 0);
+        let mut idle = MetricsProbe::new();
+        idle.on_start(&SimConfig::builder(1).build().unwrap());
+        assert_eq!(idle.report().cores[0].latency_mean(), 0.0);
+        h.record(0);
         assert_eq!(h.count(), 1);
-        assert_eq!(h.p50(), Cycles::ZERO);
-        assert_eq!(h.nonzero_buckets().next(), Some((0, 0, 1)));
+        assert_eq!(h.p50(), 0);
+        assert_eq!(h.nonzero_buckets().next(), Some((0, 1)));
     }
 
     #[test]
@@ -561,15 +433,16 @@ mod tests {
 
     #[test]
     fn report_serializes_to_json_value() {
-        let mut h = LatencyHistogram::new();
-        h.record(Cycles::new(1));
-        h.record(Cycles::new(100));
+        let mut h = Log2Histogram::new();
+        h.record(1);
+        h.record(100);
         let report = MetricsReport {
             cycles: 1000,
             bus_busy: 500,
             mode_switches: 1,
             cores: vec![CoreMetrics {
                 latency: h,
+                latency_sum: 101,
                 wcl_bound: Some(216),
                 bus_busy: 500,
                 tenures: 3,
@@ -579,6 +452,7 @@ mod tests {
                 timer_occupancy_avg: 1.5,
             }],
         };
+        assert_eq!(report.cores[0].latency_mean(), 50.5);
         let json = report.to_json();
         assert_eq!(json.get("cycles").and_then(serde_json::Value::as_u64), Some(1000));
         let cores = json.get("cores").and_then(|v| v.as_array()).unwrap();

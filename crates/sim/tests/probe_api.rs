@@ -87,9 +87,9 @@ fn histogram_counts_sum_to_core_accesses() {
             stats.cores[core].accesses(),
             "core {core}: every access lands in exactly one bucket"
         );
-        let bucket_sum: u64 = metrics.latency.nonzero_buckets().map(|(_, _, n)| n).sum();
+        let bucket_sum: u64 = metrics.latency.nonzero_buckets().map(|(_, n)| n).sum();
         assert_eq!(bucket_sum, metrics.latency.count());
-        assert_eq!(metrics.latency.max(), stats.cores[core].worst_request);
+        assert_eq!(metrics.latency.max(), stats.cores[core].worst_request.get());
     }
     assert_eq!(report.cycles, stats.cycles.get());
 }
@@ -119,7 +119,7 @@ fn eq1_bound_is_attached_and_respected_on_analysable_configs() {
     for (core, metrics) in report.cores.iter().enumerate() {
         let bound = metrics.wcl_bound.expect("analysable config carries a bound");
         assert!(
-            metrics.latency.max().get() <= bound,
+            metrics.latency.max() <= bound,
             "core {core}: observed {} > Eq. 1 bound {bound}",
             metrics.latency.max()
         );

@@ -18,9 +18,9 @@ use core::fmt;
 
 use crate::{Error, Result};
 
-/// The two FNV-1a stream offsets and the prime, shared with
-/// `cohort_trace::Trace::fingerprint` so trace and spec fingerprints live
-/// in the same 128-bit space.
+/// The two FNV-1a stream offsets and the prime: the workspace's only copy,
+/// behind trace, spec and payload fingerprints alike, so they all live in
+/// the same 128-bit space.
 const OFFSET_A: u64 = 0xcbf2_9ce4_8422_2325;
 const OFFSET_B: u64 = 0x6c62_272e_07bb_0142;
 const PRIME: u64 = 0x0000_0100_0000_01b3;
@@ -119,12 +119,22 @@ impl FingerprintBuilder {
         FingerprintBuilder { a: OFFSET_A, b: OFFSET_B }
     }
 
+    /// Starts the digest of a `len`-element sequence: the length is folded
+    /// into the second stream's seed, so the two halves stay independent
+    /// even though they consume identical bytes (`Trace::fingerprint`).
+    #[must_use]
+    pub fn with_length(len: u64) -> Self {
+        FingerprintBuilder { a: OFFSET_A, b: OFFSET_B ^ len }
+    }
+
+    #[inline]
     fn push(&mut self, byte: u8) {
         self.a = (self.a ^ u64::from(byte)).wrapping_mul(PRIME);
         self.b = (self.b ^ u64::from(byte)).wrapping_mul(PRIME.rotate_left(1) | 1);
     }
 
     /// Feeds raw bytes.
+    #[inline]
     #[must_use]
     pub fn bytes(mut self, bytes: &[u8]) -> Self {
         for &byte in bytes {
@@ -145,6 +155,7 @@ impl FingerprintBuilder {
     }
 
     /// Feeds a `u64` in little-endian byte order.
+    #[inline]
     #[must_use]
     pub fn u64(mut self, value: u64) -> Self {
         for byte in value.to_le_bytes() {
@@ -164,6 +175,7 @@ impl FingerprintBuilder {
     }
 
     /// Finalises the digest.
+    #[inline]
     #[must_use]
     pub fn finish(self) -> Fingerprint {
         Fingerprint((u128::from(self.a) << 64) | u128::from(self.b))

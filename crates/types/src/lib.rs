@@ -14,7 +14,11 @@
 //!   ([`wcl_miss`]),
 //! - the fleet coordination vocabulary ([`Fingerprint`] content-addresses,
 //!   claim [`Epoch`]s and [`WorkerId`]s),
-//! - and a common error type ([`Error`]).
+//! - a common error type ([`Error`]),
+//! - and the workspace's shared primitives, each defined once: the
+//!   mergeable [`Log2Histogram`], the [`splitmix64`] seeded-stream mixer,
+//!   the bounded worker pool ([`run_indexed`], [`default_workers`]) and
+//!   the dual-stream FNV-1a digest behind [`FingerprintBuilder`].
 //!
 //! # Examples
 //!
@@ -44,8 +48,11 @@
 mod criticality;
 mod error;
 mod fleet;
+mod histogram;
 mod ids;
 mod latency;
+mod pool;
+mod seed;
 mod task;
 mod time;
 mod timer;
@@ -53,8 +60,11 @@ mod timer;
 pub use criticality::{Criticality, Mode};
 pub use error::Error;
 pub use fleet::{Epoch, Fingerprint, FingerprintBuilder, WorkerId};
+pub use histogram::Log2Histogram;
 pub use ids::{Address, CoreId, LineAddr};
 pub use latency::{wcl_miss, LatencyConfig};
+pub use pool::{default_workers, run_indexed};
+pub use seed::splitmix64;
 pub use task::{Requirements, Task};
 pub use time::Cycles;
 pub use timer::TimerValue;

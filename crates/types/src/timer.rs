@@ -2,7 +2,7 @@ use core::fmt;
 
 use serde::{Deserialize, Serialize};
 
-use crate::{Cycles, Error, Result};
+use crate::{Error, Result};
 
 /// The value of a core's coherence **timer threshold register** θ.
 ///
@@ -68,15 +68,6 @@ impl TimerValue {
     pub const fn theta(self) -> Option<u64> {
         match self {
             TimerValue::Timed(t) => Some(t as u64),
-            TimerValue::Msi => None,
-        }
-    }
-
-    /// Returns the timer threshold as [`Cycles`], or `None` for MSI.
-    #[must_use]
-    pub const fn theta_cycles(self) -> Option<Cycles> {
-        match self {
-            TimerValue::Timed(t) => Some(Cycles::new(t as u64)),
             TimerValue::Msi => None,
         }
     }

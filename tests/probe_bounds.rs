@@ -82,7 +82,7 @@ fn measured_latencies_respect_the_shared_bound_under_contention() {
     for (i, core) in report.cores.iter().enumerate() {
         let analytical = cohort_analysis::wcl_miss(i, &timers, &latency).get();
         assert!(
-            core.latency.max().get() <= analytical,
+            core.latency.max() <= analytical,
             "core {i}: measured {} exceeds Eq. 1 bound {analytical}",
             core.latency.max()
         );
