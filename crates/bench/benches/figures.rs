@@ -1,6 +1,6 @@
 //! Criterion benches: one target per paper table/figure, measuring the
 //! regeneration cost at reduced scale. `cargo bench -p cohort-bench` runs
-//! them; the full-scale regeneration lives in the `src/bin` targets.
+//! them; the `repro` bin regenerates every artifact at full size.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;

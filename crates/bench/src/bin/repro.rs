@@ -1,115 +1,93 @@
-//! Runs the complete evaluation — every table and figure — and writes both
-//! the human-readable outputs (`results/*.txt` equivalents go to stdout)
-//! and a machine-readable JSON summary (`results/summary.json`) recording
-//! the headline numbers EXPERIMENTS.md quotes.
+//! Regenerates every table and figure of the paper: runs each Fig. 5/6
+//! cell and the fft mode-switch setup once, renders every artifact
+//! through [`cohort_bench::artifacts`] and writes `<name>.txt` plus
+//! `summary.json`, the headline numbers EXPERIMENTS.md quotes.
+//!
+//! The default scale writes `results/`, the committed artifacts CI diffs
+//! against a fresh run; `--quick` writes `out/repro-quick/` and `--full`
+//! writes `out/repro-full/`. `--json` writes every Fig. 5/6 run record
+//! (with each run's probe report under `--metrics`), and `--trace` writes
+//! a Chrome trace of the first cell's CoHoRT run.
 //!
 //! ```text
-//! cargo run --release -p cohort-bench --bin repro [-- --quick|--full] [--json <path>]
+//! cargo run --release -p cohort-bench --bin repro \
+//!     [-- --quick|--full] [--json <path>] [--metrics] [--trace <path>]
 //! ```
 
 use std::fs;
 
-use cohort::{ModeController, ModeSetup};
+use cohort::Protocol;
+use cohort_bench::artifacts::{self, ConfigRuns, ModeStudy};
 use cohort_bench::{
-    bench_ga, fig7_stage_requirements, geomean, json_report, kernels, mode_switch_spec,
-    run_to_json, sweep_protocols, write_json, CliOptions, CritConfig, CORES,
+    bench_ga, json_report, kernels, run_to_json, sweep_protocols_opts, write_chrome_trace,
+    write_json, CliOptions, CritConfig, CORES,
 };
-use cohort_trace::{Kernel, KernelSpec};
-use cohort_types::{CoreId, Cycles, Mode};
-use serde_json::json;
 
 fn main() {
     let options = CliOptions::parse_or_exit();
+    let dir = options.artifact_dir();
     let ga = bench_ga(options.quick);
     let workloads = kernels(CORES, options.full, options.quick);
-    let mut summary = serde_json::Map::new();
     let mut records = Vec::new();
+    let mut trace_path = options.trace.as_deref();
 
-    // ---- Figures 5 & 6 -------------------------------------------------
+    // ---- Figures 5 & 6: every cell once ----------------------------------
+    let mut sweep = Vec::new();
     for config in CritConfig::ALL {
         println!("running {} …", config.label());
-        let mut pcc_ratios = Vec::new();
-        let mut pend_ratios = Vec::new();
-        let mut cohort_slow = Vec::new();
-        let mut pcc_slow = Vec::new();
-        let mut pend_slow = Vec::new();
+        let mut cells = Vec::new();
         for workload in &workloads {
-            let runs = sweep_protocols(config, workload, &ga).expect("sweep succeeds");
+            let runs = sweep_protocols_opts(config, workload, &ga, options.metrics)
+                .expect("sweep succeeds");
             for run in &runs {
-                run.outcome.check_soundness().expect("soundness");
+                run.outcome.check_soundness().expect("bounds dominate measurements");
             }
             records.extend(runs.iter().map(|run| run_to_json(config, run)));
-            let (cohort, pcc, pendulum, fcfs) = (&runs[0], &runs[1], &runs[2], &runs[3]);
-            let mask = config.critical_mask();
-            for (core, _) in mask.iter().enumerate().filter(|(_, &critical)| critical) {
-                let c = cohort.outcome.bounds.as_ref().unwrap()[core].wcml.unwrap().get() as f64;
-                let p = pcc.outcome.bounds.as_ref().unwrap()[core].wcml.unwrap().get() as f64;
-                pcc_ratios.push(p / c);
-                if let Some(n) = pendulum.outcome.bounds.as_ref().unwrap()[core].wcml {
-                    pend_ratios.push(n.get() as f64 / c);
-                }
+            if let Some(path) = trace_path.take() {
+                let timers = runs[0].timers.clone().expect("the CoHoRT run carries its timers");
+                write_chrome_trace(path, &config.spec(), &Protocol::Cohort { timers }, workload)
+                    .expect("writable --trace path");
+                println!(
+                    "wrote Chrome trace of {}/{} to {}",
+                    config.slug(),
+                    workload.name(),
+                    path.display()
+                );
             }
-            let base = fcfs.outcome.execution_time() as f64;
-            cohort_slow.push(cohort.outcome.execution_time() as f64 / base);
-            pcc_slow.push(pcc.outcome.execution_time() as f64 / base);
-            pend_slow.push(pendulum.outcome.execution_time() as f64 / base);
+            cells.push(runs);
         }
-        summary.insert(
-            config.slug().to_string(),
-            json!({
-                "fig5_pcc_over_cohort": geomean(&pcc_ratios),
-                "fig5_pendulum_over_cohort": geomean(&pend_ratios),
-                "fig6_cohort_slowdown": geomean(&cohort_slow),
-                "fig6_pcc_slowdown": geomean(&pcc_slow),
-                "fig6_pendulum_slowdown": geomean(&pend_slow),
-            }),
-        );
+        sweep.push(ConfigRuns { config, cells });
     }
 
-    // ---- Figure 7 / Table II -------------------------------------------
+    // ---- Figure 7 / Table II / schedulability: one offline setup ---------
     println!("running mode-switch experiment …");
-    let spec = mode_switch_spec();
-    let mut fft = KernelSpec::new(Kernel::Fft, 4);
-    if options.quick {
-        fft = fft.with_total_requests(Kernel::Fft.default_total_requests() / 10);
-    }
-    let workload = fft.generate();
-    let modes = ModeSetup::new(&spec, &workload).ga(&ga).run().expect("offline flow");
-    let c0 = CoreId::new(0);
-    let bound =
-        |m: u32| modes.wcml_bound(c0, Mode::new(m).expect("static")).unwrap().unwrap().get();
-    let bounds: Vec<u64> = (1..=4).map(bound).collect();
-    let mut controller = ModeController::new(modes.clone());
-    let stages = fig7_stage_requirements(&bounds);
-    let walk: Vec<Option<u32>> = stages
-        .iter()
-        .map(|&g| {
-            controller
-                .requirement_changed(c0, Cycles::new(g))
-                .expect("c0 exists")
-                .mode()
-                .map(Mode::index)
-        })
-        .collect();
-    summary.insert(
-        "fig7".to_string(),
-        json!({
-            "c0_bounds_per_mode": bounds,
-            "stage_requirements": stages,
-            "mode_walk": walk,
-            "table2_lut": modes
-                .entries
-                .iter()
-                .map(|e| e.timers.iter().map(|t| t.encode()).collect::<Vec<i32>>())
-                .collect::<Vec<_>>(),
-        }),
-    );
+    let modes = ModeStudy::run(options.quick, &ga).expect("offline flow succeeds");
 
-    fs::create_dir_all("results").expect("results dir");
-    let doc = serde_json::Value::Object(summary);
-    fs::write("results/summary.json", serde_json::to_string_pretty(&doc).expect("serialize"))
-        .expect("write summary");
-    println!("\nwrote results/summary.json:\n{}", serde_json::to_string_pretty(&doc).expect("ok"));
+    println!("running ablations and scaling …");
+    let rendered = [
+        ("table1", artifacts::table1()),
+        ("table2", modes.table2()),
+        ("fig1", artifacts::fig1()),
+        ("fig4", artifacts::fig4()),
+        ("fig5", artifacts::fig5(&sweep)),
+        ("fig6", artifacts::fig6(&sweep)),
+        ("fig7", modes.fig7()),
+        ("ablations", artifacts::ablations(options.quick)),
+        ("scaling", artifacts::scaling(options.quick)),
+        ("schedulability", modes.schedulability()),
+    ];
+    let summary = artifacts::summary(&sweep, &modes);
+
+    fs::create_dir_all(dir).expect("writable artifact directory");
+    for (name, text) in rendered {
+        let path = dir.join(format!("{name}.txt"));
+        fs::write(&path, text).expect("writable artifact");
+        println!("wrote {}", path.display());
+    }
+    let path = dir.join("summary.json");
+    fs::write(&path, serde_json::to_string_pretty(&summary).expect("serialize"))
+        .expect("writable summary");
+    println!("wrote {}", path.display());
 
     if let Some(path) = &options.json {
         write_json(path, &json_report("repro", records)).expect("writable --json path");

@@ -1,12 +1,13 @@
 //! Shared harness for regenerating every table and figure of the CoHoRT
-//! paper (§VIII). Each `src/bin/*` target prints one table/figure; this
-//! library holds the common machinery: the three criticality
-//! configurations, requirement derivation, protocol sweeps, and plain-text
-//! rendering.
+//! paper (§VIII). The `repro` bin writes all of them; [`artifacts`]
+//! renders each one, and this library holds the common machinery: the
+//! three criticality configurations, requirement derivation, protocol
+//! sweeps, the `--json` records and the CLI flags.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod artifacts;
 pub mod report;
 
 use std::path::{Path, PathBuf};
@@ -59,7 +60,7 @@ impl CritConfig {
         }
     }
 
-    /// Command-line spelling (`--config` argument of the bin targets).
+    /// The spelling used in sweep labels and `--json` records.
     #[must_use]
     pub fn slug(self) -> &'static str {
         match self {
@@ -67,12 +68,6 @@ impl CritConfig {
             CritConfig::TwoCrTwoNcr => "2cr2ncr",
             CritConfig::OneCrThreeNcr => "1cr3ncr",
         }
-    }
-
-    /// Parses a `--config` argument.
-    #[must_use]
-    pub fn from_slug(slug: &str) -> Option<Self> {
-        CritConfig::ALL.into_iter().find(|c| c.slug() == slug)
     }
 
     /// The sub-figure letter in Figures 5 and 6 ("a"/"b"/"c").
@@ -228,8 +223,8 @@ pub fn sweep_protocols_opts(
 
 /// A [`SweepObserver`] that prints one line per finished job to stderr.
 ///
-/// Used by the long-running regeneration binaries so a full-scale run
-/// shows forward progress without polluting the stdout tables.
+/// Used by the ablation study so a long run shows forward progress
+/// without polluting the rendered tables.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct ConsoleObserver;
 
@@ -283,41 +278,6 @@ pub fn bench_ga(quick: bool) -> GaConfig {
 pub fn geomean(ratios: &[f64]) -> f64 {
     assert!(!ratios.is_empty(), "geomean of nothing");
     (ratios.iter().map(|r| r.ln()).sum::<f64>() / ratios.len() as f64).exp()
-}
-
-/// The mode-switch experiment platform (Figure 7 / Table II):
-/// four cores at criticalities 4, 3, 2, 1.
-///
-/// # Panics
-///
-/// Never — the levels are static and valid.
-#[must_use]
-pub fn mode_switch_spec() -> SystemSpec {
-    SystemSpec::builder()
-        .core(Criticality::new(4).expect("static"))
-        .core(Criticality::new(3).expect("static"))
-        .core(Criticality::new(2).expect("static"))
-        .core(Criticality::new(1).expect("static"))
-        .build()
-        .expect("non-empty")
-}
-
-/// The Figure-7 stage requirements, derived from c0's per-mode bound curve
-/// exactly as the paper places its stages: stage 1 fits mode 1, stage 2
-/// lands between the mode-3 and mode-2 bounds (forcing the double
-/// escalation m1 → m3), stage 3 between mode 4 and mode 3.
-///
-/// # Panics
-///
-/// Panics if fewer than four per-mode bounds are supplied.
-#[must_use]
-pub fn fig7_stage_requirements(bounds: &[u64]) -> [u64; 3] {
-    assert!(bounds.len() >= 4, "the Figure-7 platform has four modes");
-    [
-        bounds[0] * 102 / 100,
-        u64::midpoint(bounds[1], bounds[2]),
-        u64::midpoint(bounds[2], bounds[3]),
-    ]
 }
 
 /// Machine-readable record of one protocol run (one element of the
@@ -437,8 +397,6 @@ pub struct CliOptions {
     pub full: bool,
     /// `--quick`: 10× reduced scale for smoke runs.
     pub quick: bool,
-    /// `--config <slug>`: restrict to one criticality configuration.
-    pub config: Option<CritConfig>,
     /// `--json <path>`: also emit machine-readable per-job results.
     pub json: Option<PathBuf>,
     /// `--metrics`: run the sweeps under a `MetricsProbe` and embed the
@@ -454,8 +412,8 @@ pub struct CliOptions {
 }
 
 /// The usage line shared by every bin's flag-error message.
-pub const CLI_USAGE: &str = "usage: [--full|--quick] [--config <slug>] [--json <path>] \
-                             [--metrics] [--trace <path>] [--workers <n>]";
+pub const CLI_USAGE: &str =
+    "usage: [--full|--quick] [--json <path>] [--metrics] [--trace <path>] [--workers <n>]";
 
 impl CliOptions {
     /// Parses `std::env::args`-style arguments.
@@ -463,7 +421,7 @@ impl CliOptions {
     /// # Errors
     ///
     /// Returns a usage message on unknown flags, a flag missing its value,
-    /// an unknown `--config` slug, or `--full` combined with `--quick`.
+    /// or `--full` combined with `--quick`.
     pub fn parse(args: impl Iterator<Item = String>) -> Result<Self, String> {
         let mut options = CliOptions::default();
         let mut args = args.skip(1);
@@ -471,13 +429,6 @@ impl CliOptions {
             match arg.as_str() {
                 "--full" => options.full = true,
                 "--quick" => options.quick = true,
-                "--config" => {
-                    let slug = args.next().ok_or("--config needs a value")?;
-                    options.config = Some(
-                        CritConfig::from_slug(&slug)
-                            .ok_or_else(|| format!("unknown config `{slug}`"))?,
-                    );
-                }
                 "--json" => {
                     options.json = Some(PathBuf::from(args.next().ok_or("--json needs a path")?));
                 }
@@ -497,6 +448,21 @@ impl CliOptions {
             return Err("--full and --quick are mutually exclusive".into());
         }
         Ok(options)
+    }
+
+    /// The directory `repro` writes the paper's artifacts to: `results/`
+    /// at the default scale, whose committed files CI diffs against a
+    /// fresh run, and `out/repro-quick/` or `out/repro-full/` at the other
+    /// scales, so a smoke or full-scale run never overwrites them.
+    #[must_use]
+    pub fn artifact_dir(&self) -> &'static Path {
+        Path::new(if self.quick {
+            "out/repro-quick"
+        } else if self.full {
+            "out/repro-full"
+        } else {
+            "results"
+        })
     }
 
     /// Parses the process arguments, printing the error plus the usage
@@ -520,8 +486,6 @@ mod tests {
     fn config_masks() {
         assert_eq!(CritConfig::AllCr.critical_mask(), vec![true; 4]);
         assert_eq!(CritConfig::OneCrThreeNcr.critical_mask(), vec![true, false, false, false]);
-        assert_eq!(CritConfig::from_slug("2cr2ncr"), Some(CritConfig::TwoCrTwoNcr));
-        assert_eq!(CritConfig::from_slug("nope"), None);
     }
 
     #[test]
@@ -548,10 +512,8 @@ mod tests {
             [
                 "bin",
                 "--quick",
-                "--config",
-                "all-cr",
                 "--json",
-                "out/fig5.json",
+                "out/repro.json",
                 "--metrics",
                 "--trace",
                 "out/trace.json",
@@ -563,8 +525,7 @@ mod tests {
         )
         .unwrap();
         assert!(opts.quick);
-        assert_eq!(opts.config, Some(CritConfig::AllCr));
-        assert_eq!(opts.json.as_deref(), Some(Path::new("out/fig5.json")));
+        assert_eq!(opts.json.as_deref(), Some(Path::new("out/repro.json")));
         assert!(opts.metrics);
         assert_eq!(opts.trace.as_deref(), Some(Path::new("out/trace.json")));
         assert_eq!(opts.workers, Some(4));
@@ -589,12 +550,24 @@ mod tests {
         let err =
             CliOptions::parse(["bin", "--bogus"].iter().map(ToString::to_string)).unwrap_err();
         assert!(err.contains("unknown flag"), "unexpected message: {err}");
-        let err =
-            CliOptions::parse(["bin", "--config"].iter().map(ToString::to_string)).unwrap_err();
-        assert!(err.contains("needs a value"), "unexpected message: {err}");
-        let err = CliOptions::parse(["bin", "--config", "nope"].iter().map(ToString::to_string))
+        let err = CliOptions::parse(["bin", "--json"].iter().map(ToString::to_string)).unwrap_err();
+        assert!(err.contains("needs a path"), "unexpected message: {err}");
+        // The removed per-configuration filter is an unknown flag now.
+        let err = CliOptions::parse(["bin", "--config", "all-cr"].iter().map(ToString::to_string))
             .unwrap_err();
-        assert!(err.contains("unknown config"), "unexpected message: {err}");
+        assert!(err.contains("unknown flag"), "unexpected message: {err}");
+    }
+
+    #[test]
+    fn artifact_dir_follows_the_scale_flag() {
+        let dir = |args: &[&str]| {
+            let options = CliOptions::parse(args.iter().map(ToString::to_string)).unwrap();
+            options.artifact_dir().to_path_buf()
+        };
+        assert_eq!(dir(&["repro"]), Path::new("results"));
+        assert_eq!(dir(&["repro", "--metrics", "--json", "a.json"]), Path::new("results"));
+        assert_eq!(dir(&["repro", "--quick"]), Path::new("out/repro-quick"));
+        assert_eq!(dir(&["repro", "--full"]), Path::new("out/repro-full"));
     }
 
     #[test]

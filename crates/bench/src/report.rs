@@ -23,7 +23,7 @@ pub struct Schema {
     pub version: u32,
 }
 
-/// Figure/table run reports (`{"runs": [...]}` — fig1/fig5/fig6/repro).
+/// Fig. 5/6 run reports (`{"runs": [...]}`, `repro --json`).
 pub const REPORT: Schema = Schema::new("report", 1);
 /// GA engine benchmark reports (`BENCH_optim.json`). Version 2 adds the
 /// `hit_kernel` section.
@@ -35,12 +35,6 @@ pub const SIM: Schema = Schema::new("sim", 1);
 /// Fleet service benchmark reports (`BENCH_fleet.json`). Version 2 adds
 /// the churn chaos campaign and the `FleetHealth` snapshots.
 pub const FLEET: Schema = Schema::new("fleet", 2);
-/// Mode-switch trajectory reports (the `fig7` bin).
-pub const FIG7: Schema = Schema::new("fig7", 1);
-/// Schedulability-curve reports (the `schedulability` bin).
-pub const SCHEDULABILITY: Schema = Schema::new("schedulability", 1);
-/// Mode-switch cost table reports (the `table2` bin).
-pub const TABLE2: Schema = Schema::new("table2", 1);
 /// Static-analysis reports (the `lint` bin).
 pub const LINT: Schema = Schema::new("lint", 1);
 /// Monte Carlo certification reports (`BENCH_cert.json`). Version 2 adds

@@ -269,7 +269,7 @@ pub struct SchedAggregate {
 impl SchedAggregate {
     /// An empty curve with the bucket edges of `space`.
     #[must_use]
-    pub fn for_space(space: &SchedSpace) -> Self {
+    pub(crate) fn for_space(space: &SchedSpace) -> Self {
         let width = space.bucket_pct.max(1);
         let mut buckets = Vec::new();
         let mut lo = space.util_min_pct;

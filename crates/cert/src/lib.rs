@@ -50,5 +50,5 @@ pub use driver::{run_certification, CertConfig, CertOutcome};
 pub use estimate::{
     wilson, FaultAggregate, Rate, SchedAggregate, SchedBucket, CONVICTING_SEEDS_CAP, WILSON_Z95,
 };
-pub use minimize::{minimize_conviction, Counterexample};
+pub use minimize::Counterexample;
 pub use trial::{FaultCampaignSpace, FaultTrialOutcome, SchedSpace, SchedTrialOutcome};

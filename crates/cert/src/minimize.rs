@@ -110,7 +110,7 @@ fn shrunk(workload: &Workload, step: usize) -> Option<Workload> {
 ///
 /// Propagates simulator errors from the initial trial run or the faithful
 /// replay.
-pub fn minimize_conviction(
+pub(crate) fn minimize_conviction(
     space: &FaultCampaignSpace,
     seed: u64,
 ) -> Result<Option<Counterexample>> {

@@ -70,7 +70,7 @@ impl FaultCampaignSpace {
 
     /// Whether `seed` belongs to the control arm (empty fault plan).
     #[must_use]
-    pub fn is_control(&self, seed: u64) -> bool {
+    pub(crate) fn is_control(&self, seed: u64) -> bool {
         self.clean_every != 0 && seed.is_multiple_of(self.clean_every)
     }
 
@@ -146,7 +146,7 @@ impl FaultCampaignSpace {
     /// # Errors
     ///
     /// Propagates simulator configuration or deadlock errors.
-    pub fn run_trial(&self, seed: u64) -> Result<FaultTrialOutcome> {
+    pub(crate) fn run_trial(&self, seed: u64) -> Result<FaultTrialOutcome> {
         let report = run_with_watchdog(
             self.config()?,
             &self.workload(seed),
@@ -272,7 +272,7 @@ impl SchedSpace {
     /// # Errors
     ///
     /// Propagates task-construction or RTA errors.
-    pub fn run_trial(&self, seed: u64) -> Result<SchedTrialOutcome> {
+    pub(crate) fn run_trial(&self, seed: u64) -> Result<SchedTrialOutcome> {
         let (util_pct, tasks) = self.sample(seed)?;
         Ok(SchedTrialOutcome { util_pct, schedulable: is_schedulable(&tasks)? })
     }

@@ -12,7 +12,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use serde_json::{json, Map, Value};
 
 use cohort_cert::{
-    FaultAggregate, FaultTrialOutcome, SchedAggregate, SchedSpace, SchedTrialOutcome,
+    FaultAggregate, FaultTrialOutcome, Rate, SchedAggregate, SchedBucket, SchedTrialOutcome,
 };
 use cohort_types::splitmix64;
 
@@ -34,7 +34,12 @@ fn payloads() -> [Value; 2] {
         };
         fault.record(seed, &outcome);
     }
-    let mut sched = SchedAggregate::for_space(&SchedSpace::default());
+    // The bucket edges of the default `SchedSpace`: 10..=149 % in 20 % steps.
+    let buckets = (10..150)
+        .step_by(20)
+        .map(|lo| SchedBucket { lo_pct: lo, hi_pct: (lo + 20).min(150), rate: Rate::default() })
+        .collect();
+    let mut sched = SchedAggregate { trials: 0, schedulable: 0, buckets };
     for util_pct in (5..150).step_by(7) {
         sched.record(&SchedTrialOutcome { util_pct, schedulable: util_pct < 80 });
     }
