@@ -53,7 +53,7 @@ pub struct Arbiter {
 enum Policy {
     Rrof { order: VecDeque<usize> },
     RoundRobin { order: VecDeque<usize> },
-    Tdm { critical: Vec<usize>, noncritical: VecDeque<usize>, mask: Vec<bool> },
+    Tdm { critical: Vec<usize>, noncritical: VecDeque<usize> },
     Fcfs,
 }
 
@@ -78,7 +78,7 @@ impl Arbiter {
                 assert!(!crit.is_empty(), "TDM needs a critical core");
                 let noncrit =
                     critical.iter().enumerate().filter(|(_, &c)| !c).map(|(i, _)| i).collect();
-                Policy::Tdm { critical: crit, noncritical: noncrit, mask: critical.clone() }
+                Policy::Tdm { critical: crit, noncritical: noncrit }
             }
             ArbiterKind::Fcfs => Policy::Fcfs,
         };
@@ -93,7 +93,7 @@ impl Arbiter {
             Policy::Rrof { order } | Policy::RoundRobin { order } => {
                 order.iter().copied().find(|&c| candidates[c].is_some())
             }
-            Policy::Tdm { critical, noncritical, mask } => {
+            Policy::Tdm { critical, noncritical } => {
                 if !now.get().is_multiple_of(self.slot_width.get()) {
                     return None; // transactions start on slot boundaries
                 }
@@ -107,7 +107,6 @@ impl Arbiter {
                 if critical.iter().any(|&c| candidates[c].is_some()) {
                     return None; // idle slot
                 }
-                let _ = mask;
                 noncritical.iter().copied().find(|&c| candidates[c].is_some())
             }
             Policy::Fcfs => candidates

@@ -6,12 +6,18 @@
 //! common knowledge as a map from line address to [`LineCoh`]. It is pure
 //! bookkeeping: all timing (release instants, transfer durations) lives in
 //! the engine.
+//!
+//! The engine looks a line up on every access, grant and transfer, so the
+//! map is hashed; the one scan over it ([`CoherenceMap::iter`]) sorts by
+//! line, which keeps every outcome independent of the hash layout.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::HashMap; // lint:allow(det-unordered) line-keyed lookups only; iter() sorts by line
+use std::collections::VecDeque;
+use std::hash::{BuildHasherDefault, Hasher};
 
 use serde::{Deserialize, Serialize};
 
-use cohort_types::{Cycles, LineAddr};
+use cohort_types::{splitmix64, Cycles, LineAddr};
 
 /// Who supplies the data for the next transfer of a line.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -126,20 +132,22 @@ impl LineCoh {
         self.sharers = 0;
     }
 
-    /// Iterates over the cores holding Shared copies.
-    pub fn sharers(&self) -> impl Iterator<Item = usize> + '_ {
-        (0..64).filter(move |c| self.sharers & (1 << c) != 0)
+    /// Iterates over the cores holding Shared copies, ascending.
+    pub fn sharers(&self) -> impl Iterator<Item = usize> {
+        cores_in(self.sharers)
     }
 
     /// Every core currently holding a copy (owner first if a core owns it).
-    pub fn holders(&self) -> impl Iterator<Item = usize> + '_ {
+    pub fn holders(&self) -> impl Iterator<Item = usize> {
         self.owner_core.into_iter().chain(self.sharers())
     }
 
-    /// The queued requesters, oldest first.
+    /// Every core currently holding a copy, as a bitmask (bit `c` for core
+    /// `c`). The exclusivity invariant makes walking it with [`cores_in`]
+    /// visit the same cores in the same order as [`LineCoh::holders`].
     #[must_use]
-    pub fn waiters(&self) -> &VecDeque<Waiter> {
-        &self.waiters
+    pub fn holder_mask(&self) -> u64 {
+        self.sharers | self.owner_core.map_or(0, |c| 1 << c)
     }
 
     /// The request at the head of the queue (the next to be served).
@@ -161,11 +169,6 @@ impl LineCoh {
         let pos =
             self.waiters.iter().position(|w| !is_critical(w.core)).unwrap_or(self.waiters.len());
         self.waiters.insert(pos, waiter);
-    }
-
-    /// Pops the served head request.
-    pub fn dequeue(&mut self) -> Option<Waiter> {
-        self.waiters.pop_front()
     }
 
     /// Removes and returns the first queued request from `core` (used when
@@ -205,10 +208,43 @@ impl LineCoh {
     }
 }
 
+/// Iterates over the set bits of a per-core bitmask, ascending.
+pub(crate) fn cores_in(mut mask: u64) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        (mask != 0).then(|| {
+            let core = mask.trailing_zeros() as usize;
+            mask &= mask - 1;
+            core
+        })
+    })
+}
+
+/// A fixed, seedless hasher for line addresses: each word written runs
+/// through the [`splitmix64`] finalizer, which spreads the dense, strided
+/// line numbers of a trace over the whole table.
+#[derive(Debug, Clone, Copy, Default)]
+struct LineHasher(u64);
+
+impl Hasher for LineHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &byte in bytes {
+            self.write_u64(u64::from(byte));
+        }
+    }
+
+    fn write_u64(&mut self, word: u64) {
+        self.0 = splitmix64(self.0 ^ word, 0);
+    }
+}
+
 /// The global line-address → coherence-state map.
 #[derive(Debug, Clone, Default)]
 pub struct CoherenceMap {
-    lines: BTreeMap<LineAddr, LineCoh>,
+    lines: HashMap<LineAddr, LineCoh, BuildHasherDefault<LineHasher>>,
 }
 
 impl CoherenceMap {
@@ -236,21 +272,11 @@ impl CoherenceMap {
         }
     }
 
-    /// Iterates over all tracked lines.
+    /// Iterates over all tracked lines in ascending line order.
     pub fn iter(&self) -> impl Iterator<Item = (LineAddr, &LineCoh)> {
-        self.lines.iter().map(|(l, c)| (*l, c))
-    }
-
-    /// Number of tracked (non-trivial) lines.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.lines.len()
-    }
-
-    /// Returns `true` if no line is tracked.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.lines.is_empty()
+        let mut lines: Vec<_> = self.lines.iter().map(|(l, c)| (*l, c)).collect();
+        lines.sort_unstable_by_key(|&(line, _)| line);
+        lines.into_iter()
     }
 }
 
@@ -318,7 +344,7 @@ mod tests {
         line.enqueue(Waiter { core: 2, kind: ReqKind::GetS, enqueued: Cycles::new(9) });
         assert!(line.is_head(1));
         assert!(!line.is_head(2));
-        assert_eq!(line.dequeue().unwrap().core, 1);
+        assert_eq!(line.waiters.pop_front().unwrap().core, 1);
         assert!(line.is_head(2));
     }
 
@@ -365,7 +391,7 @@ mod tests {
         assert!(line.head_dispossesses(0));
         assert_eq!(line.head().unwrap().kind, ReqKind::GetS);
         // Serve the GetS (owner downgrades to Shared under LLC ownership).
-        line.dequeue();
+        line.waiters.pop_front();
         line.set_owner(Owner::Llc);
         line.add_sharer(0);
         line.add_sharer(1);
@@ -374,7 +400,7 @@ mod tests {
         assert!(line.head_dispossesses(1));
         assert!(!line.head_dispossesses(2));
         // No waiters → nobody is dispossessed.
-        line.dequeue();
+        line.waiters.pop_front();
         assert!(!line.head_dispossesses(0));
     }
 
@@ -391,13 +417,13 @@ mod tests {
         line.enqueue_critical(w(0, 3), critical);
         // A second critical waiter stays FIFO among criticals.
         line.enqueue_critical(w(1, 4), critical);
-        let order: Vec<usize> = line.waiters().iter().map(|w| w.core).collect();
+        let order: Vec<usize> = line.waiters.iter().map(|w| w.core).collect();
         assert_eq!(order, vec![0, 1, 2, 3]);
 
         // Plain enqueue of a non-critical request goes to the back.
         line.enqueue(w(2, 5));
-        assert_eq!(line.waiters().len(), 5);
-        assert_eq!(line.waiters().back().unwrap().core, 2);
+        assert_eq!(line.waiters.len(), 5);
+        assert_eq!(line.waiters.back().unwrap().core, 2);
     }
 
     #[test]
@@ -408,19 +434,72 @@ mod tests {
         line.enqueue_critical(w(1), critical);
         line.enqueue_critical(w(0), critical);
         line.enqueue_critical(w(2), critical);
-        let order: Vec<usize> = line.waiters().iter().map(|w| w.core).collect();
+        let order: Vec<usize> = line.waiters.iter().map(|w| w.core).collect();
         assert_eq!(order, vec![1, 0, 2], "all-critical queues degenerate to FIFO");
+    }
+
+    #[test]
+    fn holder_mask_matches_holders() {
+        let mask_of = |line: &LineCoh| line.holders().fold(0u64, |m, c| m | 1 << c);
+        let empty = LineCoh::default();
+        let mut owned = LineCoh::default();
+        owned.set_owner(Owner::Core(5));
+        let mut shared = LineCoh::default();
+        shared.add_sharer(0);
+        shared.add_sharer(2);
+        shared.add_sharer(63);
+        for line in [&empty, &owned, &shared] {
+            assert_eq!(line.holder_mask(), mask_of(line));
+            assert_eq!(
+                cores_in(line.holder_mask()).collect::<Vec<_>>(),
+                line.holders().collect::<Vec<_>>()
+            );
+        }
+        assert_eq!(empty.holder_mask(), 0);
+        assert_eq!(owned.holder_mask(), 1 << 5);
+        assert_eq!(shared.holder_mask(), 1 | 1 << 2 | 1 << 63);
+    }
+
+    #[test]
+    fn map_iter_is_ascending_whatever_the_insertion_order() {
+        let lines = [900u64, 3, 1 << 40, 17, 0, 64, 4096, 5];
+        let mut forward = CoherenceMap::new();
+        let mut backward = CoherenceMap::new();
+        for (i, &l) in lines.iter().enumerate() {
+            forward.entry(LineAddr::new(l)).add_sharer(i);
+        }
+        for (i, &l) in lines.iter().enumerate().rev() {
+            backward.entry(LineAddr::new(l)).add_sharer(i);
+        }
+        let mut sorted = lines;
+        sorted.sort_unstable();
+        for map in [&forward, &backward] {
+            let got: Vec<(u64, Vec<usize>)> =
+                map.iter().map(|(l, c)| (l.raw(), c.sharers().collect())).collect();
+            let want: Vec<(u64, Vec<usize>)> = sorted
+                .iter()
+                .map(|&l| (l, vec![lines.iter().position(|&x| x == l).unwrap()]))
+                .collect();
+            assert_eq!(got, want);
+        }
     }
 
     #[test]
     fn map_gc_drops_trivial_entries() {
         let mut map = CoherenceMap::new();
         let line = LineAddr::new(7);
+        let held = LineAddr::new(8);
         map.entry(line).set_owner(Owner::Core(0));
-        assert_eq!(map.len(), 1);
+        map.entry(held).add_sharer(1);
+        assert_eq!(map.lines.len(), 2);
         map.entry(line).set_owner(Owner::Llc);
         map.gc(line);
-        assert!(map.is_empty());
+        map.gc(held);
+        assert_eq!(map.lines.len(), 1, "only the trivial entry is dropped");
         assert!(map.get(line).is_none());
+        assert!(map.get(held).is_some_and(|c| c.is_sharer(1)));
+        map.entry(held).remove_sharer(1);
+        map.gc(held);
+        assert!(map.lines.is_empty());
     }
 }

@@ -69,7 +69,7 @@ mod watchdog;
 pub use arbiter::{Arbiter, Candidate, CandidateKind};
 pub use cache::{L1Line, LineState, SetAssocCache};
 pub use chrome_trace::ChromeTraceProbe;
-pub use coherence::{CoherenceMap, LineCoh, Owner, ReqKind, Waiter};
+pub use coherence::{Owner, ReqKind, Waiter};
 pub use config::{
     ArbiterKind, CacheGeometry, DataPath, LlcModel, ProtocolFlavor, SimConfig, SimConfigBuilder,
 };
