@@ -1,20 +1,17 @@
-//! Engine-throughput benchmark: legacy cycle-round vs event-driven
-//! scheduler, on the workload shapes the event queue was built for.
+//! Simulator-throughput benchmark: simulated cycles per wall-clock second
+//! on the workload shapes the event scheduler was built for.
 //!
 //! The sparse workload is the motivating case: wide machines where at
-//! almost every visited instant exactly one core is due, misses go all
+//! almost every dispatched instant exactly one core is due, misses go all
 //! the way to DRAM, and timer-held shared lines keep a standing waiter
-//! population. The legacy engine pays its full O(cores + waiters) round —
-//! `step_cores` over every core, a candidate per core in `try_start_txn`,
-//! and `head_release_instant` for every waiting line in `next_event` — at
-//! each of those instants; the event engine dispatches the one due
-//! component. The dense workloads bound the other end: bus-saturated
-//! sharing where every cycle has work and both engines track closely.
+//! population; the scheduler dispatches the one due component instead of
+//! rescanning every core and waiting line. The dense workloads bound the
+//! other end: bus-saturated sharing where every cycle has work.
 //!
-//! Also asserts the two invariants CI smoke-checks via
-//! `schema_check --sim`: double-run determinism of the event engine
-//! (bit-identical event logs and stats) and cross-engine bit-identity on
-//! the protocol preset matrix.
+//! Before timing, asserts double-run determinism (bit-identical event
+//! logs, stats and injected-fault records) on the timed workloads and on
+//! the protocol preset matrix under seeded fault plans; CI smoke-checks
+//! the report via `schema_check --sim`.
 //!
 //! ```text
 //! cargo run --release -p cohort-bench --bin sim -- \
@@ -28,34 +25,24 @@ use serde_json::json;
 use cohort_bench::report::{self, ReportWriter};
 use cohort_bench::CliOptions;
 use cohort_sim::{
-    compare_engines, ArbiterKind, CacheGeometry, DataPath, EngineKind, EventLogProbe, FaultPlan,
-    LlcModel, ProtocolFlavor, SimBuilder, SimConfig,
+    ArbiterKind, CacheGeometry, DataPath, Event, EventLogProbe, FaultPlan, InjectedFault, LlcModel,
+    ProtocolFlavor, SimBuilder, SimConfig, SimStats,
 };
 use cohort_trace::{micro, Trace, TraceOp, Workload};
 use cohort_types::{LatencyConfig, Result, TimerValue};
 
-/// One measured workload: its shape, the config it runs under, and how
-/// both engines fared on it.
+/// One measured workload: its shape and how fast the simulator ran it.
 struct Measurement {
     workload: String,
     cores: usize,
     accesses: u64,
     cycles_simulated: u64,
-    legacy_seconds: f64,
-    event_seconds: f64,
+    seconds: f64,
 }
 
 impl Measurement {
-    fn legacy_cycles_per_sec(&self) -> f64 {
-        self.cycles_simulated as f64 / self.legacy_seconds.max(1e-9)
-    }
-
-    fn event_cycles_per_sec(&self) -> f64 {
-        self.cycles_simulated as f64 / self.event_seconds.max(1e-9)
-    }
-
-    fn speedup(&self) -> f64 {
-        self.event_cycles_per_sec() / self.legacy_cycles_per_sec().max(1e-9)
+    fn cycles_per_sec(&self) -> f64 {
+        self.cycles_simulated as f64 / self.seconds.max(1e-9)
     }
 }
 
@@ -63,12 +50,11 @@ impl Measurement {
 /// separated by core-staggered compute gaps — with every 256th access a
 /// cold line that misses all the way to DRAM and every 128th a store to a
 /// line shared by its group of four cores. Under long coherence timers
-/// the shared lines hold standing waiter queues, so the legacy engine's
-/// per-instant scan re-derives `head_release_instant` (a walk over every
-/// dispossessed holder) for each of them at every visited instant, while
-/// the event engine only re-derives the lines a completed transaction or
-/// popped release wake actually dirtied. Prime-spaced base addresses keep
-/// the per-core regions from colliding in the same LLC sets.
+/// the shared lines hold standing waiter queues; the scheduler re-derives
+/// `head_release_instant` (a walk over every dispossessed holder) only for
+/// the lines a completed transaction or popped release wake dirtied, not
+/// for every waiting line at every instant. Prime-spaced base addresses
+/// keep the per-core regions from colliding in the same LLC sets.
 fn sparse_dram(cores: usize, accesses: usize, gap: u64) -> Workload {
     let traces = (0..cores)
         .map(|core| {
@@ -109,53 +95,46 @@ fn dram_bound_config(cores: usize) -> SimConfig {
         .expect("valid config")
 }
 
-/// Runs `workload` under `config` on the given engine, returning the wall
-/// time and final simulated-cycle count.
-fn time_engine(config: &SimConfig, workload: &Workload, kind: EngineKind) -> Result<(f64, u64)> {
-    let mut sim = SimBuilder::new(config.clone(), workload).engine(kind).build()?;
+/// Times one run of `workload` under `config`.
+fn measure(name: &str, config: &SimConfig, workload: &Workload) -> Result<Measurement> {
+    let mut sim = SimBuilder::new(config.clone(), workload).build()?;
     let start = Instant::now();
     let stats = sim.run()?;
-    Ok((start.elapsed().as_secs_f64(), stats.cycles.get()))
-}
-
-/// Times both engines on one workload and checks they simulated the same
-/// number of cycles (a cheap cross-check on top of the preset differ).
-fn measure(name: &str, config: &SimConfig, workload: &Workload) -> Result<Measurement> {
-    let (legacy_seconds, legacy_cycles) = time_engine(config, workload, EngineKind::CycleRound)?;
-    let (event_seconds, event_cycles) = time_engine(config, workload, EngineKind::EventDriven)?;
-    assert_eq!(
-        legacy_cycles, event_cycles,
-        "{name}: engines disagree on simulated length ({legacy_cycles} vs {event_cycles})"
-    );
     Ok(Measurement {
         workload: name.to_string(),
         cores: workload.cores(),
         accesses: workload.total_accesses(),
-        cycles_simulated: event_cycles,
-        legacy_seconds,
-        event_seconds,
+        cycles_simulated: stats.cycles.get(),
+        seconds: start.elapsed().as_secs_f64(),
     })
 }
 
-/// Runs the event engine twice on the same scenario and asserts the event
-/// logs and final stats are bit-identical.
-fn assert_deterministic(config: &SimConfig, workload: &Workload) -> Result<()> {
-    let run = || -> Result<(Vec<cohort_sim::Event>, cohort_sim::SimStats)> {
+/// Runs one scenario twice and asserts the event logs, final stats and
+/// injected-fault records are bit-identical.
+fn assert_deterministic(
+    label: &str,
+    config: &SimConfig,
+    workload: &Workload,
+    plan: &FaultPlan,
+) -> Result<()> {
+    let run = || -> Result<(Vec<Event>, SimStats, Vec<InjectedFault>)> {
         let mut sim = SimBuilder::new(config.clone(), workload)
             .probe(EventLogProbe::new())
-            .engine(EngineKind::EventDriven)
+            .faults(plan.clone())
             .build()?;
         let stats = sim.run()?;
-        Ok((sim.into_probe().into_events(), stats))
+        let injected = sim.injected_faults().to_vec();
+        Ok((sim.into_probe().into_events(), stats, injected))
     };
-    let (first_log, first_stats) = run()?;
-    let (second_log, second_stats) = run()?;
-    assert_eq!(first_log, second_log, "event engine produced different logs on identical runs");
-    assert_eq!(first_stats, second_stats, "event engine produced different stats");
+    let (first_log, first_stats, first_faults) = run()?;
+    let (second_log, second_stats, second_faults) = run()?;
+    assert_eq!(first_log, second_log, "{label}: different event logs on identical runs");
+    assert_eq!(first_stats, second_stats, "{label}: different stats on identical runs");
+    assert_eq!(first_faults, second_faults, "{label}: different fault records on identical runs");
     Ok(())
 }
 
-/// The preset matrix the cross-engine differ sweeps: every arbiter, data
+/// The preset matrix the determinism sweep covers: every arbiter, data
 /// path, flavor and timer shape the bench figures exercise.
 fn preset_matrix(cores: usize) -> Vec<(&'static str, SimConfig)> {
     let build = SimConfig::builder;
@@ -183,17 +162,17 @@ fn preset_matrix(cores: usize) -> Vec<(&'static str, SimConfig)> {
     ]
 }
 
-/// Sweeps the preset matrix through the cross-engine differ, returning
-/// the number of presets compared. Panics on the first divergence.
-fn assert_engines_identical(quick: bool) -> Result<usize> {
+/// Sweeps the preset matrix × seeded fault plans through the double-run
+/// determinism check, returning the number of presets compared. Panics on
+/// the first difference.
+fn assert_presets_deterministic(quick: bool) -> Result<usize> {
     let seeds: &[u64] = if quick { &[1] } else { &[1, 9] };
     let mut compared = 0;
     for &seed in seeds {
         let workload = micro::random_shared(4, 32, if quick { 80 } else { 160 }, 0.5, seed);
         let plan = FaultPlan::seeded(seed, 4, 20_000, 6);
         for (name, config) in preset_matrix(4) {
-            let cmp = compare_engines(&config, &workload, &plan, &[])?;
-            assert!(cmp.is_identical(), "seed {seed} / {name}: {}", cmp.describe());
+            assert_deterministic(&format!("seed {seed} / {name}"), &config, &workload, &plan)?;
             compared += 1;
         }
     }
@@ -214,13 +193,14 @@ fn main() -> Result<()> {
     let shared = micro::random_shared(dense_cores, 64, if quick { 400 } else { 4_000 }, 0.5, 5);
 
     eprintln!("sim: determinism check");
-    assert_deterministic(&sparse_config, &sparse)?;
-    assert_deterministic(&dense_config, &shared)?;
+    let empty = FaultPlan::empty();
+    assert_deterministic("sparse_dram", &sparse_config, &sparse, &empty)?;
+    assert_deterministic("dense_random_shared", &dense_config, &shared, &empty)?;
 
-    eprintln!("sim: cross-engine preset matrix");
-    let presets_compared = assert_engines_identical(quick)?;
+    eprintln!("sim: preset matrix determinism");
+    let presets_compared = assert_presets_deterministic(quick)?;
 
-    eprintln!("sim: timing engines");
+    eprintln!("sim: timing");
     let measurements = vec![
         measure("sparse_dram", &sparse_config, &sparse)?,
         measure("dense_ping_pong", &dense_config, &ping_pong)?,
@@ -229,15 +209,12 @@ fn main() -> Result<()> {
 
     for m in &measurements {
         println!(
-            "{:<20} {:>2} cores  {:>8} accesses  {:>10} cycles  legacy {:>12.0} cyc/s  \
-             event {:>12.0} cyc/s  speedup {:>7.1}×",
+            "{:<20} {:>2} cores  {:>8} accesses  {:>10} cycles  {:>12.0} cyc/s",
             m.workload,
             m.cores,
             m.accesses,
             m.cycles_simulated,
-            m.legacy_cycles_per_sec(),
-            m.event_cycles_per_sec(),
-            m.speedup(),
+            m.cycles_per_sec(),
         );
     }
 
@@ -251,16 +228,13 @@ fn main() -> Result<()> {
                     "cores": m.cores as u64,
                     "accesses": m.accesses,
                     "cycles_simulated": m.cycles_simulated,
-                    "legacy_cycles_per_sec": m.legacy_cycles_per_sec(),
-                    "event_cycles_per_sec": m.event_cycles_per_sec(),
-                    "speedup": m.speedup(),
+                    "cycles_per_sec": m.cycles_per_sec(),
                 })
             })
             .collect();
         let doc = json!({
             "quick": quick,
             "determinism": true,
-            "engines_identical": true,
             "presets_compared": presets_compared as u64,
             "results": results,
         });

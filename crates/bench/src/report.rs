@@ -30,8 +30,9 @@ pub const REPORT: Schema = Schema::new("report", 1);
 pub const OPTIM: Schema = Schema::new("optim", 2);
 /// Fault-campaign reports (`BENCH_chaos.json`).
 pub const CHAOS: Schema = Schema::new("chaos", 1);
-/// Engine-throughput reports (`BENCH_sim.json`).
-pub const SIM: Schema = Schema::new("sim", 1);
+/// Simulator-throughput reports (`BENCH_sim.json`). Version 2 drops the
+/// cycle-round reference engine's rates and the cross-engine verdict.
+pub const SIM: Schema = Schema::new("sim", 2);
 /// Fleet service benchmark reports (`BENCH_fleet.json`). Version 2 adds
 /// the churn chaos campaign and the `FleetHealth` snapshots.
 pub const FLEET: Schema = Schema::new("fleet", 2);

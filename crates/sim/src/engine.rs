@@ -21,12 +21,9 @@
 //! observationally identical to stepping every cycle because all state
 //! changes are computed from absolute cycle stamps.
 //!
-//! Two drivers can advance that clock (see [`EngineKind`] and the
-//! [`crate::sched`] module docs): the default discrete-event engine
-//! dispatches only the components whose wake entries are due, while the
-//! legacy cycle-round engine re-runs the full round at every visited
-//! instant. Both produce bit-identical event streams and statistics;
-//! select one with [`SimBuilder::engine`].
+//! A discrete-event scheduler advances that clock (see the
+//! [`crate::sched`] module docs): each instant dispatches only the
+//! components whose wake entries are due.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -40,7 +37,7 @@ use crate::core_model::{CoreModel, MshrEntry};
 use crate::event::{EventKind, InvalidateCause};
 use crate::fault::{FaultKind, FaultPlan, FaultState, InjectedFault};
 use crate::probe::{BusTenure, NoProbe, SimProbe, TenureKind};
-use crate::sched::{EngineKind, EventSched, WakeSource};
+use crate::sched::{EventSched, WakeSource};
 use crate::timer::release_time;
 use crate::{CoreStats, DataPath, LlcModel, ProtocolFlavor, SimConfig, SimStats};
 
@@ -130,7 +127,6 @@ pub struct Simulator<P: SimProbe = NoProbe> {
     lines_with_waiters: BTreeSet<LineAddr>,
     last_progress: Cycles,
     faults: FaultState,
-    engine: EngineKind,
     sched: EventSched,
     cand_buf: Vec<Option<Candidate>>,
 }
@@ -142,11 +138,11 @@ const WATCHDOG: u64 = 2_000_000;
 
 /// Builder for [`Simulator`] — the driver-facing construction surface.
 ///
-/// Collects the configuration, workload, probe, fault plan and engine
-/// selection, then [`SimBuilder::build`]s the simulator:
+/// Collects the configuration, workload, probe and fault plan, then
+/// [`SimBuilder::build`]s the simulator:
 ///
 /// ```
-/// use cohort_sim::{EngineKind, FaultPlan, MetricsProbe, SimBuilder, SimConfig};
+/// use cohort_sim::{FaultPlan, MetricsProbe, SimBuilder, SimConfig};
 /// use cohort_trace::micro;
 ///
 /// let config = SimConfig::builder(2).build()?;
@@ -154,7 +150,6 @@ const WATCHDOG: u64 = 2_000_000;
 /// let mut sim = SimBuilder::new(config, &workload)
 ///     .probe(MetricsProbe::new())
 ///     .faults(FaultPlan::empty())
-///     .engine(EngineKind::EventDriven)
 ///     .build()?;
 /// sim.run()?;
 /// # Ok::<(), Box<dyn std::error::Error>>(())
@@ -165,21 +160,14 @@ pub struct SimBuilder<'w, P: SimProbe = NoProbe> {
     workload: &'w Workload,
     probe: P,
     faults: FaultPlan,
-    engine: EngineKind,
 }
 
 impl<'w> SimBuilder<'w, NoProbe> {
-    /// Starts a builder for `workload` under `config`, with no probe, no
-    /// faults and the default (event-driven) engine.
+    /// Starts a builder for `workload` under `config`, with no probe and
+    /// no faults.
     #[must_use]
     pub fn new(config: SimConfig, workload: &'w Workload) -> Self {
-        SimBuilder {
-            config,
-            workload,
-            probe: NoProbe,
-            faults: FaultPlan::empty(),
-            engine: EngineKind::default(),
-        }
+        SimBuilder { config, workload, probe: NoProbe, faults: FaultPlan::empty() }
     }
 }
 
@@ -188,13 +176,7 @@ impl<'w, P: SimProbe> SimBuilder<'w, P> {
     /// call site), replacing any previously attached one.
     #[must_use]
     pub fn probe<Q: SimProbe>(self, probe: Q) -> SimBuilder<'w, Q> {
-        SimBuilder {
-            config: self.config,
-            workload: self.workload,
-            probe,
-            faults: self.faults,
-            engine: self.engine,
-        }
+        SimBuilder { config: self.config, workload: self.workload, probe, faults: self.faults }
     }
 
     /// Injects `plan`'s faults during the run. The empty plan is the
@@ -202,14 +184,6 @@ impl<'w, P: SimProbe> SimBuilder<'w, P> {
     #[must_use]
     pub fn faults(mut self, plan: FaultPlan) -> Self {
         self.faults = plan;
-        self
-    }
-
-    /// Selects the engine that advances the clock (default:
-    /// [`EngineKind::EventDriven`]).
-    #[must_use]
-    pub fn engine(mut self, kind: EngineKind) -> Self {
-        self.engine = kind;
         self
     }
 
@@ -221,7 +195,7 @@ impl<'w, P: SimProbe> SimBuilder<'w, P> {
     /// not match the configuration or the fault plan targets an
     /// out-of-range core.
     pub fn build(self) -> Result<Simulator<P>> {
-        let SimBuilder { config, workload, mut probe, faults: plan, engine } = self;
+        let SimBuilder { config, workload, mut probe, faults: plan } = self;
         if let Some(bad) = plan.specs().iter().find(|s| s.core >= config.cores()) {
             return Err(Error::InvalidConfig(format!(
                 "fault plan targets core {} but the configuration has {} cores",
@@ -271,7 +245,6 @@ impl<'w, P: SimProbe> SimBuilder<'w, P> {
             last_progress: Cycles::ZERO,
             now: Cycles::ZERO,
             faults: FaultState::new(plan),
-            engine,
             sched: EventSched::default(),
             cand_buf: Vec::new(),
             config,
@@ -371,7 +344,7 @@ impl<P: SimProbe> Simulator<P> {
             )));
         }
         self.switches.insert(at.get(), timers);
-        if self.sched.arming {
+        if self.sched.primed {
             self.sched.arm(at.get(), WakeSource::Switch);
         }
         Ok(())
@@ -390,49 +363,20 @@ impl<P: SimProbe> Simulator<P> {
     }
 
     /// Runs until `deadline` (exclusive) or completion, whichever is
-    /// first, under the engine selected at build time.
+    /// first. Simulated time jumps straight to the earliest pending wake
+    /// entry and only the due components dispatch.
     ///
     /// # Errors
     ///
     /// Same as [`Simulator::run`].
     pub fn run_until(&mut self, deadline: Cycles) -> Result<()> {
-        match self.engine {
-            EngineKind::CycleRound => self.run_until_cycle_rounds(deadline),
-            EngineKind::EventDriven => self.run_until_events(deadline),
-        }
-    }
-
-    /// The legacy driver: a full scheduling round over every component at
-    /// every visited instant, with the next instant re-derived by scanning
-    /// ([`Simulator::next_event`]).
-    pub(crate) fn run_until_cycle_rounds(&mut self, deadline: Cycles) -> Result<()> {
-        while !self.is_finished() && self.now < deadline {
-            self.step();
-            if self.is_finished() {
-                break;
-            }
-            if self.now.get().saturating_sub(self.last_progress.get()) > WATCHDOG {
-                return Err(Error::Deadlock { cycle: self.now.get() });
-            }
-            let next = self.next_event(deadline);
-            self.now = next.max(Cycles::new(self.now.get() + 1)).min(deadline);
-        }
-        self.finish_run(deadline);
-        Ok(())
-    }
-
-    /// The discrete-event driver: simulated time jumps straight to the
-    /// earliest pending wake entry and only the due components dispatch
-    /// (see the [`crate::sched`] module docs for the wake-source
-    /// enumeration and the bit-identity argument).
-    pub(crate) fn run_until_events(&mut self, deadline: Cycles) -> Result<()> {
         if !self.sched.primed {
             self.prime_sched();
         }
-        // The first dispatch of every `run_until` call re-visits the
-        // current instant unconditionally, exactly like the legacy loop
-        // unconditionally steps on entry (a re-visited instant is a no-op
-        // for every already-processed component).
+        // The first dispatch of every call visits the current instant
+        // unconditionally, even when no wake source is due there. That is
+        // a no-op for every component with nothing due; a pending
+        // retryable step fault is attempted there (see `dispatch_instant`).
         let mut entry = true;
         while !self.is_finished() && self.now < deadline {
             self.dispatch_instant(entry);
@@ -444,8 +388,7 @@ impl<P: SimProbe> Simulator<P> {
                 return Err(Error::Deadlock { cycle: self.now.get() });
             }
             let Some(next) = self.sched.next_wake_at() else {
-                // No wake source left: the legacy scan would find nothing
-                // and jump to the deadline.
+                // No wake source left: nothing can happen before the deadline.
                 self.now = deadline;
                 break;
             };
@@ -465,7 +408,6 @@ impl<P: SimProbe> Simulator<P> {
     /// boundaries) is armed by the phases as state comes alive.
     fn prime_sched(&mut self) {
         self.sched.primed = true;
-        self.sched.arming = true;
         let now = self.now.get();
         for id in 0..self.cores.len() {
             let ready = self.cores[id].ready_at.get();
@@ -480,20 +422,20 @@ impl<P: SimProbe> Simulator<P> {
     }
 
     /// Dispatches the current instant: pops the due wake entries and runs
-    /// the affected components in the legacy round order (switches →
-    /// faults → transaction completion → cores in id order → releases and
+    /// the affected components in a fixed phase order (switches → faults →
+    /// transaction completion → cores in id order → releases and
     /// arbitration).
     fn dispatch_instant(&mut self, entry: bool) {
         let t = self.now;
-        // Whether a due step fault may attempt injection at this instant is
-        // decided against the pre-dispatch state — the same state the
-        // legacy scan used when it chose to visit (or skip) this instant.
-        // The legacy loop attempts due faults at every instant it visits,
-        // so attempts must happen exactly at the legacy-visited instants.
+        // A due step fault is attempted only at an instant where some wake
+        // source is genuinely due (or the entry instant of a `run_until`
+        // call), decided against the pre-dispatch state. Stale wakes do
+        // not create attempts, so retries land at the same cycles however
+        // many redundant heap entries exist.
         let fault_attempt_here = !self.faults.is_empty()
             && self.faults.has_due_step_fault(t)
             && (entry || self.is_real_instant(t));
-        let (mut due_cores, _due_fault, due_slot) = self.sched.pop_due(t.get());
+        let (mut due_cores, due_slot) = self.sched.pop_due(t.get());
         due_cores |= std::mem::take(&mut self.sched.carry_cores);
         let mut arb = false;
         let mut recompute_releases = false;
@@ -508,7 +450,7 @@ impl<P: SimProbe> Simulator<P> {
         // 2. Step faults. A new activation instant is real via the armed
         // Fault wake (`next_activation() == t` makes `is_real_instant`
         // true); failed attempts retry at every later real instant until
-        // they land, exactly like the legacy loop.
+        // they land.
         if fault_attempt_here {
             let fired = self.apply_faults();
             if fired > 0 {
@@ -526,15 +468,15 @@ impl<P: SimProbe> Simulator<P> {
         }
         due_cores |= std::mem::take(&mut self.sched.carry_cores);
 
-        // 4. Cores, ascending id — the legacy `step_cores` order.
+        // 4. Cores, ascending id.
         for id in cores_in(due_cores) {
             self.step_core(id);
         }
         arb |= std::mem::take(&mut self.sched.flag_arb);
 
         // 5. Release re-arming and arbitration, only while the bus idles
-        // (the legacy scan likewise ignores releases mid-tenure; the
-        // completion that frees the bus re-derives every waiting line).
+        // (a release mid-tenure cannot grant; the completion that frees
+        // the bus re-derives every waiting line).
         if self.txn.is_none() {
             // A recompute re-derives every waiting line; otherwise only the
             // dirty ones. Either way the scratch list is reused.
@@ -556,8 +498,8 @@ impl<P: SimProbe> Simulator<P> {
         }
 
         // 6. While the bus idles under TDM, the next slot boundary is a
-        // grant opportunity (and a visited instant) regardless of whether
-        // any candidate exists — mirroring the legacy scan.
+        // grant opportunity (and a real instant) regardless of whether any
+        // candidate exists.
         if self.txn.is_none() {
             let opportunity = self.arbiter.next_grant_opportunity(t);
             if opportunity > t {
@@ -595,11 +537,13 @@ impl<P: SimProbe> Simulator<P> {
         }
     }
 
-    /// Whether the legacy engine would visit instant `t` given the current
-    /// (pre-dispatch) state — i.e. whether some wake source is genuinely
-    /// due rather than stale. Only consulted while a retryable fault is
-    /// pending, because fault retries are the one activity whose effects
-    /// depend on the visited-instant set itself.
+    /// Whether some wake source is genuinely due at `t` given the current
+    /// (pre-dispatch) state, rather than only stale heap entries: a
+    /// transaction end, a scheduled switch, a fault activation, a ready
+    /// core, or, while the bus idles, a TDM slot boundary or a head
+    /// waiter's release. Only consulted while a retryable fault is pending,
+    /// because fault retries are the one activity whose effects depend on
+    /// which instants are dispatched.
     fn is_real_instant(&self, t: Cycles) -> bool {
         if self.txn.is_some_and(|txn| txn.ends == t) {
             return true;
@@ -644,23 +588,13 @@ impl<P: SimProbe> Simulator<P> {
         }
     }
 
-    /// One scheduling round at the current cycle.
-    fn step(&mut self) {
-        self.apply_switches();
-        if !self.faults.is_empty() {
-            let _ = self.apply_faults();
-        }
-        self.complete_txn_if_due();
-        self.step_cores();
-        self.try_start_txn();
-    }
-
     // ----- fault injection -------------------------------------------------
 
     /// Applies every armed step fault (timer, cache and core faults; bus
     /// faults fire at grant time in [`Simulator::try_start_txn`]). Faults
     /// that find no applicable target this step stay armed and retry.
-    /// Returns the number that fired, for the event engine's re-arming.
+    /// Returns the number that fired, so the caller re-derives releases
+    /// and re-attempts arbitration.
     fn apply_faults(&mut self) -> usize {
         let mut fired_count = 0;
         for (index, spec) in self.faults.due_step_faults(self.now) {
@@ -678,9 +612,7 @@ impl<P: SimProbe> Simulator<P> {
                     let core = &mut self.cores[spec.core];
                     core.ready_at = core.ready_at.max(self.now + Cycles::new(cycles));
                     let ready = core.ready_at.get();
-                    if self.sched.arming {
-                        self.sched.arm_core(self.now.get(), spec.core, ready);
-                    }
+                    self.sched.arm_core(self.now.get(), spec.core, ready);
                     true
                 }
                 FaultKind::LineCorruption => self.corrupt_line(spec.core),
@@ -798,12 +730,6 @@ impl<P: SimProbe> Simulator<P> {
 
     // ----- core side ------------------------------------------------------
 
-    fn step_cores(&mut self) {
-        for core in 0..self.cores.len() {
-            self.step_core(core);
-        }
-    }
-
     fn step_core(&mut self, id: usize) {
         let hit_latency = self.config.latency().hit;
         let core = &self.cores[id];
@@ -823,9 +749,7 @@ impl<P: SimProbe> Simulator<P> {
                 let next_gap = core.current_op().map_or(Cycles::ZERO, |o| o.gap);
                 core.ready_at = completion + next_gap;
                 let ready = core.ready_at.get();
-                if self.sched.arming {
-                    self.sched.arm_core(self.now.get(), id, ready);
-                }
+                self.sched.arm_core(self.now.get(), id, ready);
                 let stats = &mut self.stats.cores[id];
                 stats.hits += 1;
                 stats.total_latency += hit_latency;
@@ -861,16 +785,14 @@ impl<P: SimProbe> Simulator<P> {
                 let next_gap = core.current_op().map_or(Cycles::ZERO, |o| o.gap);
                 core.ready_at = self.now + Cycles::new(1) + next_gap;
                 let ready = core.ready_at.get();
-                if self.sched.arming {
-                    self.sched.arm_core(self.now.get(), id, ready);
-                    // A fresh request may start a transaction, and adding a
-                    // waiter to a held line can pull its release earlier
-                    // (the effective timer drops to the MSI floor for
-                    // same-level requests); flag both re-checks.
-                    self.sched.flag_arb = true;
-                    if self.lines_with_waiters.contains(&op.line) {
-                        self.sched.dirty_lines.push(op.line);
-                    }
+                self.sched.arm_core(self.now.get(), id, ready);
+                // A fresh request may start a transaction, and adding a
+                // waiter to a held line can pull its release earlier (the
+                // effective timer drops to the MSI floor for same-level
+                // requests); flag both re-checks.
+                self.sched.flag_arb = true;
+                if self.lines_with_waiters.contains(&op.line) {
+                    self.sched.dirty_lines.push(op.line);
                 }
                 if P::ACTIVE {
                     self.probe.on_event(
@@ -1095,10 +1017,8 @@ impl<P: SimProbe> Simulator<P> {
                 self.stats.bus_busy += extra;
             }
         }
-        if self.sched.arming {
-            if let Some(txn) = &self.txn {
-                self.sched.arm_txn(self.now.get(), txn.ends.get());
-            }
+        if let Some(txn) = &self.txn {
+            self.sched.arm_txn(self.now.get(), txn.ends.get());
         }
         self.last_progress = self.now;
     }
@@ -1362,9 +1282,7 @@ impl<P: SimProbe> Simulator<P> {
         core.stalled = false;
         core.ready_at = core.ready_at.max(ends);
         let ready = core.ready_at.get();
-        if self.sched.arming {
-            self.sched.arm_core(self.now.get(), to, ready);
-        }
+        self.sched.arm_core(self.now.get(), to, ready);
         if P::ACTIVE {
             self.probe
                 .on_event(ends, &EventKind::Fill { core: to, line, kind: waiter.kind, latency });
@@ -1404,47 +1322,6 @@ impl<P: SimProbe> Simulator<P> {
             entry.remove_sharer(id);
         }
         self.coh.gc(victim);
-    }
-
-    // ----- scheduling -----------------------------------------------------
-
-    /// The next instant at which anything can happen, capped at `deadline`.
-    fn next_event(&self, deadline: Cycles) -> Cycles {
-        let mut next = deadline;
-        if let Some(txn) = &self.txn {
-            next = next.min(txn.ends);
-        }
-        for core in &self.cores {
-            if core.finish.is_none() && !core.stalled && core.ready_at > self.now {
-                next = next.min(core.ready_at);
-            }
-        }
-        if let Some((&at, _)) = self.switches.first_key_value() {
-            next = next.min(Cycles::new(at));
-        }
-        // Pending fault activations are event instants too, so injections
-        // never depend on how the caller slices `run_until`.
-        if let Some(at) = self.faults.next_activation() {
-            if at > self.now {
-                next = next.min(at);
-            }
-        }
-        if self.txn.is_none() {
-            // Timer releases that will unblock a head waiter.
-            for &line in &self.lines_with_waiters {
-                if let Some(release) = self.head_release_instant(line) {
-                    if release > self.now {
-                        next = next.min(release);
-                    }
-                }
-            }
-            // TDM can only grant on slot boundaries.
-            let opportunity = self.arbiter.next_grant_opportunity(self.now);
-            if opportunity > self.now {
-                next = next.min(opportunity);
-            }
-        }
-        next
     }
 
     // ----- validation (tests, property checks) -----------------------------

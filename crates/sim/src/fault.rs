@@ -15,9 +15,9 @@
 //!   hook in the engine is gated on the plan being non-empty and the empty
 //!   plan follows the exact unfaulted code paths (event log, metrics and
 //!   statistics included).
-//! - A non-empty plan injects each fault at the first engine step at or
-//!   after its `at` cycle where the fault is applicable; the engine's event
-//!   skipping considers pending activations, so injection instants do not
+//! - A non-empty plan injects each fault at the first dispatched instant
+//!   at or after its `at` cycle where the fault is applicable; every
+//!   pending activation is a wake source, so the first attempt does not
 //!   depend on how the caller slices `run_until`.
 //!
 //! # Fault taxonomy
@@ -281,8 +281,8 @@ impl FaultState {
         });
     }
 
-    /// The earliest arming instant of a not-yet-fired fault, for the
-    /// engine's next-event skipping (so injections do not depend on how a
+    /// The earliest arming instant of a not-yet-fired fault, which the
+    /// engine arms as a wake (so a first attempt does not depend on how a
     /// caller slices `run_until`).
     pub(crate) fn next_activation(&self) -> Option<Cycles> {
         self.plan
@@ -295,9 +295,8 @@ impl FaultState {
     }
 
     /// `true` when some unfired step fault is armed at or before `now`.
-    /// The legacy loop attempts these at every instant it visits, so the
-    /// event engine must attempt them at every instant the legacy scan
-    /// would visit.
+    /// The engine attempts these at every instant where some wake source
+    /// is genuinely due, until they land.
     pub(crate) fn has_due_step_fault(&self, now: Cycles) -> bool {
         self.plan.specs.iter().zip(&self.fired).any(|(s, &fired)| {
             !fired

@@ -79,7 +79,6 @@ pub use fault::{FaultKind, FaultPlan, FaultSpec, InjectedFault};
 pub use invariant::{InvariantKind, InvariantProbe, InvariantViolation};
 pub use metrics::{CoreMetrics, MetricsProbe, MetricsReport};
 pub use probe::{BusTenure, NoProbe, SimProbe, TenureKind};
-pub use sched::{compare_engines, EngineComparison, EngineDivergence, EngineKind};
 pub use stats::{CoreStats, SimStats};
 pub use timeline::{render_timeline, TimelineOptions};
 pub use timer::{release_time, CountdownCounter};

@@ -1,11 +1,10 @@
-//! The discrete-event scheduler behind the event-driven engine, the
-//! [`EngineKind`] selector, and the cross-engine event-log differ.
+//! The discrete-event scheduler that advances the simulator clock.
 //!
 //! # Architecture
 //!
-//! The event-driven engine replaces the cycle-round loop's per-instant
-//! O(cores + waiters) rescan with a [`BinaryHeap`] of `(wake_at, seq)`
-//! entries. Every activity source re-arms itself as it runs:
+//! A [`BinaryHeap`] of wake entries keyed `(at, seq)` stands in for a
+//! per-instant O(cores + waiters) rescan. Every activity source re-arms
+//! itself as it runs:
 //!
 //! - **cores** arm a wake at their next `ready_at` whenever they retire an
 //!   access or issue a miss (and when a completed transfer un-stalls them);
@@ -20,52 +19,29 @@
 //!   their schedules directly.
 //!
 //! Ties are broken by a monotonically increasing sequence number, so the
-//! pop order of simultaneous wakes is deterministic; within one instant the
-//! engine additionally dispatches phases in the legacy engine's fixed round
-//! order (switches → faults → transaction completion → cores in id order →
-//! arbitration), which is what makes the two engines bit-identical rather
-//! than merely equivalent.
+//! pop order of simultaneous wakes is deterministic. Within one instant the
+//! engine runs its phases in a fixed order: switches → faults → transaction
+//! completion → cores in id order → releases and arbitration.
 //!
-//! # Determinism and bit-identity
+//! # Determinism
 //!
 //! All state transitions in the machine are pure functions of `(state,
 //! now)` guarded by absolute cycle stamps, so processing a component at an
-//! instant where it has nothing due is a no-op. The event engine therefore
-//! only needs its wake set to be a *superset* of the legacy engine's
-//! visited instants restricted to each component — spurious wakes
-//! self-heal. The one observable exception is retryable fault injection
-//! (line corruption / spurious eviction retry at every visited instant),
-//! which the event engine gates on [`Simulator`](crate::Simulator)'s
-//! "real instant" test so both engines attempt retries at exactly the
-//! same cycles. The [`compare_engines`] differ checks the resulting
-//! identity event by event, and the `engine_equivalence` property tests
-//! sweep it across protocol presets, mode switches and fault plans.
+//! instant where it has nothing due is a no-op: a stale wake (a core whose
+//! `ready_at` moved, a release instant that shifted) self-heals. The one
+//! exception is a retryable step fault (a line corruption or spurious
+//! eviction that found no target yet), which is re-attempted at dispatched
+//! instants. The engine attempts it only at an instant where some wake
+//! source is genuinely due ([`Simulator`](crate::Simulator)'s real-instant
+//! test), so redundant heap entries never add attempts. The golden
+//! fingerprints in the `golden` test suite pin the event log, statistics
+//! and fault records of every protocol preset across the scenario
+//! families, so a change to any of these rules shows as a moved digest.
 
 use std::cmp::{Ordering, Reverse};
 use std::collections::BinaryHeap;
 
-use cohort_trace::Workload;
-use cohort_types::{Cycles, LineAddr, Result, TimerValue};
-
-use crate::event::{Event, EventLogProbe};
-use crate::fault::FaultPlan;
-use crate::stats::SimStats;
-use crate::{SimBuilder, SimConfig};
-
-/// Which driver advances the simulator clock.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum EngineKind {
-    /// The legacy engine: every visited instant runs a full scheduling
-    /// round over all cores and re-derives the next instant by scanning
-    /// every wake source. Kept selectable as the bit-identity reference.
-    CycleRound,
-    /// The discrete-event engine: a binary-heap scheduler of self-re-arming
-    /// wake entries dispatches only the components that are due. The
-    /// default since the differ proved it bit-identical to the cycle-round
-    /// engine.
-    #[default]
-    EventDriven,
-}
+use cohort_types::LineAddr;
 
 /// What a popped wake entry asks the engine to look at. The entry does not
 /// carry payload state: due-ness is always re-checked against the live
@@ -115,24 +91,20 @@ impl Ord for WakeEntry {
     }
 }
 
-/// The event-driven engine's scheduler state, carried by the simulator so
-/// runs can be sliced with `run_until` and the simulator stays `Clone`.
+/// The scheduler state, carried by the simulator so runs can be sliced
+/// with `run_until` and the simulator stays `Clone`.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct EventSched {
     /// Min-heap of pending wakes.
     heap: BinaryHeap<Reverse<WakeEntry>>,
     /// Tie-breaking insertion sequence.
     seq: u64,
-    /// Set once the initial wake set has been armed (first run call).
+    /// Set once the initial wake set has been armed (first run call);
+    /// before that, scheduled switches are armed by the priming itself.
     pub primed: bool,
-    /// Gates the machine-side arming hooks; false under the cycle-round
-    /// engine, which derives its schedule by scanning.
-    pub arming: bool,
-    /// Cores that must be stepped at the *next* dispatched instant even
-    /// though their `ready_at` is not in the future (the legacy engine
-    /// steps every ready core at every visited instant; a core whose wake
-    /// lands at or before "now" is picked up at the next instant, exactly
-    /// like the legacy `next_event` ignores non-future `ready_at`s).
+    /// Cores armed with a `ready_at` at or before the current instant.
+    /// Those armed before the core phase step in it; those armed during
+    /// or after it step at the next dispatched instant.
     pub carry_cores: u64,
     /// Set by `step_core` when a new broadcast candidate appeared (a miss
     /// was issued): the bus should attempt arbitration at this instant.
@@ -168,7 +140,7 @@ impl EventSched {
 
     /// Arms the bus-transaction completion wake. A tenure that ends at or
     /// before `now` (zero-latency configurations) completes at the next
-    /// instant, mirroring the legacy round order.
+    /// instant, because this instant's completion phase has already run.
     pub fn arm_txn(&mut self, now: u64, ends: u64) {
         self.arm(ends.max(now + 1), WakeSource::TxnEnd);
     }
@@ -198,11 +170,10 @@ impl EventSched {
     }
 
     /// Pops every wake due at or before `t`, returning the due-core mask
-    /// and whether a fault activation or TDM slot boundary was among them.
-    /// Release wakes are queued on `dirty_lines` for the release phase.
-    pub fn pop_due(&mut self, t: u64) -> (u64, bool, bool) {
+    /// and whether a TDM slot boundary was among them. Release wakes are
+    /// queued on `dirty_lines` for the release phase.
+    pub fn pop_due(&mut self, t: u64) -> (u64, bool) {
         let mut cores = 0u64;
-        let mut fault = false;
         let mut slot = false;
         while let Some(Reverse(e)) = self.heap.peek() {
             if e.at > t {
@@ -211,190 +182,21 @@ impl EventSched {
             let e = self.heap.pop().expect("peeked entry exists").0;
             match e.source {
                 WakeSource::Core(id) => cores |= 1 << id,
-                WakeSource::Fault => fault = true,
                 WakeSource::Slot => slot = true,
                 WakeSource::Release(line) => self.dirty_lines.push(line),
-                // Switch and transaction due-ness is re-checked against the
-                // live schedule/state; the entry only creates the instant.
-                WakeSource::Switch | WakeSource::TxnEnd => {}
+                // Switch, fault and transaction due-ness is re-checked
+                // against the live schedule/state; the entry only creates
+                // the instant.
+                WakeSource::Switch | WakeSource::Fault | WakeSource::TxnEnd => {}
             }
         }
-        (cores, fault, slot)
+        (cores, slot)
     }
-}
-
-// ----- cross-engine differ ----------------------------------------------
-
-/// The first point at which the two engines' event logs disagree.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct EngineDivergence {
-    /// Index into the chronological event logs.
-    pub index: usize,
-    /// The cycle-round engine's event at that index, if any.
-    pub cycle_round: Option<Event>,
-    /// The event-driven engine's event at that index, if any.
-    pub event_driven: Option<Event>,
-}
-
-impl std::fmt::Display for EngineDivergence {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "engines diverge at event {}: cycle-round {:?} vs event-driven {:?}",
-            self.index, self.cycle_round, self.event_driven
-        )
-    }
-}
-
-/// Compares two chronological event logs, returning the first divergence
-/// (including one log being a strict prefix of the other), or `None` if
-/// they are identical.
-#[must_use]
-pub(crate) fn diff_event_logs(
-    cycle_round: &[Event],
-    event_driven: &[Event],
-) -> Option<EngineDivergence> {
-    let shared = cycle_round.len().min(event_driven.len());
-    for index in 0..shared {
-        if cycle_round[index] != event_driven[index] {
-            return Some(EngineDivergence {
-                index,
-                cycle_round: Some(cycle_round[index].clone()),
-                event_driven: Some(event_driven[index].clone()),
-            });
-        }
-    }
-    if cycle_round.len() != event_driven.len() {
-        return Some(EngineDivergence {
-            index: shared,
-            cycle_round: cycle_round.get(shared).cloned(),
-            event_driven: event_driven.get(shared).cloned(),
-        });
-    }
-    None
-}
-
-/// The result of running both engines on the same sealed scenario.
-#[derive(Debug, Clone)]
-pub struct EngineComparison {
-    /// First event-log divergence, or `None` when the logs are identical.
-    pub divergence: Option<EngineDivergence>,
-    /// Whether the final [`SimStats`] are identical.
-    pub stats_match: bool,
-    /// Whether the injected-fault records are identical.
-    pub faults_match: bool,
-    /// Number of events each log would be expected to share.
-    pub events_compared: usize,
-    /// The cycle-round engine's final statistics.
-    pub cycle_round_stats: SimStats,
-    /// The event-driven engine's final statistics.
-    pub event_driven_stats: SimStats,
-}
-
-impl EngineComparison {
-    /// `true` when logs, statistics and fault records all match
-    /// bit-identically.
-    #[must_use]
-    pub fn is_identical(&self) -> bool {
-        self.divergence.is_none() && self.stats_match && self.faults_match
-    }
-
-    /// A one-line human-readable verdict.
-    #[must_use]
-    pub fn describe(&self) -> String {
-        if self.is_identical() {
-            format!("engines bit-identical over {} events", self.events_compared)
-        } else if let Some(d) = &self.divergence {
-            d.to_string()
-        } else if !self.stats_match {
-            format!(
-                "event logs match but stats differ: cycle-round {:?} vs event-driven {:?}",
-                self.cycle_round_stats, self.event_driven_stats
-            )
-        } else {
-            "event logs and stats match but injected-fault records differ".to_string()
-        }
-    }
-}
-
-/// Runs one scenario — `config` × `workload` × fault `plan` × scheduled
-/// timer `switches` — under both engines and compares their event logs,
-/// final statistics and injected-fault records bit for bit.
-///
-/// This is the differ the ROADMAP's engine transition leaned on: the
-/// event-driven engine became the default only because this comparison
-/// holds across the seeded scenario sweeps in the `engine_equivalence`
-/// tests and the `sim` bench's preset matrix.
-///
-/// # Errors
-///
-/// Returns an error if either simulator cannot be built or a run deadlocks.
-pub fn compare_engines(
-    config: &SimConfig,
-    workload: &Workload,
-    plan: &FaultPlan,
-    switches: &[(Cycles, Vec<TimerValue>)],
-) -> Result<EngineComparison> {
-    let run = |kind: EngineKind| -> Result<(Vec<Event>, SimStats, Vec<crate::InjectedFault>)> {
-        let mut sim = SimBuilder::new(config.clone(), workload)
-            .probe(EventLogProbe::new())
-            .faults(plan.clone())
-            .engine(kind)
-            .build()?;
-        for (at, timers) in switches {
-            sim.schedule_timer_switch(*at, timers.clone())?;
-        }
-        let stats = sim.run()?;
-        let injected = sim.injected_faults().to_vec();
-        Ok((sim.into_probe().into_events(), stats, injected))
-    };
-    let (legacy_log, legacy_stats, legacy_faults) = run(EngineKind::CycleRound)?;
-    let (event_log, event_stats, event_faults) = run(EngineKind::EventDriven)?;
-    let events_compared = legacy_log.len().max(event_log.len());
-    Ok(EngineComparison {
-        divergence: diff_event_logs(&legacy_log, &event_log),
-        stats_match: legacy_stats == event_stats,
-        faults_match: legacy_faults == event_faults,
-        events_compared,
-        cycle_round_stats: legacy_stats,
-        event_driven_stats: event_stats,
-    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::EventKind;
-
-    fn ev(cycle: u64, core: usize) -> Event {
-        Event { cycle: Cycles::new(cycle), kind: EventKind::Hit { core, line: LineAddr::new(1) } }
-    }
-
-    #[test]
-    fn identical_logs_do_not_diverge() {
-        let a = vec![ev(1, 0), ev(2, 1)];
-        assert_eq!(diff_event_logs(&a, &a.clone()), None);
-    }
-
-    #[test]
-    fn first_mismatch_is_reported() {
-        let a = vec![ev(1, 0), ev(2, 1)];
-        let b = vec![ev(1, 0), ev(2, 0)];
-        let d = diff_event_logs(&a, &b).expect("diverges");
-        assert_eq!(d.index, 1);
-        assert_eq!(d.cycle_round, Some(ev(2, 1)));
-        assert_eq!(d.event_driven, Some(ev(2, 0)));
-    }
-
-    #[test]
-    fn prefix_logs_diverge_at_the_tail() {
-        let a = vec![ev(1, 0), ev(2, 1)];
-        let b = vec![ev(1, 0)];
-        let d = diff_event_logs(&a, &b).expect("diverges");
-        assert_eq!(d.index, 1);
-        assert_eq!(d.cycle_round, Some(ev(2, 1)));
-        assert_eq!(d.event_driven, None);
-    }
 
     #[test]
     fn wake_entries_order_by_instant_then_sequence() {
@@ -403,9 +205,9 @@ mod tests {
         sched.arm(5, WakeSource::Switch);
         sched.arm(10, WakeSource::Core(3));
         assert_eq!(sched.next_wake_at(), Some(5));
-        let (cores, fault, slot) = sched.pop_due(10);
+        let (cores, slot) = sched.pop_due(10);
         assert_eq!(cores, 1 << 3);
-        assert!(!fault && !slot);
+        assert!(!slot);
         assert_eq!(sched.next_wake_at(), None);
     }
 
