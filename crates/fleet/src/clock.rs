@@ -62,12 +62,6 @@ impl TestClock {
     pub fn advance(&self, by: Duration) {
         self.ns.fetch_add(u64::try_from(by.as_nanos()).unwrap_or(u64::MAX), Ordering::SeqCst);
     }
-
-    /// Moves the clock to an absolute tick (saturating: the clock never
-    /// runs backwards).
-    pub fn set_ns(&self, ns: u64) {
-        self.ns.fetch_max(ns, Ordering::SeqCst);
-    }
 }
 
 impl Clock for TestClock {
@@ -94,9 +88,5 @@ mod tests {
         assert_eq!(clock.now_ns(), 0);
         clock.advance(Duration::from_millis(3));
         assert_eq!(clock.now_ns(), 3_000_000);
-        clock.set_ns(1_000_000);
-        assert_eq!(clock.now_ns(), 3_000_000, "set never rewinds");
-        clock.set_ns(5_000_000);
-        assert_eq!(clock.now_ns(), 5_000_000);
     }
 }

@@ -47,6 +47,4 @@ pub use disk::{Disk, FaultyDisk, SystemDisk};
 pub use queue::{Claim, JobQueue, QuarantineDiag, QueueStats, WaitOutcome};
 pub use spec::{CertifyBatch, JobSpec};
 pub use store::{payload_fingerprint, CorruptSidecar, ResultStore, StoreBudget, StoreHealth};
-pub use worker::{
-    execute_experiment, ga_payload, outcome_payload, ShardStats, WorkerId, WorkerShard,
-};
+pub use worker::{execute_experiment, ga_payload, ShardStats, WorkerId, WorkerShard};

@@ -223,7 +223,7 @@ impl JobQueue {
     /// # Errors
     ///
     /// Returns [`Error::InvalidConfig`] if the queue is closed.
-    pub fn submit_resolved(&self, spec: JobSpec) -> Result<(Fingerprint, bool)> {
+    pub(crate) fn submit_resolved(&self, spec: JobSpec) -> Result<(Fingerprint, bool)> {
         let fingerprint = spec.fingerprint();
         let mut st = self.lock();
         if st.closed {
@@ -452,7 +452,7 @@ impl JobQueue {
     ///
     /// Returns [`Error::InvalidConfig`] for a fingerprint the queue never
     /// issued.
-    pub fn requeue(&self, fingerprint: Fingerprint) -> Result<()> {
+    pub(crate) fn requeue(&self, fingerprint: Fingerprint) -> Result<()> {
         let mut st = self.lock();
         let job = st.jobs.get_mut(&fingerprint).ok_or_else(|| {
             Error::InvalidConfig(format!("requeue for unknown job {fingerprint}"))

@@ -74,7 +74,7 @@ impl StoreBudget {
     /// Whether any axis is bounded (bounded stores index the directory
     /// eagerly on open so eviction age-ordering survives the process).
     #[must_use]
-    pub fn is_bounded(&self) -> bool {
+    pub(crate) fn is_bounded(&self) -> bool {
         self.max_entries.is_some() || self.max_bytes.is_some()
     }
 
@@ -83,7 +83,9 @@ impl StoreBudget {
     }
 }
 
-/// What [`ResultStore::quarantine_corrupt`] preserved for forensics.
+/// What the store preserved for forensics when it quarantined a corrupt
+/// entry (`ResultStore::quarantine_corrupt`, called by the fleet client
+/// and workers).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CorruptSidecar {
     /// The `.corrupt` sidecar path holding the quarantined bytes (`None`
@@ -207,7 +209,7 @@ impl ResultStore {
     ///
     /// Returns [`Error::Codec`] if the directory cannot be created or
     /// listed.
-    pub fn persistent_with(
+    pub(crate) fn persistent_with(
         dir: impl Into<PathBuf>,
         disk: Arc<dyn Disk>,
         budget: StoreBudget,
@@ -395,8 +397,8 @@ impl ResultStore {
     /// Returns [`Error::StoreCorrupt`] if the entry fails its integrity
     /// check (recomputed payload fingerprint differs from the recorded
     /// one, or a persisted envelope is filed under the wrong key). The
-    /// caller can recover by [`ResultStore::quarantine_corrupt`] and a
-    /// resubmission — see `FleetClient::wait`.
+    /// fleet client recovers by quarantining the entry and resubmitting
+    /// the job — see `FleetClient::wait`.
     pub fn get(&self, key: Fingerprint) -> Result<Option<Value>> {
         if let Some(entry) = self.lock_entries().get(&key) {
             if payload_fingerprint(&entry.payload) != entry.payload_fp {
@@ -462,7 +464,7 @@ impl ResultStore {
     /// sidecar, preserved for forensics. Returns what was preserved; the
     /// `recorded_fp` (recovered when the sidecar still parses as JSON)
     /// lets the repair assert the re-derived payload is bit-identical.
-    pub fn quarantine_corrupt(&self, key: Fingerprint) -> CorruptSidecar {
+    pub(crate) fn quarantine_corrupt(&self, key: Fingerprint) -> CorruptSidecar {
         // The corrupt in-memory entry's *recorded* fingerprint is intact
         // even when its payload is not — keep it as a fallback witness.
         let memory_fp = self.lock_entries().remove(&key).map(|e| e.payload_fp);
@@ -517,7 +519,7 @@ impl ResultStore {
     }
 
     /// Releases `key` back to the evictable pool.
-    pub fn unpin(&self, key: Fingerprint) {
+    pub(crate) fn unpin(&self, key: Fingerprint) {
         self.lock_pins().remove(&key);
     }
 
@@ -564,7 +566,7 @@ impl ResultStore {
     /// Saves a GA checkpoint document for an in-flight job — the re-claim
     /// of an expired lease resumes from here instead of generation 0. The
     /// job's key is pinned against eviction while its checkpoint lives.
-    pub fn put_checkpoint(&self, key: Fingerprint, doc: Value) {
+    pub(crate) fn put_checkpoint(&self, key: Fingerprint, doc: Value) {
         self.pin(key);
         self.lock_checkpoints().insert(key, doc);
     }
@@ -577,7 +579,7 @@ impl ResultStore {
 
     /// Drops `key`'s checkpoint (called once the final payload landed)
     /// and releases its eviction pin.
-    pub fn clear_checkpoint(&self, key: Fingerprint) {
+    pub(crate) fn clear_checkpoint(&self, key: Fingerprint) {
         self.lock_checkpoints().remove(&key);
         self.unpin(key);
     }

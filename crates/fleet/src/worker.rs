@@ -85,7 +85,7 @@ impl WorkerShard {
     /// them, so their leases keep expiring until the queue's attempt
     /// budget quarantines them.
     #[must_use]
-    pub fn poison_jobs(mut self, poison: Arc<BTreeSet<Fingerprint>>) -> Self {
+    pub(crate) fn poison_jobs(mut self, poison: Arc<BTreeSet<Fingerprint>>) -> Self {
         self.poison = poison;
         self
     }
@@ -282,7 +282,7 @@ pub fn execute_experiment(
 /// fingerprinted representation whose bit-identity the kill-recovery
 /// guarantees are stated over.
 #[must_use]
-pub fn outcome_payload(outcome: &ExperimentOutcome) -> Value {
+pub(crate) fn outcome_payload(outcome: &ExperimentOutcome) -> Value {
     let cores: Vec<Value> = outcome
         .stats
         .cores
