@@ -437,3 +437,26 @@ fn raising_theta_mid_countdown_cannot_reprotect_the_line() {
         stats.cores[1].worst_request
     );
 }
+
+#[test]
+fn a_core_with_an_empty_trace_counts_as_done_from_the_start() {
+    // Core 1 has nothing to do; cores 0 and 2 share a line. The run must
+    // still terminate, and core 1 must report no accesses.
+    let busy = || Trace::from_ops(vec![TraceOp::store(0), TraceOp::load(1).after(3)]);
+    let w = Workload::new("one-idle", vec![busy(), Trace::new(), busy()]).unwrap();
+    let config = SimConfig::builder(3).timers(vec![timed(40); 3]).build().unwrap();
+    let stats = run(config.clone(), &w);
+    assert_eq!(stats.cores[1].accesses(), 0);
+    assert_eq!(stats.cores[1].finish, Cycles::ZERO);
+    assert_eq!(stats.cores[0].accesses() + stats.cores[2].accesses(), 4);
+
+    let mut probed = SimBuilder::new(config, &w).probe(EventLogProbe::new()).build().unwrap();
+    assert_eq!(probed.run().unwrap(), stats, "a probe must not change the outcome");
+    assert!(probed.is_finished());
+
+    // A workload whose every trace is empty is finished before it runs.
+    let idle = Workload::new("all-idle", vec![Trace::new(), Trace::new()]).unwrap();
+    let mut sim = SimBuilder::new(SimConfig::builder(2).build().unwrap(), &idle).build().unwrap();
+    assert!(sim.is_finished());
+    assert_eq!(sim.run().unwrap().execution_time(), Cycles::ZERO);
+}

@@ -7,8 +7,10 @@
 //! scenario family (seeded random workloads, micro patterns, kernels,
 //! scheduled switches, fault seeds, fault seeds with timer switches,
 //! single-core and 8-core machines) pins one digest folded over its
-//! cases. A digest that moves means an output moved; re-record only for a
-//! change that is meant to alter behaviour.
+//! cases. Every case also runs with no probe and must reproduce the probed
+//! run's statistics and fault records, so the `NoProbe` engine the
+//! benchmarks use is pinned too. A digest that moves means an output
+//! moved; re-record only for a change that is meant to alter behaviour.
 
 mod common;
 
@@ -17,22 +19,34 @@ use cohort_trace::{micro, Kernel, KernelSpec, Workload};
 use cohort_types::{Cycles, Fingerprint, TimerValue};
 use common::preset_configs;
 
-/// Runs one scenario and digests everything it produced.
+/// Runs one scenario and digests everything it produced. The same
+/// scenario also runs with no probe (the `NoProbe` specialisation every
+/// benchmark uses), which must reproduce the probed run's statistics and
+/// fault records exactly.
 fn run_digest(
     config: &SimConfig,
     workload: &Workload,
     plan: &FaultPlan,
     switches: &[(Cycles, Vec<TimerValue>)],
 ) -> Fingerprint {
+    let mut plain = SimBuilder::new(config.clone(), workload).faults(plan.clone()).build().unwrap();
     let mut sim = SimBuilder::new(config.clone(), workload)
         .probe(EventLogProbe::new())
         .faults(plan.clone())
         .build()
         .unwrap();
     for (at, timers) in switches {
+        plain.schedule_timer_switch(*at, timers.clone()).unwrap();
         sim.schedule_timer_switch(*at, timers.clone()).unwrap();
     }
+    let plain_stats = plain.run().unwrap();
     let stats = sim.run().unwrap();
+    assert_eq!(plain_stats, stats, "the no-probe run's statistics differ from the probed run's");
+    assert_eq!(
+        plain.injected_faults(),
+        sim.injected_faults(),
+        "the no-probe run's injected faults differ from the probed run's"
+    );
     let mut b = Fingerprint::builder();
     for fault in sim.injected_faults() {
         b = b.text(&format!("{fault:?}"));
