@@ -25,7 +25,7 @@
 //! [`crate::sched`] module docs): each instant dispatches only the
 //! components whose wake entries are due.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 use cohort_trace::Workload;
 use cohort_types::{Cycles, Error, LineAddr, Result, TimerValue};
@@ -124,11 +124,15 @@ pub struct Simulator<P: SimProbe = NoProbe> {
     probe: P,
     finish_notified: bool,
     switches: BTreeMap<u64, Vec<TimerValue>>,
-    lines_with_waiters: BTreeSet<LineAddr>,
+    /// Every line with queued waiters, mapped to the instant its release
+    /// wake is armed for (`None` until one is armed), so an unchanged
+    /// release instant is never pushed twice.
+    lines_with_waiters: BTreeMap<LineAddr, Option<u64>>,
+    /// Cores that have not drained their trace and misses yet.
+    cores_not_done: usize,
     last_progress: Cycles,
     faults: FaultState,
     sched: EventSched,
-    cand_buf: Vec<Option<Candidate>>,
 }
 
 /// Cycles without observable progress after which [`Simulator::run`]
@@ -210,11 +214,13 @@ impl<'w, P: SimProbe> SimBuilder<'w, P> {
                 config.cores()
             )));
         }
-        let cores = workload
+        let cores: Vec<CoreModel> = workload
             .traces()
             .iter()
             .map(|t| CoreModel::new(t.ops().to_vec(), config.mshr_per_core()))
             .collect();
+        // A core with an empty trace is done from the start.
+        let cores_not_done = cores.iter().filter(|c| !c.is_done()).count();
         let l1s = (0..config.cores()).map(|_| SetAssocCache::new(*config.l1())).collect();
         let llc = match config.llc() {
             LlcModel::Perfect => None,
@@ -241,12 +247,12 @@ impl<'w, P: SimProbe> SimBuilder<'w, P> {
             probe,
             finish_notified: false,
             switches: BTreeMap::new(),
-            lines_with_waiters: BTreeSet::new(),
+            lines_with_waiters: BTreeMap::new(),
+            cores_not_done,
             last_progress: Cycles::ZERO,
             now: Cycles::ZERO,
             faults: FaultState::new(plan),
             sched: EventSched::default(),
-            cand_buf: Vec::new(),
             config,
         })
     }
@@ -305,7 +311,12 @@ impl<P: SimProbe> Simulator<P> {
     /// Returns `true` once every core drained its trace and the bus idles.
     #[must_use]
     pub fn is_finished(&self) -> bool {
-        self.txn.is_none() && self.cores.iter().all(CoreModel::is_done)
+        debug_assert_eq!(
+            self.cores_not_done,
+            self.cores.iter().filter(|c| !c.is_done()).count(),
+            "the count of unfinished cores drifted from the cores"
+        );
+        self.txn.is_none() && self.cores_not_done == 0
     }
 
     /// Schedules a re-programming of all timer registers at `at` — the
@@ -483,7 +494,7 @@ impl<P: SimProbe> Simulator<P> {
             let mut lines = std::mem::take(&mut self.sched.dirty_lines);
             if recompute_releases {
                 lines.clear();
-                lines.extend(self.lines_with_waiters.iter().copied());
+                lines.extend(self.lines_with_waiters.keys().copied());
             }
             for &line in &lines {
                 arb |= self.rearm_release(line, t);
@@ -519,19 +530,24 @@ impl<P: SimProbe> Simulator<P> {
         }
     }
 
-    /// Re-derives the head-release instant of `line` and re-arms its wake.
+    /// Re-derives the head-release instant of `line` and re-arms its wake,
+    /// pushing a heap entry only when the instant differs from the one
+    /// already armed (an armed future instant still has its entry pending).
     /// Returns `true` when the release has already passed — the head waiter
     /// may have become a ready receive candidate, so arbitration should be
     /// attempted at this instant.
     fn rearm_release(&mut self, line: LineAddr, t: Cycles) -> bool {
-        if !self.lines_with_waiters.contains(&line) {
+        let Some(&armed) = self.lines_with_waiters.get(&line) else {
             return false;
-        }
+        };
         match self.head_release_instant(line) {
             None => false,
             Some(release) if release <= t => true,
             Some(release) => {
-                self.sched.arm(release.get(), WakeSource::Release(line));
+                if armed != Some(release.get()) {
+                    self.sched.arm(release.get(), WakeSource::Release(line));
+                    self.lines_with_waiters.insert(line, Some(release.get()));
+                }
                 false
             }
         }
@@ -566,7 +582,7 @@ impl<P: SimProbe> Simulator<P> {
             {
                 return true;
             }
-            for &line in &self.lines_with_waiters {
+            for &line in self.lines_with_waiters.keys() {
                 if self.head_release_instant(line) == Some(t) {
                     return true;
                 }
@@ -710,7 +726,7 @@ impl<P: SimProbe> Simulator<P> {
     }
 
     fn latch_expired_releases(&mut self) {
-        for &line in &self.lines_with_waiters {
+        for &line in self.lines_with_waiters.keys() {
             let Some(coh) = self.coh.get(line) else { continue };
             let Some(head) = coh.head().copied() else { continue };
             let holders = coh.holder_mask() & !(1 << head.core);
@@ -791,7 +807,7 @@ impl<P: SimProbe> Simulator<P> {
                 // effective timer drops to the MSI floor for same-level
                 // requests); flag both re-checks.
                 self.sched.flag_arb = true;
-                if self.lines_with_waiters.contains(&op.line) {
+                if self.lines_with_waiters.contains_key(&op.line) {
                     self.sched.dirty_lines.push(op.line);
                 }
                 if P::ACTIVE {
@@ -850,6 +866,7 @@ impl<P: SimProbe> Simulator<P> {
         if core.finish.is_none() && core.is_done() {
             core.finish = Some(core.last_completion);
             self.stats.cores[id].finish = core.last_completion;
+            self.cores_not_done -= 1;
         }
     }
 
@@ -962,28 +979,18 @@ impl<P: SimProbe> Simulator<P> {
         if self.txn.is_some() {
             return;
         }
-        // One scratch allocation reused across grants; the per-attempt
-        // candidate `Vec` dominated the allocator profile on sparse
-        // workloads where most attempts grant nothing.
-        let mut candidates = std::mem::take(&mut self.cand_buf);
-        candidates.clear();
-        candidates.extend((0..self.cores.len()).map(|id| self.candidate(id)));
-        let Some(granted) = self.arbiter.grant(self.now, &candidates) else {
-            self.cand_buf = candidates;
+        // The arbiter asks only the cores its policy inspects; `candidate`
+        // is pure, so the grant is the same as over every core's candidate.
+        let Some((granted, cand)) = self.arbiter.grant(self.now, |id| self.candidate(id)) else {
             return;
         };
-        let cand = candidates[granted].expect("granted core has a candidate");
         self.arbiter.on_grant(granted);
         if P::ACTIVE {
-            let stalled: Vec<usize> = candidates
-                .iter()
-                .enumerate()
-                .filter(|&(core, c)| core != granted && c.is_some())
-                .map(|(core, _)| core)
+            let stalled: Vec<usize> = (0..self.cores.len())
+                .filter(|&core| core != granted && self.candidate(core).is_some())
                 .collect();
             self.probe.on_arbitration(self.now, granted, &stalled);
         }
-        self.cand_buf = candidates;
         let dropped = !self.faults.is_empty()
             && cand.kind == CandidateKind::Broadcast
             && self.faults.take_bus_drop(self.now, granted);
@@ -1035,7 +1042,7 @@ impl<P: SimProbe> Simulator<P> {
             }
             _ => self.coh.entry(m.line).enqueue(waiter),
         }
-        self.lines_with_waiters.insert(m.line);
+        self.lines_with_waiters.entry(m.line).or_insert(None);
         self.stats.broadcasts += 1;
         if P::ACTIVE {
             self.probe
@@ -1388,5 +1395,67 @@ impl<P: SimProbe> Simulator<P> {
             }
         }
         Ok(())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use cohort_trace::{Trace, TraceOp};
+    use cohort_types::LatencyConfig;
+
+    use super::*;
+    use crate::CacheGeometry;
+
+    /// The 64-core DRAM-bound sparse shape: per-core private lines reused
+    /// between compute gaps, a cold DRAM line every 256th access and a
+    /// store to a line shared by groups of four cores every 128th.
+    fn sparse_dram(accesses: u64) -> (SimConfig, Workload) {
+        let traces = (0..64)
+            .map(|core| {
+                let base = 1_048_573 * (core + 1);
+                let shared = 0x7fff_0000 + core / 4;
+                let stagger = 200 + 17 * core;
+                let ops = (0..accesses)
+                    .map(|i| {
+                        if i % 128 == 5 {
+                            TraceOp::store(shared).after(stagger)
+                        } else if i % 256 == 17 {
+                            TraceOp::load(base + 0x1000 + i).after(stagger)
+                        } else {
+                            TraceOp::load(base + i % 8).after(stagger)
+                        }
+                    })
+                    .collect();
+                Trace::from_ops(ops)
+            })
+            .collect();
+        let config = SimConfig::builder(64)
+            .latency(LatencyConfig::paper().with_memory(100))
+            .llc(LlcModel::Finite(CacheGeometry::new(8 * 1024 * 1024, 64, 16).unwrap()))
+            .timers(vec![TimerValue::timed(60_000).unwrap(); 64])
+            .mshr_per_core(4)
+            .build()
+            .unwrap();
+        (config, Workload::new("sparse-dram", traces).unwrap())
+    }
+
+    #[test]
+    fn wake_heap_stays_bounded_by_live_wake_sources() {
+        // Long-held lines have their release re-derived at every bus
+        // completion; the heap must hold one release wake per waiting
+        // line, not one per re-derivation.
+        let (config, w) = sparse_dram(1_000);
+        let mut sim = SimBuilder::new(config, &w).build().unwrap();
+        while !sim.is_finished() {
+            sim.run_until(sim.now() + Cycles::new(2_000)).unwrap();
+            let bound = sim.cores.len() + sim.lines_with_waiters.len() + 4;
+            assert!(
+                sim.sched.pending() <= bound,
+                "{} wake entries at cycle {} exceed the bound {bound}",
+                sim.sched.pending(),
+                sim.now()
+            );
+        }
+        assert_eq!(sim.stats().cores.iter().map(CoreStats::accesses).sum::<u64>(), 64 * 1_000);
     }
 }
