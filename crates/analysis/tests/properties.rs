@@ -8,7 +8,7 @@ use cohort_analysis::{guaranteed_hits, theta_saturation, HitMissCounts};
 #[allow(unused_imports)] // used only inside proptest! (the offline stub expands to nothing)
 use cohort_analysis::{wcl_miss, wcml_snoop, wcml_timed};
 use cohort_sim::{CacheGeometry, SetAssocCache};
-use cohort_trace::{AccessKind, Kernel, KernelSpec, Trace, TraceOp};
+use cohort_trace::{micro, AccessKind, Kernel, KernelSpec, Trace, TraceOp};
 #[allow(unused_imports)] // used only inside proptest! (the offline stub expands to nothing)
 use cohort_types::LatencyConfig;
 use cohort_types::{Cycles, Fingerprint, LineAddr, TimerValue};
@@ -102,6 +102,71 @@ fn flat_kernel_matches_the_reference_walk() {
                 }
             }
         }
+    }
+}
+
+/// The burst regime (miss penalty `P ≥ θ`) against the reference walk: the
+/// six kernels × 3 seeds plus `random_shared` and `line_bursts` micro
+/// traces, on 256×1, 64×4, 8×2 and a 5×3 (non-power-of-two) geometry, hit
+/// latencies 1–3, θ on a log grid up to `MAX_THETA` and
+/// `P ∈ {θ, θ + 1, θ + seeded offset ≤ 3000}`. A plain seeded loop, so it
+/// runs offline where `proptest!` is compiled out.
+#[test]
+fn burst_regime_matches_the_reference_walk() {
+    let mut traces: Vec<Trace> = Vec::new();
+    for kernel in Kernel::ALL {
+        for seed in [0, 1, 2] {
+            let w = KernelSpec::new(kernel, 2).with_total_requests(400).with_seed(seed).generate();
+            traces.extend(w.traces().iter().cloned());
+        }
+    }
+    for (lines, seed) in [(4, 5), (16, 6)] {
+        traces.extend(micro::random_shared(2, lines, 300, 0.4, seed).traces().iter().cloned());
+    }
+    traces.extend(micro::line_bursts(2, 4, 60).traces().iter().cloned());
+
+    let mut thetas: Vec<u64> = (0..16).map(|k| 1u64 << k).collect();
+    thetas.push(TimerValue::MAX_THETA);
+    let mut rng = ChaCha8Rng::seed_from_u64(20);
+    let mut hits = 0;
+    for trace in &traces {
+        for geom in [geometry(256, 1), geometry(64, 4), geometry(8, 2), geometry(5, 3)] {
+            for hit in (1..=3).map(Cycles::new) {
+                for &theta in &thetas {
+                    let timer = TimerValue::timed(theta).unwrap();
+                    let offset = rng.gen_range(2u64..=3000);
+                    for penalty in [theta, theta + 1, theta + offset].map(Cycles::new) {
+                        let counts = guaranteed_hits(trace, timer, &geom, hit, penalty);
+                        assert_eq!(
+                            counts,
+                            reference_hits(trace, timer, &geom, hit, penalty),
+                            "θ {theta}, {geom:?}, hit {hit:?}, penalty {penalty:?}"
+                        );
+                        hits += counts.hits;
+                    }
+                }
+            }
+        }
+    }
+    assert!(hits > 0, "the regime cases must include guaranteed hits");
+}
+
+/// Why the memo keeps the miss penalty outside the burst regime: at θ =
+/// P + 1 a miss no longer outlasts the window, so a line survives one
+/// intervening miss and the penalty decides the count. Trace A B A C D A
+/// (loads, no gaps, distinct direct-mapped sets) at θ = 11: P = 3 keeps
+/// both revisits of A, P = 10 only the first, while P = 11 and P = 500
+/// (the regime) keep neither.
+#[test]
+fn the_penalty_matters_just_outside_the_burst_regime() {
+    let trace = Trace::from_ops([0, 1, 0, 2, 3, 0].map(TraceOp::load).to_vec());
+    let l1 = CacheGeometry::paper_l1();
+    let timer = TimerValue::timed(11).unwrap();
+    for (penalty, expected) in [(3, 2), (10, 1), (11, 0), (500, 0)] {
+        let penalty = Cycles::new(penalty);
+        let counts = guaranteed_hits(&trace, timer, &l1, Cycles::new(1), penalty);
+        assert_eq!(counts, reference_hits(&trace, timer, &l1, Cycles::new(1), penalty));
+        assert_eq!(counts.hits, expected, "penalty {penalty:?}");
     }
 }
 
