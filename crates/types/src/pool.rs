@@ -1,26 +1,32 @@
 //! A bounded worker pool over `std::thread::scope`: the one pool behind
 //! the experiment sweeps and the GA's fitness evaluation.
 //!
-//! The pool spawns at most `workers` threads (never one per job, which
-//! oversubscribes the machine once a sweep grows past the core count);
-//! the threads claim job indices from a shared atomic counter, so
-//! finished workers immediately pull the next job (no static
-//! partitioning) and results come back in **input order** regardless of
-//! which worker ran what.
+//! The pool runs on at most `workers` threads, the calling thread
+//! included (never one per job, which oversubscribes the machine once a
+//! sweep grows past the core count); the threads claim job indices from a
+//! shared atomic counter, so finished workers immediately pull the next
+//! job (no static partitioning) and results come back in **input order**
+//! regardless of which worker ran what.
 
 use std::num::NonZeroUsize;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::OnceLock;
 
 /// The default worker count: the machine's available parallelism
 /// (falling back to 1 when the OS cannot report it).
+///
+/// The value is read once per process and cached: on Linux each read
+/// opens the cgroup quota files, and the GA asks once per generation. A
+/// process whose CPU quota changes while it runs keeps the first value.
 pub fn default_workers() -> usize {
-    std::thread::available_parallelism().map_or(1, NonZeroUsize::get)
+    static WORKERS: OnceLock<usize> = OnceLock::new();
+    *WORKERS.get_or_init(|| std::thread::available_parallelism().map_or(1, NonZeroUsize::get))
 }
 
 /// Runs `f(index, &items[index])` for every item on at most `workers`
-/// threads and returns the results in input order. When one worker
-/// suffices the items run in a plain loop on the calling thread (no
-/// spawn overhead).
+/// threads and returns the results in input order. The calling thread is
+/// one of them: the pool spawns `workers − 1` threads and runs the same
+/// claim loop on the caller, so one worker is a plain loop with no spawn.
 ///
 /// `f` is responsible for its own panic isolation: a panic that escapes it
 /// takes the whole pool down (used deliberately by callers whose jobs must
@@ -32,30 +38,24 @@ where
     F: Fn(usize, &T) -> R + Sync,
 {
     let workers = workers.min(items.len());
-    if workers <= 1 {
-        return items.iter().enumerate().map(|(index, item)| f(index, item)).collect();
-    }
     let next = AtomicUsize::new(0);
+    let claim_loop = || {
+        let mut local = Vec::new();
+        loop {
+            let index = next.fetch_add(1, Ordering::Relaxed);
+            let Some(item) = items.get(index) else { break };
+            local.push((index, f(index, item)));
+        }
+        local
+    };
     let mut slots: Vec<Option<R>> = Vec::new();
     slots.resize_with(items.len(), || None);
     std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                scope.spawn(|| {
-                    let mut local = Vec::new();
-                    loop {
-                        let index = next.fetch_add(1, Ordering::Relaxed);
-                        let Some(item) = items.get(index) else { break };
-                        local.push((index, f(index, item)));
-                    }
-                    local
-                })
-            })
-            .collect();
-        for handle in handles {
-            for (index, result) in handle.join().expect("a pool job panicked") {
-                slots[index] = Some(result);
-            }
+        let handles: Vec<_> = (1..workers).map(|_| scope.spawn(claim_loop)).collect();
+        let own = claim_loop();
+        let spawned = handles.into_iter().flat_map(|h| h.join().expect("a pool job panicked"));
+        for (index, result) in own.into_iter().chain(spawned) {
+            slots[index] = Some(result);
         }
     });
     slots.into_iter().map(|slot| slot.expect("every index is claimed exactly once")).collect()
