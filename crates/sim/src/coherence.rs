@@ -3,17 +3,26 @@
 //! On a snooping bus every cache observes every broadcast, so the global
 //! coherence state — who owns each line, who shares it, and which requests
 //! are queued behind it — is common knowledge. This module models that
-//! common knowledge as a map from line address to [`LineCoh`]. It is pure
+//! common knowledge as one [`LineCoh`] per live line. It is pure
 //! bookkeeping: all timing (release instants, transfer durations) lives in
 //! the engine.
 //!
-//! The engine looks a line up on every access, grant and transfer, so the
-//! map is hashed; the one scan over it ([`CoherenceMap::iter`]) sorts by
-//! line, which keeps every outcome independent of the hash layout.
+//! A line is live while a core holds it or waits on it, and each live line
+//! owns one [`CohSlot`] of a [`CoherenceMap`]. The engine carries the slot
+//! next to the line — in the holder's L1 entry, in the requester's MSHR
+//! entry once its request is broadcast, and in the transfer in flight — so
+//! a hit, a grant or a transfer reads the line's state by index. Only a
+//! broadcast resolves a line address to a slot through the hashed index,
+//! which holds live lines alone. A slot whose line turns trivial (owned by
+//! the shared memory, no holders, no waiters) is recycled for the next line
+//! that goes live. The one scan over the map ([`CoherenceMap::iter`]) sorts
+//! by line, so no outcome depends on the hash layout or on slot numbers.
 
+use std::collections::hash_map::Entry;
 use std::collections::HashMap; // lint:allow(det-unordered) line-keyed lookups only; iter() sorts by line
 use std::collections::VecDeque;
 use std::hash::{BuildHasherDefault, Hasher};
+use std::ops::{Index, IndexMut};
 
 use serde::{Deserialize, Serialize};
 
@@ -241,10 +250,27 @@ impl Hasher for LineHasher {
     }
 }
 
-/// The global line-address → coherence-state map.
+/// The slot of one live line's state in a [`CoherenceMap`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct CohSlot(u32);
+
+/// One slot: the line it is bound to, whether that binding is live, and
+/// the line's state. A recycled slot keeps its waiter queue's capacity.
+#[derive(Debug, Clone)]
+struct Slot {
+    line: LineAddr,
+    live: bool,
+    coh: LineCoh,
+}
+
+/// The global coherence state: one slot per live line, plus the hashed
+/// line-address → slot index of the live lines.
 #[derive(Debug, Clone, Default)]
 pub struct CoherenceMap {
-    lines: HashMap<LineAddr, LineCoh, BuildHasherDefault<LineHasher>>,
+    slots: Vec<Slot>,
+    /// Slots whose line turned trivial, reused before `slots` grows.
+    free: Vec<CohSlot>,
+    index: HashMap<LineAddr, CohSlot, BuildHasherDefault<LineHasher>>,
 }
 
 impl CoherenceMap {
@@ -254,29 +280,92 @@ impl CoherenceMap {
         CoherenceMap::default()
     }
 
-    /// Returns the state of a line, if any non-trivial state is recorded.
+    /// The slot of a live line, if it has one.
+    #[must_use]
+    pub(crate) fn slot(&self, line: LineAddr) -> Option<CohSlot> {
+        self.index.get(&line).copied()
+    }
+
+    /// Returns the state of a live line (a trivial line has none).
     #[must_use]
     pub fn get(&self, line: LineAddr) -> Option<&LineCoh> {
-        self.lines.get(&line)
+        self.slot(line).map(|slot| &self[slot])
     }
 
-    /// Returns a mutable entry, creating a trivial one if absent.
-    pub fn entry(&mut self, line: LineAddr) -> &mut LineCoh {
-        self.lines.entry(line).or_default()
+    /// The slot of `line`, binding a free (or new) slot with trivial state
+    /// if the line is not live. The slot stays bound until [`CoherenceMap::gc`]
+    /// finds it trivial.
+    pub(crate) fn acquire(&mut self, line: LineAddr) -> CohSlot {
+        let free = match self.index.entry(line) {
+            Entry::Occupied(live) => return *live.get(),
+            Entry::Vacant(free) => free,
+        };
+        let slot = if let Some(slot) = self.free.pop() {
+            let entry = &mut self.slots[slot.0 as usize];
+            debug_assert!(entry.coh.is_trivial(), "a free slot holds trivial state");
+            entry.line = line;
+            entry.live = true;
+            slot
+        } else {
+            let slot = CohSlot(u32::try_from(self.slots.len()).expect("fewer than 2^32 lines"));
+            self.slots.push(Slot { line, live: true, coh: LineCoh::default() });
+            slot
+        };
+        *free.insert(slot)
     }
 
-    /// Drops the entry if it carries no information.
-    pub fn gc(&mut self, line: LineAddr) {
-        if self.lines.get(&line).is_some_and(LineCoh::is_trivial) {
-            self.lines.remove(&line);
+    /// Returns a mutable entry, binding a slot if the line is not live.
+    pub(crate) fn entry(&mut self, line: LineAddr) -> &mut LineCoh {
+        let slot = self.acquire(line);
+        &mut self[slot]
+    }
+
+    /// Frees the line's slot if it carries no information any more.
+    pub(crate) fn gc_line(&mut self, line: LineAddr) {
+        if let Some(slot) = self.slot(line) {
+            self.gc(slot);
         }
     }
 
-    /// Iterates over all tracked lines in ascending line order.
+    /// Frees the slot if its line carries no information any more.
+    pub(crate) fn gc(&mut self, slot: CohSlot) {
+        let entry = &mut self.slots[slot.0 as usize];
+        if entry.live && entry.coh.is_trivial() {
+            entry.live = false;
+            self.index.remove(&entry.line);
+            self.free.push(slot);
+        }
+    }
+
+    /// The number of slots ever allocated: the peak count of live lines.
+    #[cfg(test)]
+    pub(crate) fn slot_count(&self) -> usize {
+        self.slots.len()
+    }
+
+    /// Iterates over all live lines in ascending line order.
     pub fn iter(&self) -> impl Iterator<Item = (LineAddr, &LineCoh)> {
-        let mut lines: Vec<_> = self.lines.iter().map(|(l, c)| (*l, c)).collect();
+        let mut lines: Vec<_> = self.index.iter().map(|(&l, &slot)| (l, &self[slot])).collect();
         lines.sort_unstable_by_key(|&(line, _)| line);
         lines.into_iter()
+    }
+}
+
+impl Index<CohSlot> for CoherenceMap {
+    type Output = LineCoh;
+
+    fn index(&self, slot: CohSlot) -> &LineCoh {
+        let entry = &self.slots[slot.0 as usize];
+        debug_assert!(entry.live, "slot {slot:?} of {} read after it was freed", entry.line);
+        &entry.coh
+    }
+}
+
+impl IndexMut<CohSlot> for CoherenceMap {
+    fn index_mut(&mut self, slot: CohSlot) -> &mut LineCoh {
+        let entry = &mut self.slots[slot.0 as usize];
+        debug_assert!(entry.live, "slot {slot:?} of {} written after it was freed", entry.line);
+        &mut entry.coh
     }
 }
 
@@ -466,10 +555,12 @@ mod tests {
         let mut forward = CoherenceMap::new();
         let mut backward = CoherenceMap::new();
         for (i, &l) in lines.iter().enumerate() {
-            forward.entry(LineAddr::new(l)).add_sharer(i);
+            let slot = forward.acquire(LineAddr::new(l));
+            forward[slot].add_sharer(i);
         }
         for (i, &l) in lines.iter().enumerate().rev() {
-            backward.entry(LineAddr::new(l)).add_sharer(i);
+            let slot = backward.acquire(LineAddr::new(l));
+            backward[slot].add_sharer(i);
         }
         let mut sorted = lines;
         sorted.sort_unstable();
@@ -489,17 +580,63 @@ mod tests {
         let mut map = CoherenceMap::new();
         let line = LineAddr::new(7);
         let held = LineAddr::new(8);
-        map.entry(line).set_owner(Owner::Core(0));
-        map.entry(held).add_sharer(1);
-        assert_eq!(map.lines.len(), 2);
-        map.entry(line).set_owner(Owner::Llc);
-        map.gc(line);
-        map.gc(held);
-        assert_eq!(map.lines.len(), 1, "only the trivial entry is dropped");
+        let (line_slot, held_slot) = (map.acquire(line), map.acquire(held));
+        map[line_slot].set_owner(Owner::Core(0));
+        map[held_slot].add_sharer(1);
+        assert_eq!(map.index.len(), 2);
+        map[line_slot].set_owner(Owner::Llc);
+        map.gc(line_slot);
+        map.gc(held_slot);
+        assert_eq!(map.index.len(), 1, "only the trivial entry is dropped");
         assert!(map.get(line).is_none());
         assert!(map.get(held).is_some_and(|c| c.is_sharer(1)));
-        map.entry(held).remove_sharer(1);
-        map.gc(held);
-        assert!(map.lines.is_empty());
+        map[held_slot].remove_sharer(1);
+        map.gc(held_slot);
+        assert!(map.index.is_empty());
+    }
+
+    #[test]
+    fn a_freed_slot_is_reused_by_another_line() {
+        let mut map = CoherenceMap::new();
+        let (a, b, c) = (LineAddr::new(3), LineAddr::new(1 << 33), LineAddr::new(9));
+        let slot = map.acquire(a);
+        assert_eq!(map.acquire(a), slot, "a live line keeps its slot");
+        for core in 0..6 {
+            map[slot].enqueue(Waiter { core, kind: ReqKind::GetS, enqueued: Cycles::ZERO });
+        }
+        let capacity = map[slot].waiters.capacity();
+        while map[slot].waiters.pop_front().is_some() {}
+        map.gc(slot);
+        map.gc(slot);
+        assert!(map.slot(a).is_none());
+        assert_eq!(map.acquire(b), slot, "the freed slot is bound to the next line");
+        assert_eq!(map.slot(b), Some(slot));
+        assert!(map[slot].is_trivial());
+        assert_eq!(map[slot].waiters.capacity(), capacity, "the waiter queue keeps its capacity");
+        assert_ne!(map.acquire(c), slot, "a slot freed twice is handed out once");
+        assert_eq!(map.slots.len(), 2);
+    }
+
+    #[test]
+    fn map_iter_stays_ascending_across_recycling() {
+        let mut map = CoherenceMap::new();
+        let mut live = std::collections::BTreeSet::new();
+        let mut peak = 0;
+        for step in 0..400u64 {
+            let line = LineAddr::new(splitmix64(5, step) % 97);
+            let slot = map.acquire(line);
+            if map[slot].is_sharer(0) {
+                map[slot].remove_sharer(0);
+                map.gc(slot);
+                live.remove(&line);
+            } else {
+                map[slot].add_sharer(0);
+                live.insert(line);
+            }
+            let got: Vec<LineAddr> = map.iter().map(|(l, _)| l).collect();
+            assert_eq!(got, live.iter().copied().collect::<Vec<_>>(), "step {step}");
+            peak = peak.max(live.len());
+        }
+        assert_eq!(map.slots.len(), peak, "a freed slot is reused before the map grows");
     }
 }

@@ -702,7 +702,7 @@ impl<P: SimProbe> Simulator<P> {
         } else {
             entry.remove_sharer(core);
         }
-        self.coh.gc(line);
+        self.coh.gc_line(line);
         true
     }
 
@@ -1192,7 +1192,7 @@ impl<P: SimProbe> Simulator<P> {
             let entry = self.coh.entry(victim);
             entry.set_owner(Owner::Llc);
             entry.clear_sharers();
-            self.coh.gc(victim);
+            self.coh.gc_line(victim);
         }
     }
 
@@ -1271,7 +1271,7 @@ impl<P: SimProbe> Simulator<P> {
         if let Some((victim, victim_line)) = evicted {
             self.evict_l1(to, victim, victim_line, ends);
         }
-        self.coh.gc(line);
+        self.coh.gc_line(line);
 
         // Complete the core's MSHR entry and account the request.
         let core = &mut self.cores[to];
@@ -1328,7 +1328,7 @@ impl<P: SimProbe> Simulator<P> {
             );
             entry.remove_sharer(id);
         }
-        self.coh.gc(victim);
+        self.coh.gc_line(victim);
     }
 
     // ----- validation (tests, property checks) -----------------------------
@@ -1403,6 +1403,8 @@ mod tests {
     use cohort_trace::{Trace, TraceOp};
     use cohort_types::LatencyConfig;
 
+    use std::collections::BTreeSet;
+
     use super::*;
     use crate::CacheGeometry;
 
@@ -1457,5 +1459,53 @@ mod tests {
             );
         }
         assert_eq!(sim.stats().cores.iter().map(CoreStats::accesses).sum::<u64>(), 64 * 1_000);
+    }
+
+    #[test]
+    fn coherence_slots_recycle_under_seeded_faults() {
+        // 2,000 lines over 256-set direct-mapped L1s (and, in the second
+        // configuration, a 64-line LLC) keep evicting, so lines keep going
+        // trivial and their slots keep being reused. Line corruption is
+        // left out of the plans: it breaks the invariants on purpose.
+        let w = cohort_trace::micro::random_shared(4, 2_000, 800, 0.3, 11);
+        let distinct = w
+            .traces()
+            .iter()
+            .flat_map(|t| t.ops().iter().map(|op| op.line))
+            .collect::<BTreeSet<_>>();
+        let configs = [
+            SimConfig::builder(4).timers(vec![TimerValue::timed(50).unwrap(); 4]).build().unwrap(),
+            SimConfig::builder(4)
+                .llc(LlcModel::Finite(CacheGeometry::new(4096, 64, 4).unwrap()))
+                .build()
+                .unwrap(),
+        ];
+        for (c, config) in configs.into_iter().enumerate() {
+            for seed in 0..3 {
+                let specs = FaultPlan::seeded(seed, 4, 20_000, 16)
+                    .specs()
+                    .iter()
+                    .filter(|s| s.kind != FaultKind::LineCorruption)
+                    .copied()
+                    .collect();
+                let mut sim = SimBuilder::new(config.clone(), &w)
+                    .faults(FaultPlan::new(specs))
+                    .build()
+                    .unwrap();
+                while !sim.is_finished() {
+                    sim.run_until(sim.now() + Cycles::new(1_500)).unwrap();
+                    if let Err(e) = sim.validate_coherence() {
+                        panic!("config {c}, seed {seed}, cycle {}: {e}", sim.now());
+                    }
+                }
+                assert!(!sim.injected_faults().is_empty(), "config {c}, seed {seed}");
+                assert!(
+                    sim.coh.slot_count() < distinct.len() * 2 / 3,
+                    "config {c}, seed {seed}: {} slots for {} lines",
+                    sim.coh.slot_count(),
+                    distinct.len()
+                );
+            }
+        }
     }
 }
