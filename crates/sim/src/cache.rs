@@ -2,6 +2,7 @@
 
 use cohort_types::{Cycles, LineAddr, TimerValue};
 
+use crate::coherence::CohSlot;
 use crate::CacheGeometry;
 
 /// Stable coherence state of a line held in a private cache.
@@ -34,8 +35,9 @@ impl LineState {
     }
 }
 
-/// Per-line payload of a private cache: coherence state plus the timer
-/// anchor (the cycle the countdown counter was last loaded).
+/// Per-line payload of a private cache: coherence state, the timer anchor
+/// (the cycle the countdown counter was last loaded) and the slot of the
+/// line's bus-visible coherence state.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct L1Line {
     /// MSI stable state.
@@ -52,14 +54,22 @@ pub struct L1Line {
     /// hardware has committed to the hand-over, so a later θ
     /// re-programming (mode switch) cannot re-protect the line.
     pub released: bool,
+    /// The line's coherence slot. A resident line has a holder, so the
+    /// slot stays bound to it for as long as the line is resident.
+    pub(crate) coh: CohSlot,
 }
 
 impl L1Line {
     /// A freshly filled line (counter loaded from the register, not
     /// released).
     #[must_use]
-    pub const fn filled(state: LineState, anchor: Cycles, theta: TimerValue) -> Self {
-        L1Line { state, anchor, theta, released: false }
+    pub(crate) const fn filled(
+        state: LineState,
+        anchor: Cycles,
+        theta: TimerValue,
+        coh: CohSlot,
+    ) -> Self {
+        L1Line { state, anchor, theta, released: false, coh }
     }
 }
 

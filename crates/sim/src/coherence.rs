@@ -314,17 +314,10 @@ impl CoherenceMap {
         *free.insert(slot)
     }
 
-    /// Returns a mutable entry, binding a slot if the line is not live.
-    pub(crate) fn entry(&mut self, line: LineAddr) -> &mut LineCoh {
-        let slot = self.acquire(line);
-        &mut self[slot]
-    }
-
-    /// Frees the line's slot if it carries no information any more.
-    pub(crate) fn gc_line(&mut self, line: LineAddr) {
-        if let Some(slot) = self.slot(line) {
-            self.gc(slot);
-        }
+    /// The line a slot is bound to.
+    #[must_use]
+    pub(crate) fn line_of(&self, slot: CohSlot) -> LineAddr {
+        self.slots[slot.0 as usize].line
     }
 
     /// Frees the slot if its line carries no information any more.

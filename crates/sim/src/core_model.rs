@@ -3,7 +3,7 @@
 use cohort_trace::TraceOp;
 use cohort_types::Cycles;
 
-use crate::coherence::ReqKind;
+use crate::coherence::{CohSlot, ReqKind};
 use cohort_types::LineAddr;
 
 /// An outstanding miss tracked by a core's MSHR file.
@@ -19,6 +19,10 @@ pub(crate) struct MshrEntry {
     pub broadcast: bool,
     /// Whether the requester holds a Shared copy (upgrade request).
     pub upgrade: bool,
+    /// The line's coherence slot, bound when the request is broadcast:
+    /// from then on the requester waits on the line, which keeps the slot
+    /// live until the request completes.
+    pub coh: Option<CohSlot>,
 }
 
 /// Per-core replay state. All behaviour lives in the engine; this struct is
@@ -96,11 +100,18 @@ impl CoreModel {
         Some(self.mshr.remove(pos))
     }
 
-    /// Marks the oldest un-broadcast request for `line` as broadcast.
-    pub(crate) fn mark_broadcast(&mut self, line: LineAddr) {
+    /// Marks the oldest un-broadcast request for `line` as broadcast and
+    /// records the line's coherence slot.
+    pub(crate) fn mark_broadcast(&mut self, line: LineAddr, coh: CohSlot) {
         if let Some(m) = self.mshr.iter_mut().find(|m| m.line == line && !m.broadcast) {
             m.broadcast = true;
+            m.coh = Some(coh);
         }
+    }
+
+    /// The coherence slot of the broadcast request for `line`, if any.
+    pub(crate) fn broadcast_slot(&self, line: LineAddr) -> Option<CohSlot> {
+        self.mshr.iter().find(|m| m.line == line).and_then(|m| m.coh)
     }
 }
 
@@ -116,6 +127,7 @@ mod tests {
             issued: Cycles::new(issued),
             broadcast: false,
             upgrade: false,
+            coh: None,
         }
     }
 
@@ -141,8 +153,11 @@ mod tests {
         assert!(core.has_inflight(LineAddr::new(0)));
         assert_eq!(core.oldest_request().unwrap().issued.get(), 5);
         assert_eq!(core.oldest_unbroadcast().unwrap().line.raw(), 0);
-        core.mark_broadcast(LineAddr::new(0));
+        let slot = crate::coherence::CoherenceMap::new().acquire(LineAddr::new(0));
+        core.mark_broadcast(LineAddr::new(0), slot);
         assert_eq!(core.oldest_unbroadcast().unwrap().line.raw(), 1);
+        assert_eq!(core.broadcast_slot(LineAddr::new(0)), Some(slot));
+        assert_eq!(core.broadcast_slot(LineAddr::new(1)), None);
         let done = core.complete(LineAddr::new(0)).unwrap();
         assert!(done.broadcast);
         assert!(!core.has_inflight(LineAddr::new(0)));

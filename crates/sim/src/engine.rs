@@ -32,7 +32,7 @@ use cohort_types::{Cycles, Error, LineAddr, Result, TimerValue};
 
 use crate::arbiter::{Arbiter, Candidate, CandidateKind};
 use crate::cache::{L1Line, LineState, SetAssocCache};
-use crate::coherence::{cores_in, CoherenceMap, LineCoh, Owner, ReqKind, Waiter};
+use crate::coherence::{cores_in, CohSlot, CoherenceMap, Owner, ReqKind, Waiter};
 use crate::core_model::{CoreModel, MshrEntry};
 use crate::event::{EventKind, InvalidateCause};
 use crate::fault::{FaultKind, FaultPlan, FaultState, InjectedFault};
@@ -65,8 +65,9 @@ struct ActiveTxn {
 enum TxnKind {
     /// Request broadcast without an immediate data response.
     BroadcastOnly,
-    /// Data transfer to `core` (possibly fused with its broadcast).
-    Transfer { from: Owner },
+    /// Data transfer to `core` (possibly fused with its broadcast); `slot`
+    /// is the line's coherence slot, live while `core` waits on it.
+    Transfer { from: Owner, slot: CohSlot },
 }
 
 /// The cycle-accurate simulator, generic over one [`SimProbe`].
@@ -124,10 +125,12 @@ pub struct Simulator<P: SimProbe = NoProbe> {
     probe: P,
     finish_notified: bool,
     switches: BTreeMap<u64, Vec<TimerValue>>,
-    /// Every line with queued waiters, mapped to the instant its release
-    /// wake is armed for (`None` until one is armed), so an unchanged
-    /// release instant is never pushed twice.
-    lines_with_waiters: BTreeMap<LineAddr, Option<u64>>,
+    /// Every line with queued waiters, mapped to its coherence slot and
+    /// the instant its release wake is armed for (`None` until one is
+    /// armed), so an unchanged release instant is never pushed twice.
+    /// Release wakes name the line, not the slot, so a recycled slot never
+    /// receives a stale wake.
+    lines_with_waiters: BTreeMap<LineAddr, (CohSlot, Option<u64>)>,
     /// Cores that have not drained their trace and misses yet.
     cores_not_done: usize,
     last_progress: Cycles,
@@ -537,16 +540,16 @@ impl<P: SimProbe> Simulator<P> {
     /// may have become a ready receive candidate, so arbitration should be
     /// attempted at this instant.
     fn rearm_release(&mut self, line: LineAddr, t: Cycles) -> bool {
-        let Some(&armed) = self.lines_with_waiters.get(&line) else {
+        let Some(&(slot, armed)) = self.lines_with_waiters.get(&line) else {
             return false;
         };
-        match self.head_release_instant(line) {
+        match self.head_release_instant(line, slot) {
             None => false,
             Some(release) if release <= t => true,
             Some(release) => {
                 if armed != Some(release.get()) {
                     self.sched.arm(release.get(), WakeSource::Release(line));
-                    self.lines_with_waiters.insert(line, Some(release.get()));
+                    self.lines_with_waiters.insert(line, (slot, Some(release.get())));
                 }
                 false
             }
@@ -582,8 +585,8 @@ impl<P: SimProbe> Simulator<P> {
             {
                 return true;
             }
-            for &line in self.lines_with_waiters.keys() {
-                if self.head_release_instant(line) == Some(t) {
+            for (&line, &(slot, _)) in &self.lines_with_waiters {
+                if self.head_release_instant(line, slot) == Some(t) {
                     return true;
                 }
             }
@@ -696,13 +699,13 @@ impl<P: SimProbe> Simulator<P> {
         }
         let Some((line, payload)) = chosen else { return false };
         self.l1s[core].remove(line);
-        let entry = self.coh.entry(line);
+        let entry = &mut self.coh[payload.coh];
         if payload.state.is_owned() && entry.owner() == Owner::Core(core) {
             entry.set_owner(Owner::Llc);
         } else {
             entry.remove_sharer(core);
         }
-        self.coh.gc_line(line);
+        self.coh.gc(payload.coh);
         true
     }
 
@@ -726,8 +729,8 @@ impl<P: SimProbe> Simulator<P> {
     }
 
     fn latch_expired_releases(&mut self) {
-        for &line in self.lines_with_waiters.keys() {
-            let Some(coh) = self.coh.get(line) else { continue };
+        for (&line, &(slot, _)) in &self.lines_with_waiters {
+            let coh = &self.coh[slot];
             let Some(head) = coh.head().copied() else { continue };
             let holders = coh.holder_mask() & !(1 << head.core);
             for holder in cores_in(holders).filter(|&h| coh.head_dispossesses(h)) {
@@ -794,6 +797,7 @@ impl<P: SimProbe> Simulator<P> {
                     issued: self.now,
                     broadcast: false,
                     upgrade,
+                    coh: None,
                 });
                 core.cursor += 1;
                 // Issuing the miss occupies the core for one cycle; it then
@@ -837,20 +841,21 @@ impl<P: SimProbe> Simulator<P> {
             return Outcome::Miss { kind, upgrade: false };
         };
         let mut state = l1line.state;
-        if let Some(coh) = self.coh.get(line) {
-            if let Some(head) = coh.head() {
-                if head.core != id && coh.head_dispossesses(id) {
-                    let released = self.holder_release(id, line, l1line, head.enqueued);
-                    if self.now >= released {
-                        match head.kind {
-                            // The line has logically left this cache.
-                            ReqKind::GetM => {
-                                let kind = if is_store { ReqKind::GetM } else { ReqKind::GetS };
-                                return Outcome::Miss { kind, upgrade: false };
-                            }
-                            // The owner has logically downgraded to Shared.
-                            ReqKind::GetS => state = LineState::Shared,
+        // A resident line's slot is live: read its state by index.
+        debug_assert_eq!(self.coh.line_of(l1line.coh), line, "L1 slot bound to another line");
+        let coh = &self.coh[l1line.coh];
+        if let Some(head) = coh.head() {
+            if head.core != id && coh.head_dispossesses(id) {
+                let released = self.holder_release(id, line, l1line, head.enqueued);
+                if self.now >= released {
+                    match head.kind {
+                        // The line has logically left this cache.
+                        ReqKind::GetM => {
+                            let kind = if is_store { ReqKind::GetM } else { ReqKind::GetS };
+                            return Outcome::Miss { kind, upgrade: false };
                         }
+                        // The owner has logically downgraded to Shared.
+                        ReqKind::GetS => state = LineState::Shared,
                     }
                 }
             }
@@ -877,8 +882,8 @@ impl<P: SimProbe> Simulator<P> {
         let core = &self.cores[id];
         // A ready data response for any broadcast request (oldest first).
         for m in core.mshr.iter().filter(|m| m.broadcast) {
-            let Some(coh) = self.coh.get(m.line) else { continue };
-            if coh.is_head(id) && self.holders_released(m.line, self.now) {
+            let slot = m.coh.expect("a broadcast request has a coherence slot");
+            if self.coh[slot].is_head(id) && self.holders_released(m.line, slot, self.now) {
                 return Some(Candidate {
                     kind: CandidateKind::Receive,
                     issued: m.issued,
@@ -937,17 +942,17 @@ impl<P: SimProbe> Simulator<P> {
     }
 
     /// Whether every holder the head waiter dispossesses has released the
-    /// line by `at`.
-    fn holders_released(&self, line: LineAddr, at: Cycles) -> bool {
-        self.head_release_instant(line).is_some_and(|r| r <= at)
+    /// line (in coherence slot `slot`) by `at`.
+    fn holders_released(&self, line: LineAddr, slot: CohSlot, at: Cycles) -> bool {
+        self.head_release_instant(line, slot).is_some_and(|r| r <= at)
     }
 
     /// The instant at which the head waiter's transfer may start: the
     /// latest release among the holders it dispossesses (its own enqueue
-    /// instant if nothing needs to release). `None` if the line has no
-    /// waiters.
-    fn head_release_instant(&self, line: LineAddr) -> Option<Cycles> {
-        let coh = self.coh.get(line)?;
+    /// instant if nothing needs to release). `None` if the line (in
+    /// coherence slot `slot`) has no waiters.
+    fn head_release_instant(&self, line: LineAddr, slot: CohSlot) -> Option<Cycles> {
+        let coh = &self.coh[slot];
         let head = coh.head()?;
         let mut latest = head.enqueued;
         for holder in coh.holders() {
@@ -969,8 +974,8 @@ impl<P: SimProbe> Simulator<P> {
             return;
         }
         self.txn = None;
-        if let TxnKind::Transfer { from } = txn.kind {
-            self.finish_transfer(txn.core, txn.line, from, txn.ends);
+        if let TxnKind::Transfer { from, slot } = txn.kind {
+            self.finish_transfer(txn.core, txn.line, slot, from, txn.ends);
         }
         self.last_progress = self.now;
     }
@@ -1034,15 +1039,18 @@ impl<P: SimProbe> Simulator<P> {
         let request_latency = self.config.latency().request;
         let m = *self.cores[id].oldest_unbroadcast().expect("broadcast candidate exists");
         let snoop_at = self.now + request_latency;
-        self.cores[id].mark_broadcast(m.line);
+        // The one hashed lookup of a miss: from here on the requester
+        // waits on the line, so the slot stays live until the fill.
+        let slot = self.coh.acquire(m.line);
+        self.cores[id].mark_broadcast(m.line, slot);
         let waiter = Waiter { core: id, kind: m.kind, enqueued: snoop_at };
         match self.config.waiter_priority() {
             Some(critical) if critical[id] => {
-                self.coh.entry(m.line).enqueue_critical(waiter, |c| critical[c]);
+                self.coh[slot].enqueue_critical(waiter, |c| critical[c]);
             }
-            _ => self.coh.entry(m.line).enqueue(waiter),
+            _ => self.coh[slot].enqueue(waiter),
         }
-        self.lines_with_waiters.entry(m.line).or_insert(None);
+        self.lines_with_waiters.entry(m.line).or_insert((slot, None));
         self.stats.broadcasts += 1;
         if P::ACTIVE {
             self.probe
@@ -1053,10 +1061,9 @@ impl<P: SimProbe> Simulator<P> {
         // is immediately serviceable (head of queue, every holder released
         // by the snoop instant — e.g. the shared memory owns the line, or
         // all holders run MSI).
-        let fused = self.coh.get(m.line).is_some_and(|c| c.is_head(id))
-            && self.holders_released(m.line, snoop_at);
+        let fused = self.coh[slot].is_head(id) && self.holders_released(m.line, slot, snoop_at);
         if fused {
-            let from = self.coh.get(m.line).map_or(Owner::Llc, LineCoh::owner);
+            let from = self.coh[slot].owner();
             let duration = self.transfer_duration(from, m.line);
             self.stats.transfers += 1;
             if P::ACTIVE {
@@ -1076,8 +1083,12 @@ impl<P: SimProbe> Simulator<P> {
                     kind: TenureKind::Fused { from: from.core() },
                 });
             }
-            self.txn =
-                Some(ActiveTxn { core: id, line: m.line, ends, kind: TxnKind::Transfer { from } });
+            self.txn = Some(ActiveTxn {
+                core: id,
+                line: m.line,
+                ends,
+                kind: TxnKind::Transfer { from, slot },
+            });
         } else {
             self.stats.bus_busy += request_latency;
             if P::ACTIVE {
@@ -1099,12 +1110,12 @@ impl<P: SimProbe> Simulator<P> {
     }
 
     fn start_receive(&mut self, id: usize, line: LineAddr) {
+        let slot = self.cores[id].broadcast_slot(line).expect("a receive candidate was broadcast");
         debug_assert!(
-            self.coh.get(line).is_some_and(|c| c.is_head(id))
-                && self.holders_released(line, self.now),
+            self.coh[slot].is_head(id) && self.holders_released(line, slot, self.now),
             "granted receive candidate is ready"
         );
-        let from = self.coh.get(line).map_or(Owner::Llc, LineCoh::owner);
+        let from = self.coh[slot].owner();
         let duration = self.transfer_duration(from, line);
         self.stats.transfers += 1;
         if P::ACTIVE {
@@ -1122,7 +1133,7 @@ impl<P: SimProbe> Simulator<P> {
                 kind: TenureKind::Transfer { from: from.core() },
             });
         }
-        self.txn = Some(ActiveTxn { core: id, line, ends, kind: TxnKind::Transfer { from } });
+        self.txn = Some(ActiveTxn { core: id, line, ends, kind: TxnKind::Transfer { from, slot } });
     }
 
     /// Bus occupancy of the data movement for `line` supplied by `from`,
@@ -1172,40 +1183,45 @@ impl<P: SimProbe> Simulator<P> {
                 coh.get(victim).is_none_or(|c| c.holder_mask() == 0 && c.head().is_none())
             }),
         };
-        if let Some((victim, ())) = evicted {
-            let holders = self.coh.get(victim).map_or(0, LineCoh::holder_mask);
-            for holder in cores_in(holders) {
-                if self.l1s[holder].remove(victim).is_some() {
-                    self.stats.back_invalidations += 1;
-                    if P::ACTIVE {
-                        self.probe.on_event(
-                            self.now,
-                            &EventKind::Invalidate {
-                                core: holder,
-                                line: victim,
-                                cause: InvalidateCause::BackInvalidation,
-                            },
-                        );
-                    }
+        let Some((victim, ())) = evicted else { return };
+        // A victim with no coherence slot is trivial: nobody to invalidate.
+        let Some(slot) = self.coh.slot(victim) else { return };
+        for holder in cores_in(self.coh[slot].holder_mask()) {
+            if self.l1s[holder].remove(victim).is_some() {
+                self.stats.back_invalidations += 1;
+                if P::ACTIVE {
+                    self.probe.on_event(
+                        self.now,
+                        &EventKind::Invalidate {
+                            core: holder,
+                            line: victim,
+                            cause: InvalidateCause::BackInvalidation,
+                        },
+                    );
                 }
             }
-            let entry = self.coh.entry(victim);
-            entry.set_owner(Owner::Llc);
-            entry.clear_sharers();
-            self.coh.gc_line(victim);
         }
+        let entry = &mut self.coh[slot];
+        entry.set_owner(Owner::Llc);
+        entry.clear_sharers();
+        self.coh.gc(slot);
     }
 
-    /// Applies the effects of a completed data transfer at `ends`.
-    fn finish_transfer(&mut self, to: usize, line: LineAddr, from: Owner, ends: Cycles) {
+    /// Applies the effects of a completed data transfer of `line` (in
+    /// coherence slot `slot`) at `ends`.
+    fn finish_transfer(
+        &mut self,
+        to: usize,
+        line: LineAddr,
+        slot: CohSlot,
+        from: Owner,
+        ends: Cycles,
+    ) {
         // Priority insertion may have displaced the transferee from the
         // head while its transfer was in flight, so dequeue by core.
-        let waiter = self
-            .coh
-            .entry(line)
-            .dequeue_for(to)
-            .expect("transfer completion implies a queued waiter");
-        if self.coh.get(line).is_some_and(|c| c.head().is_none()) {
+        let waiter =
+            self.coh[slot].dequeue_for(to).expect("transfer completion implies a queued waiter");
+        if self.coh[slot].head().is_none() {
             self.lines_with_waiters.remove(&line);
         }
 
@@ -1213,7 +1229,7 @@ impl<P: SimProbe> Simulator<P> {
         match waiter.kind {
             ReqKind::GetM => {
                 // An upgrading requester keeps its copy.
-                let holders = self.coh.get(line).map_or(0, LineCoh::holder_mask) & !(1 << to);
+                let holders = self.coh[slot].holder_mask() & !(1 << to);
                 for holder in cores_in(holders) {
                     if self.l1s[holder].remove(line).is_some() && P::ACTIVE {
                         self.probe.on_event(
@@ -1226,7 +1242,7 @@ impl<P: SimProbe> Simulator<P> {
                         );
                     }
                 }
-                let entry = self.coh.entry(line);
+                let entry = &mut self.coh[slot];
                 entry.clear_sharers();
                 entry.set_owner(Owner::Core(to));
             }
@@ -1238,14 +1254,14 @@ impl<P: SimProbe> Simulator<P> {
                             self.probe.on_event(ends, &EventKind::Downgrade { core: owner, line });
                         }
                     }
-                    let entry = self.coh.entry(line);
+                    let entry = &mut self.coh[slot];
                     entry.set_owner(Owner::Llc);
                     entry.add_sharer(owner);
                 }
                 // MESI: an unshared read fill from the shared memory with
                 // nobody else queued is granted Exclusive; the requester
                 // becomes the owner without adding itself as a sharer.
-                let entry = self.coh.entry(line);
+                let entry = &mut self.coh[slot];
                 let exclusive = self.config.flavor() == ProtocolFlavor::Mesi
                     && matches!(from, Owner::Llc)
                     && entry.sharers().next().is_none()
@@ -1261,17 +1277,15 @@ impl<P: SimProbe> Simulator<P> {
         // Fill the requester's private cache.
         let state = match waiter.kind {
             ReqKind::GetM => LineState::Modified,
-            ReqKind::GetS if self.coh.get(line).is_some_and(|c| c.owner() == Owner::Core(to)) => {
-                LineState::Exclusive
-            }
+            ReqKind::GetS if self.coh[slot].owner() == Owner::Core(to) => LineState::Exclusive,
             ReqKind::GetS => LineState::Shared,
         };
         let theta_loaded = self.timers[to];
-        let evicted = self.l1s[to].insert(line, L1Line::filled(state, ends, theta_loaded));
+        // `to` now holds the line, so its slot stays live while resident.
+        let evicted = self.l1s[to].insert(line, L1Line::filled(state, ends, theta_loaded, slot));
         if let Some((victim, victim_line)) = evicted {
             self.evict_l1(to, victim, victim_line, ends);
         }
-        self.coh.gc_line(line);
 
         // Complete the core's MSHR entry and account the request.
         let core = &mut self.cores[to];
@@ -1316,7 +1330,7 @@ impl<P: SimProbe> Simulator<P> {
             );
         }
         let corrupting = self.faults.may_corrupt_state();
-        let entry = self.coh.entry(victim);
+        let entry = &mut self.coh[victim_line.coh];
         if victim_line.state.is_owned() && entry.owner() == Owner::Core(id) {
             entry.set_owner(Owner::Llc);
         } else {
@@ -1328,7 +1342,7 @@ impl<P: SimProbe> Simulator<P> {
             );
             entry.remove_sharer(id);
         }
-        self.coh.gc_line(victim);
+        self.coh.gc(victim_line.coh);
     }
 
     // ----- validation (tests, property checks) -----------------------------
@@ -1344,6 +1358,9 @@ impl<P: SimProbe> Simulator<P> {
         let mut shared: BTreeMap<LineAddr, Vec<usize>> = BTreeMap::new();
         for (id, l1) in self.l1s.iter().enumerate() {
             for (line, payload) in l1.iter() {
+                if self.coh.slot(line) != Some(payload.coh) {
+                    return Err(format!("{line} in c{id} carries a stale coherence slot"));
+                }
                 if payload.state.is_owned() {
                     owned.entry(line).or_default().push(id);
                 } else {
@@ -1363,7 +1380,7 @@ impl<P: SimProbe> Simulator<P> {
             if shared.contains_key(line) {
                 return Err(format!("{line} simultaneously owned and Shared"));
             }
-            let owner = self.coh.get(*line).map(LineCoh::owner);
+            let owner = self.coh.get(*line).map(crate::coherence::LineCoh::owner);
             if owner != Some(Owner::Core(owners[0])) {
                 return Err(format!(
                     "{line} owned by c{} but coherence owner is {owner:?}",
@@ -1445,12 +1462,14 @@ mod tests {
     fn wake_heap_stays_bounded_by_live_wake_sources() {
         // Long-held lines have their release re-derived at every bus
         // completion; the heap must hold one release wake per waiting
-        // line, not one per re-derivation.
+        // line, not one per re-derivation. Core wakes live on the wheel:
+        // this workload arms none past its horizon.
         let (config, w) = sparse_dram(1_000);
         let mut sim = SimBuilder::new(config, &w).build().unwrap();
         while !sim.is_finished() {
             sim.run_until(sim.now() + Cycles::new(2_000)).unwrap();
-            let bound = sim.cores.len() + sim.lines_with_waiters.len() + 4;
+            assert_eq!(sim.sched.far_core_wakes(), 0, "a core wake went past the horizon");
+            let bound = sim.lines_with_waiters.len() + 4;
             assert!(
                 sim.sched.pending() <= bound,
                 "{} wake entries at cycle {} exceed the bound {bound}",
