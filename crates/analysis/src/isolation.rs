@@ -37,12 +37,12 @@
 //! cache is not the simulator's generic `SetAssocCache` but a flat kernel:
 //! three parallel arrays of `sets × ways` entries (tag, fill anchor,
 //! modified bit), set `s` owning the slice `[s·ways, (s+1)·ways)` and
-//! indexed by mask. Each set's slice is kept MRU-first with its resident
+//! indexed by the geometry's one `SetIndexer` rule. Each set's slice is kept MRU-first with its resident
 //! lines as a prefix and empty ways (tag `None`) at the tail. Every access
 //! rotates the slice prefix ending at the line's way — or, for a line not
 //! resident, the whole slice, whose last way is empty or the LRU victim —
 //! one step right, so the accessed line lands in way 0. That is exactly
-//! `SetAssocCache`'s `touch` (remove, insert at the front) and `insert`
+//! `SetAssocCache`'s `touch` (promote to the front) and `insert`
 //! (replace and promote a resident line, else evict the last way of a full
 //! set), so the true-LRU order, and with it every hit and miss, is the
 //! same; a property test checks the two walks against each other. The
@@ -207,12 +207,9 @@ fn flat_walk<const DIRECT_MAPPED: bool>(
     hit_latency: Cycles,
     miss_penalty: Cycles,
 ) -> HitMissCounts {
-    let sets = geometry.sets();
+    let indexer = geometry.set_indexer();
     let ways = geometry.ways as usize;
-    // A struct-literal geometry may bypass `CacheGeometry::new`'s
-    // power-of-two check; such set counts index by `LineAddr::set_index`'s `%`.
-    let mask = sets.is_power_of_two().then(|| sets - 1);
-    let entries = sets as usize * ways;
+    let entries = geometry.sets() as usize * ways;
     let mut tags: Vec<Option<LineAddr>> = vec![None; entries];
     let mut fills = vec![Cycles::ZERO; entries];
     let mut modified = vec![false; entries];
@@ -220,7 +217,7 @@ fn flat_walk<const DIRECT_MAPPED: bool>(
     let mut now = Cycles::ZERO;
     for op in trace {
         now += op.gap;
-        let set = mask.map_or_else(|| op.line.set_index(sets), |m| op.line.raw() & m) as usize;
+        let set = indexer.index(op.line);
         // The entry that holds the line after this access.
         let (slot, resident) = if DIRECT_MAPPED {
             (set, tags[set] == Some(op.line))

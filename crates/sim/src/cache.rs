@@ -3,7 +3,7 @@
 use cohort_types::{Cycles, LineAddr, TimerValue};
 
 use crate::coherence::CohSlot;
-use crate::CacheGeometry;
+use crate::{CacheGeometry, SetIndexer};
 
 /// Stable coherence state of a line held in a private cache.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -97,17 +97,31 @@ impl L1Line {
 #[derive(Debug, Clone)]
 pub struct SetAssocCache<T> {
     geometry: CacheGeometry,
-    /// Per set: occupied ways ordered MRU-first.
-    sets: Vec<Vec<(LineAddr, T)>>,
+    indexer: SetIndexer,
+    ways: usize,
+    /// Per set, `ways` consecutive tags ordered MRU-first; the first
+    /// `len[set]` are occupied.
+    tags: Vec<LineAddr>,
+    /// The payload of each occupied way, beside its tag.
+    payloads: Vec<Option<T>>,
+    /// Occupied ways per set.
+    len: Vec<u32>,
 }
 
 impl<T> SetAssocCache<T> {
     /// Creates an empty cache with the given geometry.
     #[must_use]
     pub fn new(geometry: CacheGeometry) -> Self {
-        let sets =
-            (0..geometry.sets()).map(|_| Vec::with_capacity(geometry.ways as usize)).collect();
-        SetAssocCache { geometry, sets }
+        let sets = geometry.sets() as usize;
+        let ways = geometry.ways as usize;
+        SetAssocCache {
+            geometry,
+            indexer: geometry.set_indexer(),
+            ways,
+            tags: vec![LineAddr::new(0); sets * ways],
+            payloads: std::iter::repeat_with(|| None).take(sets * ways).collect(),
+            len: vec![0; sets],
+        }
     }
 
     /// Returns the cache geometry.
@@ -116,36 +130,48 @@ impl<T> SetAssocCache<T> {
         &self.geometry
     }
 
-    fn set_of(&self, line: LineAddr) -> usize {
-        line.set_index(self.geometry.sets()) as usize
+    /// The first entry of `line`'s set and the set's occupied ways.
+    fn set_of(&self, line: LineAddr) -> (usize, usize) {
+        let set = self.indexer.index(line);
+        (set * self.ways, self.len[set] as usize)
+    }
+
+    /// The entry holding `line`, if resident.
+    fn find(&self, line: LineAddr) -> Option<usize> {
+        let (base, len) = self.set_of(line);
+        self.tags[base..base + len].iter().position(|&l| l == line).map(|way| base + way)
+    }
+
+    /// Moves entry `at` of the set starting at `base` to the MRU way,
+    /// shifting the ways before it down by one.
+    fn promote(&mut self, base: usize, at: usize) {
+        self.tags[base..=at].rotate_right(1);
+        self.payloads[base..=at].rotate_right(1);
     }
 
     /// Looks up a line without touching LRU state.
     #[must_use]
     pub fn peek(&self, line: LineAddr) -> Option<&T> {
-        self.sets[self.set_of(line)].iter().find(|(l, _)| *l == line).map(|(_, t)| t)
+        self.find(line).and_then(|at| self.payloads[at].as_ref())
     }
 
     /// Looks up a line mutably without touching LRU state.
     pub fn peek_mut(&mut self, line: LineAddr) -> Option<&mut T> {
-        let set = self.set_of(line);
-        self.sets[set].iter_mut().find(|(l, _)| *l == line).map(|(_, t)| t)
+        self.find(line).and_then(|at| self.payloads[at].as_mut())
     }
 
     /// Looks up a line and promotes it to MRU.
     pub fn touch(&mut self, line: LineAddr) -> Option<&mut T> {
-        let set = self.set_of(line);
-        let ways = &mut self.sets[set];
-        let pos = ways.iter().position(|(l, _)| *l == line)?;
-        let entry = ways.remove(pos);
-        ways.insert(0, entry);
-        Some(&mut ways[0].1)
+        let at = self.find(line)?;
+        let base = at - at % self.ways;
+        self.promote(base, at);
+        self.payloads[base].as_mut()
     }
 
     /// Returns `true` if the line is present.
     #[must_use]
     pub fn contains(&self, line: LineAddr) -> bool {
-        self.peek(line).is_some()
+        self.find(line).is_some()
     }
 
     /// Inserts a line as MRU, evicting the least-recently-used entry of a
@@ -168,54 +194,59 @@ impl<T> SetAssocCache<T> {
         payload: T,
         evictable: impl Fn(LineAddr, &T) -> bool,
     ) -> Option<(LineAddr, T)> {
-        let set = self.set_of(line);
-        let ways = self.geometry.ways as usize;
-        let entries = &mut self.sets[set];
-        if let Some(pos) = entries.iter().position(|(l, _)| *l == line) {
-            let mut entry = entries.remove(pos);
-            entry.1 = payload;
-            entries.insert(0, entry);
-            return None;
-        }
-        let evicted = if entries.len() == ways {
-            // LRU-first among evictable ways; plain LRU as a last resort.
-            let victim = entries
-                .iter()
-                .enumerate()
-                .rev()
-                .find(|(_, (l, t))| evictable(*l, t))
-                .map_or(entries.len() - 1, |(i, _)| i);
-            Some(entries.remove(victim))
+        let (base, len) = self.set_of(line);
+        let ways = base..base + len;
+        let (at, evicted) = if let Some(way) =
+            self.tags[ways.clone()].iter().position(|&l| l == line)
+        {
+            (base + way, None)
+        } else if len < self.ways {
+            self.len[base / self.ways] += 1;
+            (base + len, None)
         } else {
-            None
+            // LRU-first among evictable ways; plain LRU as a last resort.
+            let victim = ways
+                .clone()
+                .rev()
+                .find(|&i| self.payloads[i].as_ref().is_some_and(|t| evictable(self.tags[i], t)))
+                .unwrap_or(base + len - 1);
+            let evicted = self.payloads[victim].take().map(|t| (self.tags[victim], t));
+            (victim, evicted)
         };
-        entries.insert(0, (line, payload));
+        self.promote(base, at);
+        self.tags[base] = line;
+        self.payloads[base] = Some(payload);
         evicted
     }
 
     /// Removes a line, returning its payload.
     pub fn remove(&mut self, line: LineAddr) -> Option<T> {
-        let set = self.set_of(line);
-        let entries = &mut self.sets[set];
-        let pos = entries.iter().position(|(l, _)| *l == line)?;
-        Some(entries.remove(pos).1)
+        let at = self.find(line)?;
+        let set = at / self.ways;
+        let end = set * self.ways + self.len[set] as usize;
+        self.len[set] -= 1;
+        let payload = self.payloads[at].take();
+        self.tags[at..end].rotate_left(1);
+        self.payloads[at..end].rotate_left(1);
+        payload
     }
 
-    /// Iterates over all resident `(line, payload)` pairs.
+    /// Iterates over all resident `(line, payload)` pairs, set by set,
+    /// MRU-first within a set.
     pub fn iter(&self) -> impl Iterator<Item = (LineAddr, &T)> {
-        self.sets.iter().flat_map(|s| s.iter().map(|(l, t)| (*l, t)))
+        self.tags.iter().zip(&self.payloads).filter_map(|(&l, t)| t.as_ref().map(|t| (l, t)))
     }
 
     /// Number of resident lines.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.sets.iter().map(Vec::len).sum()
+        self.len.iter().map(|&n| n as usize).sum()
     }
 
     /// Returns `true` if no line is resident.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.sets.iter().all(Vec::is_empty)
+        self.len.iter().all(|&n| n == 0)
     }
 }
 

@@ -3,7 +3,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use cohort_types::{Error, LatencyConfig, Result, TimerValue};
+use cohort_types::{Error, LatencyConfig, LineAddr, Result, TimerValue};
 
 /// Geometry of a set-associative cache.
 ///
@@ -62,6 +62,16 @@ impl CacheGeometry {
         self.size_bytes / (self.line_bytes * self.ways)
     }
 
+    /// The set-index rule of this geometry, computed once: a mask when the
+    /// set count is a power of two, else `%`. A struct-literal geometry can
+    /// bypass [`CacheGeometry::new`]'s power-of-two check, and the two rules
+    /// agree wherever both apply.
+    #[must_use]
+    pub const fn set_indexer(&self) -> SetIndexer {
+        let sets = self.sets();
+        SetIndexer { sets, mask: if sets.is_power_of_two() { Some(sets - 1) } else { None } }
+    }
+
     /// Total number of lines the cache can hold.
     #[must_use]
     pub const fn lines(&self) -> u64 {
@@ -84,6 +94,33 @@ impl CacheGeometry {
             return Err(Error::InvalidConfig("number of sets must be a power of two".into()));
         }
         Ok(())
+    }
+}
+
+/// Maps a line to its set: [`LineAddr::set_index`] with the division
+/// replaced by a mask for power-of-two set counts. Build one with
+/// [`CacheGeometry::set_indexer`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SetIndexer {
+    sets: u64,
+    /// `sets - 1` for a power-of-two set count.
+    mask: Option<u64>,
+}
+
+impl SetIndexer {
+    /// The set of `line`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the geometry has no sets, like [`LineAddr::set_index`].
+    #[must_use]
+    #[inline]
+    pub fn index(self, line: LineAddr) -> usize {
+        let set = match self.mask {
+            Some(mask) => line.raw() & mask,
+            None => line.set_index(self.sets),
+        };
+        set as usize
     }
 }
 
@@ -457,6 +494,31 @@ impl SimConfigBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn the_set_indexer_agrees_with_set_index() {
+        let geometries = [
+            CacheGeometry::paper_l1(),
+            CacheGeometry::paper_llc(),
+            // Struct literals bypass the power-of-two check.
+            CacheGeometry { size_bytes: 5 * 3 * 64, line_bytes: 64, ways: 3 },
+            CacheGeometry { size_bytes: 64, line_bytes: 64, ways: 1 },
+        ];
+        for geom in geometries {
+            let indexer = geom.set_indexer();
+            for raw in [0, 1, 5, 255, 256, 1 << 33, u64::MAX - 3, u64::MAX] {
+                let line = LineAddr::new(raw);
+                assert_eq!(indexer.index(line) as u64, line.set_index(geom.sets()), "{geom:?}");
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "a cache needs at least one set")]
+    fn a_set_indexer_without_sets_panics_like_set_index() {
+        let geom = CacheGeometry { size_bytes: 64, line_bytes: 64, ways: 2 };
+        let _ = geom.set_indexer().index(LineAddr::new(3));
+    }
 
     #[test]
     fn paper_geometries() {

@@ -71,7 +71,8 @@ pub use cache::{L1Line, LineState, SetAssocCache};
 pub use chrome_trace::ChromeTraceProbe;
 pub use coherence::{Owner, ReqKind, Waiter};
 pub use config::{
-    ArbiterKind, CacheGeometry, DataPath, LlcModel, ProtocolFlavor, SimConfig, SimConfigBuilder,
+    ArbiterKind, CacheGeometry, DataPath, LlcModel, ProtocolFlavor, SetIndexer, SimConfig,
+    SimConfigBuilder,
 };
 pub use engine::{SimBuilder, Simulator};
 pub use event::{Event, EventKind, EventLogProbe, InvalidateCause};
