@@ -112,8 +112,11 @@ impl Ord for WakeEntry {
 }
 
 /// Cycles the core-wake wheel spans: one slot per cycle, one occupancy bit
-/// per slot and one summary bit per 64 slots, so the summary is one word.
-const WHEEL_SLOTS: usize = 64 * 64;
+/// per slot and one summary bit per 64 slots, so the summary fits one word.
+/// The horizon covers the longest core wake the benchmarks arm (a 64-core
+/// sparse core's compute gap of up to 1,291 cycles) at 16 KiB of slots per
+/// simulator.
+const WHEEL_SLOTS: usize = 64 * 32;
 
 /// Maps an instant to its wheel slot.
 const WHEEL_MASK: u64 = WHEEL_SLOTS as u64 - 1;
