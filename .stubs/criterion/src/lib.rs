@@ -1,9 +1,12 @@
 //! Offline stub of `criterion`.
 //!
 //! `Criterion` is a unit struct; `bench_function` runs the closure once
-//! via `Bencher::iter` so benches double as smoke tests offline, with no
-//! statistics, sampling, or reports. The real criterion from crates.io
-//! takes over in CI.
+//! via `Bencher::iter`, with no statistics, sampling, or reports. The
+//! tracked `.cargo/config.toml` replaces crates-io with the `.stubs/`
+//! directory for every build, CI included, so this stub is the only
+//! criterion any build links: nothing here measures anything. The bench
+//! bins of `cohort-bench` and the `perfbench` package are the timing
+//! instruments.
 
 /// Measurement driver; a unit struct offline (no state to carry).
 #[derive(Debug, Default, Clone, Copy)]

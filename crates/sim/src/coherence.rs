@@ -296,9 +296,9 @@ impl CoherenceMap {
     /// if the line is not live. The slot stays bound until [`CoherenceMap::gc`]
     /// finds it trivial.
     pub(crate) fn acquire(&mut self, line: LineAddr) -> CohSlot {
-        let free = match self.index.entry(line) {
+        let vacant = match self.index.entry(line) {
             Entry::Occupied(live) => return *live.get(),
-            Entry::Vacant(free) => free,
+            Entry::Vacant(vacant) => vacant,
         };
         let slot = if let Some(slot) = self.free.pop() {
             let entry = &mut self.slots[slot.0 as usize];
@@ -311,7 +311,7 @@ impl CoherenceMap {
             self.slots.push(Slot { line, live: true, coh: LineCoh::default() });
             slot
         };
-        *free.insert(slot)
+        *vacant.insert(slot)
     }
 
     /// The line a slot is bound to.
