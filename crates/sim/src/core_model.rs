@@ -156,11 +156,21 @@ mod tests {
         let slot = crate::coherence::CoherenceMap::new().acquire(LineAddr::new(0));
         core.mark_broadcast(LineAddr::new(0), slot);
         assert_eq!(core.oldest_unbroadcast().unwrap().line.raw(), 1);
-        assert_eq!(core.broadcast_slot(LineAddr::new(0)), Some(slot));
-        assert_eq!(core.broadcast_slot(LineAddr::new(1)), None);
         let done = core.complete(LineAddr::new(0)).unwrap();
         assert!(done.broadcast);
         assert!(!core.has_inflight(LineAddr::new(0)));
         assert_eq!(core.complete(LineAddr::new(7)), None);
+    }
+
+    #[test]
+    fn a_broadcast_request_carries_its_coherence_slot() {
+        let mut core = CoreModel::new(vec![TraceOp::load(0)], 2);
+        core.allocate(entry(0, 5));
+        core.allocate(entry(1, 9));
+        assert_eq!(core.broadcast_slot(LineAddr::new(0)), None);
+        let slot = crate::coherence::CoherenceMap::new().acquire(LineAddr::new(0));
+        core.mark_broadcast(LineAddr::new(0), slot);
+        assert_eq!(core.broadcast_slot(LineAddr::new(0)), Some(slot));
+        assert_eq!(core.broadcast_slot(LineAddr::new(1)), None);
     }
 }
