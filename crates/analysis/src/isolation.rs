@@ -37,17 +37,17 @@
 //! cache is not the simulator's generic `SetAssocCache` but a flat kernel:
 //! three parallel arrays of `sets × ways` entries (tag, fill anchor,
 //! modified bit), set `s` owning the slice `[s·ways, (s+1)·ways)` and
-//! indexed by the geometry's one `SetIndexer` rule. Each set's slice is kept MRU-first with its resident
-//! lines as a prefix and empty ways (tag `None`) at the tail. Every access
-//! rotates the slice prefix ending at the line's way — or, for a line not
-//! resident, the whole slice, whose last way is empty or the LRU victim —
-//! one step right, so the accessed line lands in way 0. That is exactly
-//! `SetAssocCache`'s `touch` (promote to the front) and `insert`
-//! (replace and promote a resident line, else evict the last way of a full
-//! set), so the true-LRU order, and with it every hit and miss, is the
-//! same; a property test checks the two walks against each other. The
-//! paper's direct-mapped L1 (256 sets × 1 way) has nothing to rotate and
-//! gets its own monomorphised loop.
+//! indexed by the geometry's one `SetIndexer` rule. Each set's slice is
+//! kept MRU-first with its resident lines as a prefix and empty ways (tag
+//! `None`) at the tail. Every access rotates the slice prefix ending at
+//! the line's way — or, for a line not resident, the whole slice, whose
+//! last way is empty or the LRU victim — one step right, so the accessed
+//! line lands in way 0. That is exactly `SetAssocCache`'s `touch` (promote
+//! to the front) and `insert` (replace and promote a resident line, else
+//! evict the last way of a full set), so the true-LRU order, and with it
+//! every hit and miss, is the same; a property test checks the two walks
+//! against each other. The paper's direct-mapped L1 (256 sets × 1 way) has
+//! nothing to rotate and gets its own monomorphised loop.
 //!
 //! ## The burst regime
 //!
