@@ -571,6 +571,17 @@ mod tests {
     }
 
     #[test]
+    fn paper_cell_ga_best_is_pinned() {
+        // The all-Cr fft cell of Fig. 5 at default scale and the `repro`
+        // GA budget: the timers it ships are the GA's best genome, drawn
+        // from the seeded GA streams, so they pin the RNG end to end.
+        let w = KernelSpec::new(Kernel::Fft, CORES).generate();
+        let timers = optimize_cohort_timers(CritConfig::AllCr, &w, &bench_ga(false)).unwrap();
+        let thetas: Vec<Option<u64>> = timers.iter().map(|t| t.theta()).collect();
+        assert_eq!(thetas, [Some(12), Some(11), Some(12), Some(12)]);
+    }
+
+    #[test]
     fn quick_sweep_is_sound() {
         // End-to-end smoke: one tiny kernel through the full sweep.
         let w = KernelSpec::new(Kernel::Fft, 4).with_total_requests(2_000).generate();

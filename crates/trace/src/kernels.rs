@@ -512,6 +512,37 @@ mod tests {
     }
 
     #[test]
+    fn default_scale_fingerprints_are_pinned() {
+        // Every paper figure starts from these workloads (4 cores, default
+        // scale, seed 0): a moved digest means a moved trace, so the RNG
+        // behind the generators must reproduce these streams exactly.
+        let digests: Vec<String> = Kernel::ALL
+            .into_iter()
+            .map(|kernel| {
+                let workload = KernelSpec::new(kernel, 4).generate();
+                let digest = workload
+                    .traces()
+                    .iter()
+                    .fold(cohort_types::FingerprintBuilder::new(), |d, t| {
+                        d.fingerprint(t.fingerprint())
+                    });
+                format!("{kernel}:{}", digest.finish().to_hex())
+            })
+            .collect();
+        assert_eq!(
+            digests,
+            [
+                "fft:baa5991f3c0f7da29d25ad81bb7bdec5",
+                "lu:2e29fa161e46440c55bc7cd1686025ab",
+                "radix:230fb530f688f850e9b5f83febce416f",
+                "ocean:9c5dcfac0fccfebce7edb99ba1305b73",
+                "barnes:60454c7fd5ac4c9fee6c36292f7221e8",
+                "water:5757f89a759abe0b4c8ad4835d34c494",
+            ]
+        );
+    }
+
+    #[test]
     fn paper_scales() {
         assert_eq!(Kernel::Fft.default_total_requests(), 47_000);
         assert_eq!(Kernel::Ocean.full_total_requests(), 2_500_000);
