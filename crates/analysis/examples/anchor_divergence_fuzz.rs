@@ -8,16 +8,14 @@
 use cohort_analysis::analyze_cohort;
 use cohort_sim::{CacheGeometry, LlcModel, SimBuilder, SimConfig};
 use cohort_trace::{AccessKind, Trace, TraceOp, Workload};
-use cohort_types::{Cycles, LatencyConfig, LineAddr, TimerValue};
-use rand::{Rng, SeedableRng};
-use rand_chacha::ChaCha8Rng;
+use cohort_types::{Cycles, LatencyConfig, LineAddr, SeedRng, TimerValue};
 
 fn main() {
     let lat = LatencyConfig::paper();
     let mut violations = 0u64;
     let mut worst_margin = f64::MAX;
     for seed in 0..40_000u64 {
-        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        let mut rng = SeedRng::seed_from_u64(seed);
         let theta = rng.gen_range(8..=300u64);
         let cores = rng.gen_range(2..=4usize);
         // Victim trace: revisit a handful of lines at spacings around θ in

@@ -4,7 +4,7 @@
 //! The engine is generic: the CoHoRT timer problem is one instance, the
 //! ablation benches reuse it with other fitness functions. Determinism is a
 //! hard requirement (the paper's Table II must regenerate identically), so
-//! all randomness flows from a caller-provided seed through ChaCha, and the
+//! all randomness flows from a caller-provided seed through [`SeedRng`], and the
 //! engine is structured so that **parallel evaluation is bit-identical to
 //! serial evaluation**: each generation's offspring are bred sequentially
 //! with the RNG first, then the batch is scored across scoped worker
@@ -24,10 +24,7 @@
 
 use std::collections::HashMap; // lint:allow(det-unordered) the fitness memo and pending-index are lookup-only; the only iteration (checkpointing) sorts by genes first
 
-use rand::{Rng, SeedableRng};
-use rand_chacha::ChaCha8Rng;
-
-use cohort_types::{default_workers, run_indexed, splitmix64, Error, Result};
+use cohort_types::{default_workers, run_indexed, splitmix64, Error, Result, SeedRng};
 
 use crate::checkpoint::GaCheckpoint;
 use crate::observer::{GaObserver, GenerationReport};
@@ -106,7 +103,7 @@ impl SearchSpace {
     }
 
     /// Samples one gene (uniformly, or log-uniformly for log-scale spaces).
-    fn sample_gene(&self, gene: usize, rng: &mut ChaCha8Rng) -> u64 {
+    fn sample_gene(&self, gene: usize, rng: &mut SeedRng) -> u64 {
         let (lo, hi) = self.bounds[gene];
         if self.log_scale && hi > lo {
             let (ll, lh) = ((lo as f64).ln(), (hi as f64).ln());
@@ -117,7 +114,7 @@ impl SearchSpace {
         }
     }
 
-    fn sample(&self, rng: &mut ChaCha8Rng) -> Vec<u64> {
+    fn sample(&self, rng: &mut SeedRng) -> Vec<u64> {
         (0..self.bounds.len()).map(|i| self.sample_gene(i, rng)).collect()
     }
 
@@ -258,10 +255,9 @@ impl GaObserver for SilentObserver {}
 
 /// Derives the RNG for one stream of a run: stream 0 samples the initial
 /// population, stream `g + 1` breeds generation `g`. A splitmix64
-/// finalizer decorrelates adjacent streams (even under the offline stub
-/// RNG, whose seeding is a plain counter).
-fn stream_rng(seed: u64, stream: u64) -> ChaCha8Rng {
-    ChaCha8Rng::seed_from_u64(splitmix64(seed, stream))
+/// finalizer decorrelates adjacent streams before [`SeedRng`] seeds them.
+fn stream_rng(seed: u64, stream: u64) -> SeedRng {
+    SeedRng::seed_from_u64(splitmix64(seed, stream))
 }
 
 /// Mutable bookkeeping of one run: the memo cache and the counters that
@@ -639,7 +635,7 @@ impl GeneticAlgorithm {
         run_indexed(genomes, self.config.resolved_workers(), |_, genes| fitness(genes))
     }
 
-    fn tournament(&self, population: &[Individual], rng: &mut ChaCha8Rng) -> usize {
+    fn tournament(&self, population: &[Individual], rng: &mut SeedRng) -> usize {
         let mut best = rng.gen_range(0..population.len());
         for _ in 1..self.config.tournament {
             let challenger = rng.gen_range(0..population.len());
@@ -650,11 +646,11 @@ impl GeneticAlgorithm {
         best
     }
 
-    fn crossover(a: &[u64], b: &[u64], rng: &mut ChaCha8Rng) -> Vec<u64> {
+    fn crossover(a: &[u64], b: &[u64], rng: &mut SeedRng) -> Vec<u64> {
         a.iter().zip(b).map(|(&ga, &gb)| if rng.gen_bool(0.5) { ga } else { gb }).collect()
     }
 
-    fn mutate(&self, mut genes: Vec<u64>, rng: &mut ChaCha8Rng) -> Vec<u64> {
+    fn mutate(&self, mut genes: Vec<u64>, rng: &mut SeedRng) -> Vec<u64> {
         for (i, gene) in genes.iter_mut().enumerate() {
             if !rng.gen_bool(self.config.mutation_rate) {
                 continue;

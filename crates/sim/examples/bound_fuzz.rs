@@ -5,11 +5,9 @@ use cohort_sim::{
     ArbiterKind, CacheGeometry, DataPath, LlcModel, ProtocolFlavor, SimBuilder, SimConfig,
 };
 use cohort_trace::{AccessKind, Trace, TraceOp, Workload};
-use cohort_types::{wcl_miss, Cycles, LineAddr, TimerValue};
-use rand::{Rng, SeedableRng};
-use rand_chacha::ChaCha8Rng;
+use cohort_types::{wcl_miss, Cycles, LineAddr, SeedRng, TimerValue};
 
-fn workload(rng: &mut ChaCha8Rng, cores: usize) -> Workload {
+fn workload(rng: &mut SeedRng, cores: usize) -> Workload {
     let traces: Vec<Trace> = (0..cores)
         .map(|_| {
             let len = rng.gen_range(1..120);
@@ -44,7 +42,7 @@ fn main() {
     let sw = lat.slot_width().get();
     let mut violations = 0u64;
     for seed in 0..30000u64 {
-        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        let mut rng = SeedRng::seed_from_u64(seed);
         let cores = [2usize, 3, 4, 6][(seed % 4) as usize];
         let w = workload(&mut rng, cores);
         match seed % 3 {

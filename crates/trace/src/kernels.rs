@@ -8,11 +8,9 @@
 //! request arrival process and the line-sharing pattern, both of which are
 //! parameterised here. Generation is fully deterministic given the seed.
 
-use rand::{Rng, SeedableRng};
-use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
 
-use cohort_types::{Cycles, LineAddr};
+use cohort_types::{Cycles, LineAddr, SeedRng};
 
 use crate::{AccessKind, Trace, TraceOp, Workload};
 
@@ -187,7 +185,7 @@ impl KernelSpec {
         let traces: Vec<Trace> = (0..self.cores)
             .map(|core| {
                 let per_core = base as usize + usize::from(core < remainder);
-                let mut rng = ChaCha8Rng::seed_from_u64(
+                let mut rng = SeedRng::seed_from_u64(
                     self.seed ^ (0x9e37_79b9_7f4a_7c15u64.wrapping_mul(core as u64 + 1)),
                 );
                 let mut g = Emitter::new(per_core, &mut rng);
@@ -210,11 +208,11 @@ impl KernelSpec {
 struct Emitter<'r> {
     ops: Vec<TraceOp>,
     target: usize,
-    rng: &'r mut ChaCha8Rng,
+    rng: &'r mut SeedRng,
 }
 
 impl<'r> Emitter<'r> {
-    fn new(target: usize, rng: &'r mut ChaCha8Rng) -> Self {
+    fn new(target: usize, rng: &'r mut SeedRng) -> Self {
         Emitter { ops: Vec::with_capacity(target), target, rng }
     }
 

@@ -7,10 +7,7 @@
 //! behaviours (ping-pong ownership migration, pure streaming, pure private
 //! reuse).
 
-use rand::{Rng, SeedableRng};
-use rand_chacha::ChaCha8Rng;
-
-use cohort_types::{Cycles, LineAddr};
+use cohort_types::{Cycles, LineAddr, SeedRng};
 
 use crate::{AccessKind, Trace, TraceOp, Workload};
 
@@ -107,7 +104,7 @@ pub fn random_shared(
     assert!((0.0..=1.0).contains(&store_fraction), "store fraction must be in [0, 1]");
     let traces = (0..cores)
         .map(|core| {
-            let mut rng = ChaCha8Rng::seed_from_u64(seed.wrapping_add(core as u64));
+            let mut rng = SeedRng::seed_from_u64(seed.wrapping_add(core as u64));
             Trace::from_ops(
                 (0..accesses)
                     .map(|_| {

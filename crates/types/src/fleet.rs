@@ -20,8 +20,9 @@ use crate::{Error, Result};
 
 /// The two FNV-1a stream offsets and the prime: the workspace's only copy,
 /// behind trace, spec and payload fingerprints alike, so they all live in
-/// the same 128-bit space.
-const OFFSET_A: u64 = 0xcbf2_9ce4_8422_2325;
+/// the same 128-bit space. [`crate::SeedRng`] starts its seed fold at
+/// `OFFSET_A`.
+pub(crate) const OFFSET_A: u64 = 0xcbf2_9ce4_8422_2325;
 const OFFSET_B: u64 = 0x6c62_272e_07bb_0142;
 const PRIME: u64 = 0x0000_0100_0000_01b3;
 

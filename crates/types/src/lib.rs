@@ -16,7 +16,8 @@
 //!   claim [`Epoch`]s and [`WorkerId`]s),
 //! - a common error type ([`Error`]),
 //! - and the workspace's shared primitives, each defined once: the
-//!   mergeable [`Log2Histogram`], the [`splitmix64`] seeded-stream mixer,
+//!   mergeable [`Log2Histogram`], the [`splitmix64`] seeded-stream mixer
+//!   and the [`SeedRng`] generator built on it,
 //!   the bounded worker pool ([`run_indexed`], [`default_workers`]) and
 //!   the dual-stream FNV-1a digest behind [`FingerprintBuilder`].
 //!
@@ -64,7 +65,7 @@ pub use histogram::Log2Histogram;
 pub use ids::{Address, CoreId, LineAddr};
 pub use latency::{wcl_miss, LatencyConfig};
 pub use pool::{default_workers, run_indexed};
-pub use seed::splitmix64;
+pub use seed::{splitmix64, SampleRange, SeedRng, Uniform};
 pub use task::{Requirements, Task};
 pub use time::Cycles;
 pub use timer::TimerValue;
