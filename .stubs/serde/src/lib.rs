@@ -3,13 +3,8 @@
 //! The real crates-io `serde` is unavailable in the offline build
 //! environment, so this stand-in models just enough for the workspace:
 //! a value-level JSON data model (re-exported by the stub `serde_json`)
-//! and `Serialize` / `Deserialize` traits whose derives produce trivial
-//! impls. Typed serialization of derived types is NOT supported — code
-//! that needs it feature-detects the stub and skips (see
-//! `cohort_types::ids` tests).
-
-#[cfg(feature = "derive")]
-pub use serde_derive::{Deserialize, Serialize};
+//! and `Serialize` / `Deserialize` traits implemented for `Value` and the
+//! scalar and container types. There are no derives.
 
 use std::fmt;
 
@@ -460,25 +455,18 @@ impl From<Map> for Value {
 }
 
 /// Serialization to the stub's [`Value`] data model.
-///
-/// Derived impls produced by the stub `serde_derive` return
-/// [`Value::Null`]; only hand-built `Value` trees serialize faithfully.
 pub trait Serialize {
     /// Converts self to the stub data model.
     fn to_stub_value(&self) -> Value;
 }
 
 /// Deserialization from the stub's [`Value`] data model.
-///
-/// Derived impls produced by the stub `serde_derive` always fail; only
-/// `Value` itself round-trips.
 pub trait Deserialize: Sized {
     /// Reconstructs self from the stub data model.
     ///
     /// # Errors
     ///
-    /// Returns a message when the value does not match (always, for
-    /// derived impls under the stub).
+    /// Returns a message when the value does not match.
     fn from_stub_value(v: &Value) -> Result<Self, String>;
 }
 

@@ -2,9 +2,6 @@
 //!
 //! Re-exports the stub `serde` value model and implements text
 //! serialization, a recursive-descent JSON parser, and a `json!` macro.
-//! Typed (derive-based) round-trips are unsupported: derived `Serialize`
-//! renders `null` and derived `Deserialize` errors, which downstream
-//! tests feature-detect and skip.
 
 use std::fmt;
 
@@ -55,7 +52,7 @@ pub fn to_string_pretty<T: serde::Serialize + ?Sized>(value: &T) -> Result<Strin
 ///
 /// # Errors
 ///
-/// Fails on malformed JSON, or (always) for derive-stubbed target types.
+/// Fails on malformed JSON or on a value the target type cannot hold.
 pub fn from_str<T: serde::Deserialize>(s: &str) -> Result<T> {
     let value = Parser { bytes: s.as_bytes(), pos: 0 }.parse_document()?;
     T::from_stub_value(&value).map_err(Error::new)

@@ -297,10 +297,10 @@ pub fn run_with_watchdog(
     policy: &WatchdogPolicy,
 ) -> Result<DegradationReport> {
     if lut.modes() == 0 || lut.cores() == 0 {
-        // `ModeSwitchLut::new` rejects empty tables, but a table arriving
-        // through deserialization (or a future constructor) must not reach
-        // the conviction counters: an empty table used to underflow
-        // `counts.len() - 1` and panic.
+        // `ModeSwitchLut::new` rejects empty tables, but a table built by
+        // struct literal in this crate (or by a future constructor) must
+        // not reach the conviction counters: an empty table used to
+        // underflow `counts.len() - 1` and panic.
         return Err(Error::InvalidConfig(
             "mode-switch LUT is empty: at least one mode covering at least one core is required"
                 .into(),
@@ -503,4 +503,30 @@ pub fn run_with_watchdog(
         post_switch,
         stats,
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use cohort_trace::micro;
+    use cohort_types::TimerValue;
+
+    #[test]
+    fn empty_lut_is_a_typed_error_not_a_panic() {
+        // The struct literal bypasses `ModeSwitchLut::new`'s validation.
+        let empty = ModeSwitchLut { rows: Vec::new() };
+        let theta = TimerValue::timed(50).unwrap();
+        let config = SimConfig::builder(2).timers(vec![theta; 2]).build().unwrap();
+        let result = run_with_watchdog(
+            config,
+            &micro::ping_pong(2, 4),
+            &empty,
+            FaultPlan::empty(),
+            &WatchdogPolicy::default(),
+        );
+        match result {
+            Err(Error::InvalidConfig(msg)) => assert!(msg.contains("LUT"), "{msg}"),
+            other => panic!("expected InvalidConfig, got {other:?}"),
+        }
+    }
 }

@@ -6,8 +6,6 @@
 //! a 16-bit field per mode (80 bits for the five avionics levels). This
 //! module turns those claims into checkable numbers for any configuration.
 
-use serde::{Deserialize, Serialize};
-
 use cohort_sim::CacheGeometry;
 
 /// Width of the timer threshold register, the per-line counters and each
@@ -28,7 +26,7 @@ pub const TIMER_BITS: u64 = 16;
 /// // ≈3% per line: 16 counter bits over 512 data bits.
 /// assert!((cost.line_overhead_fraction() - 0.031).abs() < 0.01);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HardwareCost {
     /// One countdown counter per cache line.
     pub counter_bits: u64,

@@ -7,8 +7,6 @@
 //! core's **Mode-Switch LUT** — the 16-bit-per-mode table of Fig. 2b that
 //! the hardware indexes on a mode switch.
 
-use serde::{Deserialize, Serialize};
-
 use cohort_analysis::CoreBound;
 use cohort_optim::{GaConfig, GaObserver, GaRun, TimerProblem};
 use cohort_trace::Workload;
@@ -32,9 +30,9 @@ use crate::SystemSpec;
 /// assert!(lut.timers_for(Mode::new(2)?)?[1].is_msi());
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ModeSwitchLut {
-    rows: Vec<Vec<TimerValue>>,
+    pub(crate) rows: Vec<Vec<TimerValue>>,
 }
 
 impl ModeSwitchLut {

@@ -1,8 +1,6 @@
 //! Protocol presets: CoHoRT and the paper's baselines as simulator
 //! configurations plus their analytical models.
 
-use serde::{Deserialize, Serialize};
-
 use cohort_analysis::{analyze_cohort, analyze_pcc, analyze_pendulum, CoreBound, PendulumParams};
 use cohort_sim::{ArbiterKind, DataPath, SimConfig};
 use cohort_trace::Workload;
@@ -17,7 +15,7 @@ use crate::SystemSpec;
 /// along; `ProtocolKind` is the `Copy` discriminant for that, with a
 /// stable human label and a filesystem/CLI-safe slug (mirroring
 /// `CritConfig::slug` in `cohort-bench`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ProtocolKind {
     /// CoHoRT: per-core timers under RROF.
     Cohort,
@@ -83,7 +81,7 @@ impl std::fmt::Display for ProtocolKind {
 /// Serializable so fleet job specs can carry a full protocol
 /// configuration (timers, criticality masks) across the submission wire,
 /// not just its [`ProtocolKind`] name.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Protocol {
     /// CoHoRT: per-core timers (θ = −1 ⇒ MSI), RROF arbitration, direct
     /// cache-to-cache hand-overs. Analysed with Eq. 1 + Eq. 2/3.

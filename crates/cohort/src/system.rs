@@ -1,7 +1,5 @@
 //! The mixed-criticality platform model (§II).
 
-use serde::{Deserialize, Serialize};
-
 use cohort_sim::{CacheGeometry, LlcModel};
 use cohort_types::{CoreId, Criticality, Cycles, Error, LatencyConfig, Mode, Requirements, Result};
 
@@ -11,7 +9,7 @@ use cohort_types::{CoreId, Criticality, Cycles, Error, LatencyConfig, Mode, Requ
 /// The paper does not constrain scheduling or task-to-core mapping; a core
 /// simply inherits the criticality of the task it currently runs, so the
 /// spec models the *mapped* state the coherence layer sees.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CoreSpec {
     criticality: Criticality,
     requirements: Requirements,
@@ -69,7 +67,7 @@ impl CoreSpec {
 /// assert!(spec.timed_mask(Mode::new(3)?) == vec![true, true, false, false]);
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SystemSpec {
     cores: Vec<CoreSpec>,
     latency: LatencyConfig,

@@ -7,11 +7,9 @@
 //! uninterrupted run — including the `evaluations`/`cache_hits` counters,
 //! which is why the memo travels with the snapshot.
 //!
-//! The JSON codec is routed through `serde_json::Value` explicitly (rather
-//! than derived serde impls) for two reasons: the offline stub harness can
-//! only serialize `Value`s, and the format must stay stable and
-//! hand-inspectable — a long LUT optimization's checkpoint may be moved
-//! between hosts mid-run. Non-finite fitness values (an infeasible-penalty
+//! The JSON codec is written by hand over `serde_json::Value` because the
+//! format must stay stable and hand-inspectable: a long LUT optimization's
+//! checkpoint may be moved between hosts mid-run. Non-finite fitness values (an infeasible-penalty
 //! fitness can legitimately return `+∞`) are encoded as the strings
 //! `"inf"`/`"-inf"`, since JSON numbers cannot represent them.
 

@@ -24,8 +24,6 @@ use std::collections::VecDeque;
 use std::hash::{BuildHasherDefault, Hasher};
 use std::ops::{Index, IndexMut};
 
-use serde::{Deserialize, Serialize};
-
 use cohort_types::{splitmix64, Cycles, LineAddr};
 
 /// Who supplies the data for the next transfer of a line.
@@ -49,7 +47,7 @@ impl Owner {
 }
 
 /// The coherence request a waiter issued.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ReqKind {
     /// Read request (load miss).
     GetS,

@@ -1,8 +1,6 @@
 //! Simulator configuration: cache geometry, LLC model, arbitration policy,
 //! data path and per-core coherence timers.
 
-use serde::{Deserialize, Serialize};
-
 use cohort_types::{Error, LatencyConfig, LineAddr, Result, TimerValue};
 
 /// Geometry of a set-associative cache.
@@ -19,7 +17,7 @@ use cohort_types::{Error, LatencyConfig, LineAddr, Result, TimerValue};
 /// assert_eq!(l1.sets(), 256);
 /// assert_eq!(l1.ways, 1);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct CacheGeometry {
     /// Total capacity in bytes.
     pub size_bytes: u64,
@@ -131,7 +129,7 @@ impl SetIndexer {
 /// to coherence interference"); footnote 1 reports that a non-perfect LLC
 /// with a fixed-latency main memory shows the same observations, which the
 /// [`LlcModel::Finite`] variant reproduces.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum LlcModel {
     /// Every LLC access hits; infinite capacity.
     Perfect,
@@ -149,7 +147,7 @@ impl LlcModel {
 }
 
 /// The stable-state repertoire of the snooping protocol backbone.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ProtocolFlavor {
     /// The paper's baseline: Modified / Shared / Invalid.
     Msi,
@@ -159,7 +157,7 @@ pub enum ProtocolFlavor {
 }
 
 /// How data moves between private caches on an ownership transfer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DataPath {
     /// Direct cache-to-cache transfer (CoHoRT, MSI, PENDULUM).
     CacheToCache,
@@ -170,7 +168,7 @@ pub enum DataPath {
 }
 
 /// The bus arbitration policy.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum ArbiterKind {
     /// Round-Robin Oldest-First (RROF, Mirosanlou et al., ECRTS 2022): cyclic order, but a core keeps its
     /// position until its *oldest* request is served (CoHoRT's arbiter).
@@ -210,7 +208,7 @@ pub enum ArbiterKind {
 /// assert!(config.timers()[2].is_msi());
 /// # Ok::<(), cohort_types::Error>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SimConfig {
     cores: usize,
     latency: LatencyConfig,

@@ -4,15 +4,13 @@
 
 use std::collections::VecDeque;
 
-use serde::{Deserialize, Serialize};
-
 use cohort_types::{Cycles, LineAddr, TimerValue};
 
 use crate::coherence::ReqKind;
 use crate::probe::SimProbe;
 
 /// Why a private-cache line was removed or demoted.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum InvalidateCause {
     /// Another core's GetM stole the line (after the timer released it).
     Stolen,
@@ -23,7 +21,7 @@ pub enum InvalidateCause {
 }
 
 /// One logged event.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum EventKind {
     /// An access hit in the private cache.
     Hit {
@@ -94,7 +92,7 @@ pub enum EventKind {
 }
 
 /// A cycle-stamped event.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Event {
     /// Cycle at which the event occurred.
     pub cycle: Cycles,

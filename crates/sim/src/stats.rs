@@ -1,7 +1,5 @@
 //! Measurement results of a simulation run.
 
-use serde::{Deserialize, Serialize};
-
 use cohort_types::{CoreId, Cycles};
 
 /// Per-core measurements.
@@ -10,7 +8,7 @@ use cohort_types::{CoreId, Cycles};
 /// of all per-access memory latencies (hit latency for hits, issue-to-fill
 /// for misses) — the solid bars of Figure 5. `worst_request` is the largest
 /// observed per-request latency, comparable against the Eq. 1 bound.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct CoreStats {
     /// Number of private-cache hits.
     pub hits: u64,
@@ -55,7 +53,7 @@ impl CoreStats {
 }
 
 /// Whole-run measurements.
-#[derive(Debug, Default, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Default, Clone, PartialEq, Eq)]
 pub struct SimStats {
     /// Per-core statistics, indexed by core.
     pub cores: Vec<CoreStats>,

@@ -2,7 +2,7 @@
 //!
 //! Two formats are provided:
 //!
-//! - **JSON** (via serde): human-readable, used for experiment manifests and
+//! - **JSON** (via `serde_json::Value`): human-readable, used for experiment manifests and
 //!   small scripted workloads checked into the repository;
 //! - **binary**: a compact little-endian framing for full-scale kernel
 //!   traces (an ocean trace at 2.5 M requests is ~32 MiB as JSON but
@@ -35,10 +35,8 @@ const VERSION: u16 = 1;
 
 /// Serializes a workload to pretty-printed JSON.
 ///
-/// The document is built as a [`serde_json::Value`] tree (rather than via
-/// the derived `Serialize` impls) so the encoder only depends on the
-/// value-level half of `serde_json` — the output matches the derive format
-/// exactly: `{"name", "traces": [{"ops": [{"line", "kind", "gap"}]}]}`.
+/// The document is built as a [`serde_json::Value`] tree:
+/// `{"name", "traces": [{"ops": [{"line", "kind", "gap"}]}]}`.
 ///
 /// # Errors
 ///
@@ -72,8 +70,7 @@ pub fn to_json(workload: &Workload) -> Result<String> {
         .map_err(|e| Error::Codec(e.to_string()))
 }
 
-/// Deserializes a workload from JSON (the format written by [`to_json`],
-/// identical to the derived serde representation).
+/// Deserializes a workload from JSON (the format written by [`to_json`]).
 ///
 /// # Errors
 ///

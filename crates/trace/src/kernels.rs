@@ -8,8 +8,6 @@
 //! request arrival process and the line-sharing pattern, both of which are
 //! parameterised here. Generation is fully deterministic given the seed.
 
-use serde::{Deserialize, Serialize};
-
 use cohort_types::{Cycles, LineAddr, SeedRng};
 
 use crate::{AccessKind, Trace, TraceOp, Workload};
@@ -31,7 +29,7 @@ const PRIVATE_STRIDE: u64 = 0x1_0000;
 /// assert_eq!(Kernel::Fft.name(), "fft");
 /// assert_eq!(Kernel::ALL.len(), 6);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Kernel {
     /// Butterfly all-to-all transpose exchange (fft).
     Fft,
@@ -122,7 +120,7 @@ impl core::str::FromStr for Kernel {
 /// assert_eq!(small.cores(), 4);
 /// assert_eq!(small.total_accesses(), 4_000);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct KernelSpec {
     kernel: Kernel,
     cores: usize,

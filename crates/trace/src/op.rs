@@ -1,7 +1,5 @@
 use core::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use cohort_types::{Cycles, LineAddr};
 
 /// Whether a memory access reads or writes its cache line.
@@ -18,7 +16,7 @@ use cohort_types::{Cycles, LineAddr};
 /// assert!(!AccessKind::Load.is_store());
 /// assert_eq!(AccessKind::Load.to_string(), "R");
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AccessKind {
     /// A read access.
     Load,
@@ -68,7 +66,7 @@ impl fmt::Display for AccessKind {
 /// assert!(op.kind.is_store());
 /// assert_eq!(op.gap.get(), 3);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct TraceOp {
     /// The cache line touched by the access.
     pub line: LineAddr,

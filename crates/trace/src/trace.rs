@@ -1,7 +1,5 @@
 use std::collections::HashSet;
 
-use serde::{Deserialize, Serialize};
-
 use cohort_types::{Cycles, FingerprintBuilder};
 
 use crate::{AccessKind, TraceOp};
@@ -25,7 +23,7 @@ use crate::{AccessKind, TraceOp};
 /// assert_eq!(stats.stores, 1);
 /// assert_eq!(stats.unique_lines, 1);
 /// ```
-#[derive(Debug, Default, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Default, Clone, PartialEq, Eq)]
 pub struct Trace {
     ops: Vec<TraceOp>,
 }
@@ -144,7 +142,7 @@ impl<'a> IntoIterator for &'a Trace {
 }
 
 /// Summary statistics of a [`Trace`].
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct TraceStats {
     /// Number of load operations.
     pub loads: u64,

@@ -1,5 +1,3 @@
-use serde::{Deserialize, Serialize};
-
 use cohort_types::{CoreId, Error, Result};
 
 use crate::Trace;
@@ -26,7 +24,7 @@ use crate::Trace;
 /// assert_eq!(w.trace(CoreId::new(1))?.len(), 1);
 /// # Ok::<(), cohort_types::Error>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Workload {
     name: String,
     traces: Vec<Trace>,

@@ -1,7 +1,5 @@
 use core::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::{Error, Result};
 
 /// A task's (or, transitively, a core's) criticality level `l`.
@@ -23,8 +21,7 @@ use crate::{Error, Result};
 /// assert_eq!(asil_d.level(), 4);
 /// # Ok::<(), cohort_types::Error>(())
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
-#[serde(transparent)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Criticality(u32);
 
 impl Criticality {
@@ -86,8 +83,7 @@ impl fmt::Display for Criticality {
 /// assert_eq!(m2.next().index(), 3);
 /// # Ok::<(), cohort_types::Error>(())
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
-#[serde(transparent)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Mode(u32);
 
 impl Mode {

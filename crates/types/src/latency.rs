@@ -1,5 +1,3 @@
-use serde::{Deserialize, Serialize};
-
 use crate::{Cycles, Error, Result, TimerValue};
 
 /// Latency parameters of the modelled memory hierarchy.
@@ -29,7 +27,7 @@ use crate::{Cycles, Error, Result, TimerValue};
 /// assert_eq!(custom.slot_width().get(), 48);
 /// # Ok::<(), cohort_types::Error>(())
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct LatencyConfig {
     /// Latency of a private-cache hit (`L^hit`).
     pub hit: Cycles,

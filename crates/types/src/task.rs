@@ -1,7 +1,5 @@
 use std::collections::BTreeMap;
 
-use serde::{Deserialize, Serialize};
-
 use crate::{Criticality, Cycles, Error, Mode, Result};
 
 /// Per-mode worst-case memory-latency requirements `Γ^m` of a task.
@@ -26,7 +24,7 @@ use crate::{Criticality, Cycles, Error, Mode, Result};
 /// assert_eq!(reqs.at(Mode::new(4)?), Some(Cycles::new(1_200_000)));
 /// # Ok::<(), cohort_types::Error>(())
 /// ```
-#[derive(Debug, Default, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Default, Clone, PartialEq, Eq)]
 pub struct Requirements {
     by_mode: BTreeMap<u32, Cycles>,
 }
@@ -88,7 +86,7 @@ impl Requirements {
 /// assert!(task.requirement_at(Mode::NORMAL).is_some());
 /// # Ok::<(), cohort_types::Error>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Task {
     name: String,
     criticality: Criticality,

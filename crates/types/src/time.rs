@@ -2,8 +2,6 @@ use core::fmt;
 use core::iter::Sum;
 use core::ops::{Add, AddAssign, Mul, Sub};
 
-use serde::{Deserialize, Serialize};
-
 /// A duration or instant measured in processor clock cycles.
 ///
 /// The simulator, the timing analysis and the optimization engine all agree
@@ -26,10 +24,7 @@ use serde::{Deserialize, Serialize};
 /// let total: Cycles = [slot, four_slots].into_iter().sum();
 /// assert_eq!(total.get(), 270);
 /// ```
-#[derive(
-    Debug, Default, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize,
-)]
-#[serde(transparent)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Cycles(u64);
 
 impl Cycles {

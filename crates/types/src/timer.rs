@@ -1,7 +1,5 @@
 use core::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::{Error, Result};
 
 /// The value of a core's coherence **timer threshold register** θ.
@@ -36,7 +34,7 @@ use crate::{Error, Result};
 /// assert_eq!(msi.to_string(), "-1");
 /// # Ok::<(), cohort_types::Error>(())
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum TimerValue {
     /// Time-based coherence with the given threshold θ (in cycles).
     Timed(u16),
