@@ -30,6 +30,10 @@ impl Error {
 /// Result alias matching the real crate's signature shape.
 pub type Result<T> = std::result::Result<T, Error>;
 
+/// Deepest array/object nesting the parser accepts, as in crates-io
+/// `serde_json`: deeper input is an error, not a stack overflow.
+const MAX_DEPTH: usize = 128;
+
 /// Serializes any [`serde::Serialize`] value to compact JSON text.
 ///
 /// # Errors
@@ -54,13 +58,15 @@ pub fn to_string_pretty<T: serde::Serialize + ?Sized>(value: &T) -> Result<Strin
 ///
 /// Fails on malformed JSON or on a value the target type cannot hold.
 pub fn from_str<T: serde::Deserialize>(s: &str) -> Result<T> {
-    let value = Parser { bytes: s.as_bytes(), pos: 0 }.parse_document()?;
+    let value = Parser { bytes: s.as_bytes(), pos: 0, depth: 0 }.parse_document()?;
     T::from_stub_value(&value).map_err(Error::new)
 }
 
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around the current position.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -113,8 +119,15 @@ impl Parser<'_> {
 
     fn parse_value(&mut self) -> Result<Value> {
         match self.peek()? {
-            b'{' => self.parse_object(),
-            b'[' => self.parse_array(),
+            open @ (b'{' | b'[') => {
+                if self.depth == MAX_DEPTH {
+                    return Err(Error::new(format!("recursion limit exceeded at byte {}", self.pos)));
+                }
+                self.depth += 1;
+                let value = if open == b'{' { self.parse_object() } else { self.parse_array() };
+                self.depth -= 1;
+                value
+            }
             b'"' => Ok(Value::String(self.parse_string()?)),
             b't' | b'f' | b'n' => {
                 if self.eat_keyword("true") {

@@ -1,13 +1,11 @@
 //! Property-based tests of the static analyses.
 
-use proptest::prelude::*;
+use cohort_prop::prelude::*;
 
 use cohort_analysis::{guaranteed_hits, theta_saturation, HitMissCounts};
-#[allow(unused_imports)] // used only inside proptest! (the offline stub expands to nothing)
 use cohort_analysis::{wcl_miss, wcml_snoop, wcml_timed};
 use cohort_sim::{CacheGeometry, SetAssocCache};
 use cohort_trace::{micro, AccessKind, Kernel, KernelSpec, Trace, TraceOp};
-#[allow(unused_imports)] // used only inside proptest! (the offline stub expands to nothing)
 use cohort_types::LatencyConfig;
 use cohort_types::{Cycles, Fingerprint, LineAddr, SeedRng, TimerValue};
 
@@ -72,8 +70,7 @@ fn random_trace(rng: &mut SeedRng, lines: u64) -> Trace {
 
 /// The flat kernel against the reference walk on seeded random traces:
 /// ways ∈ {1, 2, 4, 8}, power-of-two and other set counts, θ ∈ {MSI, 0,
-/// 1, random, MAX_THETA}, random hit latency and miss penalty. Runs
-/// offline, where the `proptest!` twin below is compiled out.
+/// 1, random, MAX_THETA}, random hit latency and miss penalty.
 #[test]
 fn flat_kernel_matches_the_reference_walk() {
     let mut rng = SeedRng::seed_from_u64(13);
@@ -107,8 +104,7 @@ fn flat_kernel_matches_the_reference_walk() {
 /// six kernels × 3 seeds plus `random_shared` and `line_bursts` micro
 /// traces, on 256×1, 64×4, 8×2 and a 5×3 (non-power-of-two) geometry, hit
 /// latencies 1–3, θ on a log grid up to `MAX_THETA` and
-/// `P ∈ {θ, θ + 1, θ + seeded offset ≤ 3000}`. A plain seeded loop, so it
-/// runs offline where `proptest!` is compiled out.
+/// `P ∈ {θ, θ + 1, θ + seeded offset ≤ 3000}`.
 #[test]
 fn burst_regime_matches_the_reference_walk() {
     let mut traces: Vec<Trace> = Vec::new();
@@ -194,7 +190,6 @@ fn paper_kernel_hit_counts_match_the_golden_digest() {
     assert_eq!(digest.finish().to_hex(), "c891985942d9fab4e3d13e31d4a4d01f");
 }
 
-#[allow(dead_code)] // used only inside proptest! (the offline stub expands to nothing)
 fn trace_strategy() -> impl Strategy<Value = Trace> {
     let op = (0u64..600, any::<bool>(), 0u64..30).prop_map(|(line, store, gap)| {
         TraceOp::new(
@@ -203,12 +198,11 @@ fn trace_strategy() -> impl Strategy<Value = Trace> {
             Cycles::new(gap),
         )
     });
-    proptest::collection::vec(op, 0..150).prop_map(Trace::from_ops)
+    collection::vec(op, 0..150).prop_map(Trace::from_ops)
 }
 
-#[allow(dead_code)] // used only inside proptest! (the offline stub expands to nothing)
 fn timers_strategy() -> impl Strategy<Value = Vec<TimerValue>> {
-    proptest::collection::vec(
+    collection::vec(
         prop_oneof![
             Just(TimerValue::MSI),
             (0u64..=400).prop_map(|t| TimerValue::timed(t).unwrap()),
@@ -217,7 +211,7 @@ fn timers_strategy() -> impl Strategy<Value = Vec<TimerValue>> {
     )
 }
 
-proptest! {
+properties! {
     /// The flat kernel agrees with the reference walk on random traces,
     /// geometries (non-power-of-two set counts included), timers and
     /// latencies.
@@ -238,7 +232,7 @@ proptest! {
     ) {
         let geom = geometry(sets, ways);
         let (hit, penalty) = (Cycles::new(hit), Cycles::new(penalty));
-        prop_assert_eq!(
+        assert_eq!(
             guaranteed_hits(&trace, timer, &geom, hit, penalty),
             reference_hits(&trace, timer, &geom, hit, penalty)
         );
@@ -258,8 +252,8 @@ proptest! {
                 Cycles::new(1),
                 Cycles::new(penalty),
             );
-            prop_assert!(counts.hits >= previous, "θ={theta}: {} < {previous}", counts.hits);
-            prop_assert_eq!(counts.total(), trace.len() as u64);
+            assert!(counts.hits >= previous, "θ={theta}: {} < {previous}", counts.hits);
+            assert_eq!(counts.total(), trace.len() as u64);
             previous = counts.hits;
         }
     }
@@ -274,7 +268,7 @@ proptest! {
         for penalty in [54u64, 108, 216, 432, 1000] {
             let hits =
                 guaranteed_hits(&trace, t, &l1, Cycles::new(1), Cycles::new(penalty)).hits;
-            prop_assert!(hits <= previous);
+            assert!(hits <= previous);
             previous = hits;
         }
     }
@@ -287,15 +281,15 @@ proptest! {
         let l1 = CacheGeometry::paper_l1();
         let penalty = Cycles::new(54);
         let sat = theta_saturation(&trace, &l1, Cycles::new(1), penalty);
-        prop_assert!((1..=TimerValue::MAX_THETA).contains(&sat));
+        assert!((1..=TimerValue::MAX_THETA).contains(&sat));
         let at = |t: u64| {
             guaranteed_hits(&trace, TimerValue::timed(t).unwrap(), &l1, Cycles::new(1), penalty)
                 .hits
         };
         let saturated = at(TimerValue::MAX_THETA);
-        prop_assert_eq!(at(sat), saturated);
+        assert_eq!(at(sat), saturated);
         if sat > 1 {
-            prop_assert!(at(sat - 1) < saturated, "θ_sat {sat} is not minimal");
+            assert!(at(sat - 1) < saturated, "θ_sat {sat} is not minimal");
         }
     }
 
@@ -315,7 +309,7 @@ proptest! {
                 .filter(|&(j, t)| j != core && t.is_timed())
                 .map(|(_, t)| t.theta().unwrap() + sw)
                 .sum::<u64>();
-        prop_assert_eq!(wcl_miss(core, &timers, &lat).get(), expected);
+        assert_eq!(wcl_miss(core, &timers, &lat).get(), expected);
     }
 
     /// Eq. 2 with zero hits equals Eq. 3; hits only ever tighten it.
@@ -324,7 +318,7 @@ proptest! {
         let wcl = Cycles::new(wcl);
         let timed = wcml_timed(hits, misses, Cycles::new(1), wcl);
         let snoop = wcml_snoop(hits + misses, wcl);
-        prop_assert!(timed <= snoop);
-        prop_assert_eq!(wcml_timed(0, misses, Cycles::new(1), wcl), wcml_snoop(misses, wcl));
+        assert!(timed <= snoop);
+        assert_eq!(wcml_timed(0, misses, Cycles::new(1), wcl), wcml_snoop(misses, wcl));
     }
 }

@@ -3,19 +3,21 @@
 //! must actually hit. These are the properties Figure 5's "experimental
 //! under analytical" T-bars rest on.
 
-use proptest::prelude::*;
+use cohort_prop::prelude::*;
 
+use cohort_analysis::{
+    analyze_cohort, analyze_pcc, analyze_pendulum, wcl_pendulum, PendulumParams,
+};
+use cohort_sim::{ArbiterKind, DataPath, SimBuilder, SimConfig};
 use cohort_trace::{AccessKind, Trace, TraceOp, Workload};
-use cohort_types::{Cycles, LineAddr, TimerValue};
+use cohort_types::{Cycles, LatencyConfig, LineAddr, TimerValue};
 
-#[allow(dead_code)] // used only inside proptest! (the offline stub expands to nothing)
 fn timed(theta: u64) -> TimerValue {
     TimerValue::timed(theta).unwrap()
 }
 
 /// Random small workloads with burst-shaped reuse so that guaranteed hits
 /// actually occur (pure random traces rarely re-touch a line in time).
-#[allow(dead_code)] // used only inside proptest! (the offline stub expands to nothing)
 fn workload_strategy(cores: usize) -> impl Strategy<Value = Workload> {
     let burst =
         (0u64..16, any::<bool>(), 1usize..5, 0u64..6).prop_map(|(line, store, extra, gap)| {
@@ -29,30 +31,24 @@ fn workload_strategy(cores: usize) -> impl Strategy<Value = Workload> {
             }
             ops
         });
-    proptest::collection::vec(proptest::collection::vec(burst, 1..25), cores..=cores).prop_map(
-        |traces| {
-            Workload::new(
-                "bursts",
-                traces
-                    .into_iter()
-                    .map(|bursts| bursts.into_iter().flatten().collect::<Trace>())
-                    .collect(),
-            )
-            .expect("non-empty")
-        },
-    )
+    collection::vec(collection::vec(burst, 1..25), cores..=cores).prop_map(|traces| {
+        Workload::new(
+            "bursts",
+            traces
+                .into_iter()
+                .map(|bursts| bursts.into_iter().flatten().collect::<Trace>())
+                .collect(),
+        )
+        .expect("non-empty")
+    })
 }
 
-#[allow(dead_code)] // used only inside proptest! (the offline stub expands to nothing)
 fn timers_strategy(cores: usize) -> impl Strategy<Value = Vec<TimerValue>> {
-    proptest::collection::vec(
-        prop_oneof![Just(TimerValue::MSI), (1u64..=200).prop_map(timed)],
-        cores..=cores,
-    )
+    collection::vec(prop_oneof![Just(TimerValue::MSI), (1u64..=200).prop_map(timed)], cores..=cores)
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
+properties! {
+    #![cases(48)]
 
     /// CoHoRT: measured per-request latency ≤ Eq. 1; measured total memory
     /// latency ≤ WCML bound; measured hits ≥ guaranteed hits.
@@ -67,17 +63,17 @@ proptest! {
         let stats = SimBuilder::new(config, &workload).build().expect("sim").run().expect("ok");
         let bounds = analyze_cohort(&workload, &timers, &lat, &l1, &cohort_sim::LlcModel::Perfect).expect("analysis");
         for (i, (core, bound)) in stats.cores.iter().zip(&bounds).enumerate() {
-            prop_assert!(
+            assert!(
                 core.worst_request <= bound.wcl.expect("cohort bounds all cores"),
                 "core {i}: request {} > WCL {}",
                 core.worst_request, bound.wcl.unwrap()
             );
-            prop_assert!(
+            assert!(
                 core.total_latency <= bound.wcml.unwrap(),
                 "core {i}: measured WCML {} > bound {} (timers {:?})",
                 core.total_latency, bound.wcml.unwrap(), timers
             );
-            prop_assert!(
+            assert!(
                 core.hits >= bound.hits,
                 "core {i}: measured hits {} < guaranteed {}",
                 core.hits, bound.hits
@@ -96,12 +92,12 @@ proptest! {
         let stats = SimBuilder::new(config, &workload).build().expect("sim").run().expect("ok");
         let bounds = analyze_pcc(&workload, &lat);
         for (i, (core, bound)) in stats.cores.iter().zip(&bounds).enumerate() {
-            prop_assert!(
+            assert!(
                 core.worst_request <= bound.wcl.unwrap(),
                 "core {i}: request {} > PCC WCL {}",
                 core.worst_request, bound.wcl.unwrap()
             );
-            prop_assert!(core.total_latency <= bound.wcml.unwrap());
+            assert!(core.total_latency <= bound.wcml.unwrap());
         }
     }
 
@@ -128,15 +124,15 @@ proptest! {
         let wcl = wcl_pendulum(n_cr, 4 - n_cr, theta, &lat);
         for (i, (core, bound)) in stats.cores.iter().zip(&bounds).enumerate() {
             if critical[i] {
-                prop_assert!(
+                assert!(
                     core.worst_request <= wcl,
                     "Cr core {i}: request {} > PENDULUM WCL {} (n_cr={n_cr}, θ={theta})",
                     core.worst_request, wcl
                 );
-                prop_assert!(core.total_latency <= bound.wcml.unwrap());
+                assert!(core.total_latency <= bound.wcml.unwrap());
             } else {
-                prop_assert!(bound.wcml.is_none());
-                prop_assert_eq!(
+                assert!(bound.wcml.is_none());
+                assert_eq!(
                     core.accesses(),
                     workload.traces()[i].len() as u64,
                     "nCr cores still complete"

@@ -4,8 +4,7 @@
 //! and parses them back on every memo hit, so a damaged entry reaches
 //! `from_json` as outside input: it must come back as a typed error, never
 //! a panic, and re-encoding whatever the parse accepted must not panic
-//! either. This is a seeded plain `#[test]` loop rather than a `proptest!`
-//! so it also runs under the offline stub harness.
+//! either. This is a seeded plain `#[test]` loop.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 

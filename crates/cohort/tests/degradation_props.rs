@@ -19,28 +19,25 @@
 //! per-core/machine attribution partitions the conviction total, and no
 //! coreless violation ever increments a per-core count.
 
-use proptest::prelude::*;
+use cohort_prop::prelude::*;
 
 use cohort::{run_with_watchdog, DegradationReport, ModeSwitchLut, WatchdogPolicy};
 use cohort_sim::{FaultKind, FaultPlan, FaultSpec, SimConfig};
 use cohort_trace::{Trace, TraceOp, Workload};
 use cohort_types::{Cycles, TimerValue};
 
-#[allow(dead_code)] // used only inside proptest! (the offline stub expands to nothing)
 fn timed(theta: u64) -> TimerValue {
     TimerValue::timed(theta).expect("θ fits in 16 bits")
 }
 
 /// Both cores hammer the same line — the contention pattern that makes
 /// per-core latency convictions possible at all.
-#[allow(dead_code)] // used only inside proptest! (the offline stub expands to nothing)
 fn contended_workload(ops: usize, gap: u64) -> Workload {
     let trace =
         || Trace::from_ops((0..ops).map(|_| TraceOp::store(1).after(gap)).collect::<Vec<_>>());
     Workload::new("prop-degradation", vec![trace(), trace()]).expect("two traces")
 }
 
-#[allow(dead_code)] // used only inside proptest! (the offline stub expands to nothing)
 fn lut() -> ModeSwitchLut {
     ModeSwitchLut::new(vec![vec![timed(50), timed(50)], vec![timed(50), TimerValue::MSI]])
         .expect("valid LUT")
@@ -49,7 +46,6 @@ fn lut() -> ModeSwitchLut {
 /// One arbitrary fault: per-core timing corruption (`ignore-timer-protection`
 /// / `drop-timer-expiry` analogues) or coreless coherence corruption
 /// (`skip-invalidation` / `skip-evict-writeback` analogues).
-#[allow(dead_code)] // used only inside proptest! (the offline stub expands to nothing)
 fn fault_strategy() -> impl Strategy<Value = FaultSpec> {
     let kind = prop_oneof![
         (5_000u64..=30_000).prop_map(|t| FaultKind::TimerCorruption {
@@ -66,7 +62,6 @@ fn fault_strategy() -> impl Strategy<Value = FaultSpec> {
     })
 }
 
-#[allow(dead_code)] // used only inside proptest! (the offline stub expands to nothing)
 fn run(faults: &[FaultSpec]) -> DegradationReport {
     let config = SimConfig::builder(2).timers(vec![timed(50); 2]).build().expect("valid config");
     run_with_watchdog(
@@ -79,18 +74,18 @@ fn run(faults: &[FaultSpec]) -> DegradationReport {
     .expect("watchdog run completes")
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(12))]
+properties! {
+    #![cases(12)]
 
     /// Same faults in, same report out — struct-equal and JSON-equal.
     #[test]
-    fn report_is_deterministic(faults in proptest::collection::vec(fault_strategy(), 1..4)) {
+    fn report_is_deterministic(faults in collection::vec(fault_strategy(), 1..4)) {
         let a = run(&faults);
         let b = run(&faults);
-        prop_assert_eq!(&a, &b);
+        assert_eq!(&a, &b);
         let ja = serde_json::to_string_pretty(&a.to_json()).expect("serialize");
         let jb = serde_json::to_string_pretty(&b.to_json()).expect("serialize");
-        prop_assert_eq!(ja, jb);
+        assert_eq!(ja, jb);
     }
 
     /// Attribution partitions the convictions: per-core counts carry
@@ -98,19 +93,19 @@ proptest! {
     /// machine bucket exactly the coreless ones (coherence sweeps here).
     #[test]
     fn attribution_partitions_convictions(
-        faults in proptest::collection::vec(fault_strategy(), 1..4),
+        faults in collection::vec(fault_strategy(), 1..4),
     ) {
         let report = run(&faults);
-        prop_assert_eq!(report.core_violations.len(), 2);
-        prop_assert_eq!(
+        assert_eq!(report.core_violations.len(), 2);
+        assert_eq!(
             report.core_violations.iter().sum::<u64>() + report.machine_violations,
             report.violations_total(),
         );
         // In this campaign family progress checking is off and coherence
         // convictions are always coreless, so the partition is exact by
         // kind as well.
-        prop_assert_eq!(report.machine_violations, report.coherence_violations);
-        prop_assert_eq!(
+        assert_eq!(report.machine_violations, report.coherence_violations);
+        assert_eq!(
             report.core_violations.iter().sum::<u64>(),
             report.latency_violations + report.progress_violations,
         );
@@ -118,11 +113,11 @@ proptest! {
         // coreless conviction is accounted for by the machine bucket.
         let recorded_coreless =
             report.violations.iter().filter(|v| v.core.is_none()).count() as u64;
-        prop_assert!(report.machine_violations >= recorded_coreless);
+        assert!(report.machine_violations >= recorded_coreless);
         // And every escalation names a real core or no core at all.
         for s in &report.switches {
             if let Some(c) = s.trigger {
-                prop_assert!(c < 2, "trigger core {} out of range", c);
+                assert!(c < 2, "trigger core {c} out of range");
             }
         }
     }

@@ -1,18 +1,17 @@
 //! Property-based tests of the GA engine and the timer problem.
 //!
-//! The proptest blocks run under the real `proptest` crate (CI); the plain
-//! `#[test]` functions below them cover the same invariants at fixed seeds
-//! so they also execute under the offline stub harness, where `proptest!`
-//! expands to nothing.
+//! The properties run on the in-tree `cohort-prop` runner; the plain
+//! `#[test]` functions below them pin the same invariants at hand-picked
+//! seeds, worker counts and cut points.
 
-use proptest::prelude::*;
+use cohort_prop::prelude::*;
 
 use cohort_optim::{
     GaCheckpoint, GaConfig, GaObserver, GenerationReport, GeneticAlgorithm, SearchSpace,
     TimerProblem,
 };
 use cohort_trace::micro;
-use cohort_types::Cycles;
+use cohort_types::{Cycles, Error};
 use std::sync::Mutex;
 
 fn small_config() -> GaConfig {
@@ -78,30 +77,40 @@ fn assert_resume_matches_uninterrupted(seed: u64, cut_after: usize, workers: usi
     assert_eq!(resumed, full, "seed {seed}, cut after generation {cut_after}");
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(32))]
+/// A valid `cohort-ga-checkpoint/1` document: generation 2 of a small run.
+fn checkpoint_doc() -> String {
+    let space = SearchSpace::new(vec![(1, 9_999); 3]);
+    let snap = SnapshotAt::new(2);
+    GeneticAlgorithm::new(space, small_config())
+        .run_observed(&[], &snap, |genes| genes.iter().map(|&g| g as f64).sum())
+        .unwrap();
+    snap.take().expect("generation 2 ran").to_json()
+}
+
+properties! {
+    #![cases(32)]
 
     /// The GA never emits a chromosome outside the search space, and the
     /// convergence history is monotone non-increasing (elitism).
     #[test]
     fn ga_respects_bounds_and_monotonicity(
-        bounds in proptest::collection::vec((1u64..100, 0u64..5_000), 1..5),
+        bounds in collection::vec((1u64..100, 0u64..5_000), 1..5),
         seed in any::<u64>(),
     ) {
         let bounds: Vec<(u64, u64)> = bounds.into_iter().map(|(lo, span)| (lo, lo + span)).collect();
         let space = SearchSpace::new(bounds.clone());
         let ga = GeneticAlgorithm::new(space.clone(), GaConfig { seed, ..small_config() });
         let outcome = ga.run(|genes| genes.iter().map(|&g| g as f64).sum());
-        prop_assert!(space.contains(&outcome.best));
+        assert!(space.contains(&outcome.best));
         for w in outcome.history.windows(2) {
-            prop_assert!(w[1] <= w[0] + 1e-9);
+            assert!(w[1] <= w[0] + 1e-9);
         }
         // The optimum of a monotone objective is the all-low corner; the GA
         // must at least not do worse than a random guess bound.
         let low: f64 = bounds.iter().map(|&(lo, _)| lo as f64).sum();
         let high: f64 = bounds.iter().map(|&(_, hi)| hi as f64).sum();
-        prop_assert!(outcome.best_fitness >= low - 1e-9);
-        prop_assert!(outcome.best_fitness <= high + 1e-9);
+        assert!(outcome.best_fitness >= low - 1e-9);
+        assert!(outcome.best_fitness <= high + 1e-9);
     }
 
     /// Log-scale spaces also respect bounds for extreme ranges.
@@ -110,7 +119,7 @@ proptest! {
         let space = SearchSpace::logarithmic(vec![(1, hi.max(1)); 3]);
         let ga = GeneticAlgorithm::new(space.clone(), GaConfig { seed, ..small_config() });
         let outcome = ga.run(|genes| genes.iter().map(|&g| g as f64).sum());
-        prop_assert!(space.contains(&outcome.best));
+        assert!(space.contains(&outcome.best));
     }
 
     /// Identical (problem, config) pairs give identical outcomes.
@@ -121,7 +130,7 @@ proptest! {
         let f = |genes: &[u64]| genes.iter().map(|&g| (g as f64 - 500.0).abs()).sum();
         let a = GeneticAlgorithm::new(space.clone(), config.clone()).run(f);
         let b = GeneticAlgorithm::new(space, config).run(f);
-        prop_assert_eq!(a, b);
+        assert_eq!(a, b);
     }
 
     /// Parallel evaluation is bit-identical to serial for any seed and any
@@ -150,7 +159,7 @@ proptest! {
     /// A feasible seed never makes the outcome infeasible: fitness of the
     /// GA's best is ≤ the seed's fitness (elitism preserves it).
     #[test]
-    fn seeding_never_hurts(seed_genes in proptest::collection::vec(1u64..40, 2)) {
+    fn seeding_never_hurts(seed_genes in collection::vec(1u64..40, 2)) {
         let workload = micro::line_bursts(2, 4, 40);
         let problem = TimerProblem::builder(&workload)
             .timed(0, Some(Cycles::new(1_000_000)))
@@ -166,12 +175,12 @@ proptest! {
         let space = problem.search_space();
         let ga = GeneticAlgorithm::new(space, small_config());
         let outcome = ga.run_seeded(&[clamped], |g| problem.fitness(g)).unwrap();
-        prop_assert!(outcome.best_fitness <= seed_fitness + 1e-9);
+        assert!(outcome.best_fitness <= seed_fitness + 1e-9);
     }
 
     /// The timer-problem fitness is a pure function of the genes.
     #[test]
-    fn fitness_is_pure(genes in proptest::collection::vec(1u64..64, 2)) {
+    fn fitness_is_pure(genes in collection::vec(1u64..64, 2)) {
         let workload = micro::line_bursts(2, 3, 30);
         let problem =
             TimerProblem::builder(&workload).timed(0, None).timed(1, None).build().unwrap();
@@ -180,13 +189,32 @@ proptest! {
             .zip(problem.theta_saturations())
             .map(|(&g, &sat)| g.min(sat))
             .collect();
-        prop_assert_eq!(problem.fitness(&clamped), problem.fitness(&clamped));
+        assert_eq!(problem.fitness(&clamped), problem.fitness(&clamped));
+    }
+}
+
+properties! {
+    /// A damaged checkpoint decodes to a typed error or to a checkpoint
+    /// that re-encodes; it never panics.
+    #[test]
+    fn damaged_checkpoints_never_panic(text in json_mutations(&checkpoint_doc())) {
+        if let Ok(checkpoint) = GaCheckpoint::from_json(&text) {
+            let _ = checkpoint.to_json();
+        }
+    }
+}
+
+/// Nesting past the parser's depth cap is a typed error, not a stack
+/// overflow that aborts the process.
+#[test]
+fn deeply_nested_checkpoint_json_is_a_codec_error() {
+    for text in ["[".repeat(10_000), "[".repeat(10_000) + &"]".repeat(10_000)] {
+        assert!(matches!(GaCheckpoint::from_json(&text), Err(Error::Codec(_))));
     }
 }
 
 // ---------------------------------------------------------------------------
-// Fixed-seed variants: the same invariants, runnable under the offline stub
-// harness (where `proptest!` swallows its body).
+// Fixed-seed variants: the same invariants at hand-picked corners.
 // ---------------------------------------------------------------------------
 
 #[test]

@@ -14,7 +14,7 @@
 //! 3. **Determinism** — the same seeded campaign injects the same faults and
 //!    produces the same run, twice.
 
-use proptest::prelude::*;
+use cohort_prop::prelude::*;
 
 use cohort_sim::{
     CacheGeometry, EventLogProbe, FaultKind, FaultPlan, FaultSpec, InvariantKind, InvariantProbe,
@@ -95,8 +95,8 @@ fn empty_plan_is_bit_identical_on_mesi_finite_llc_preset() {
     assert_empty_plan_identity(config, &micro::ping_pong(2, 10));
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(16))]
+properties! {
+    #![cases(16)]
 
     /// The bit-identity contract holds on arbitrary shared-line workloads.
     #[test]

@@ -2,18 +2,15 @@
 //! invariants, account every access and bound every request latency on
 //! arbitrary workloads and timer assignments.
 
-use proptest::prelude::*;
+use cohort_prop::prelude::*;
 
 use cohort_sim::ArbiterKind;
-#[allow(unused_imports)] // used only inside proptest! (the offline stub expands to nothing)
 use cohort_sim::{DataPath, SimBuilder, SimConfig};
-use cohort_trace::{AccessKind, Trace, TraceOp, Workload};
-#[allow(unused_imports)] // used only inside proptest! (the offline stub expands to nothing)
+use cohort_trace::{micro, AccessKind, Trace, TraceOp, Workload};
 use cohort_types::wcl_miss;
 use cohort_types::{Cycles, LineAddr, TimerValue};
 
 /// An arbitrary timer value: MSI or a small θ.
-#[allow(dead_code)] // used only inside proptest! (the offline stub expands to nothing)
 fn timer_strategy() -> impl Strategy<Value = TimerValue> {
     prop_oneof![
         Just(TimerValue::MSI),
@@ -22,7 +19,6 @@ fn timer_strategy() -> impl Strategy<Value = TimerValue> {
 }
 
 /// An arbitrary small workload over a handful of lines (dense sharing).
-#[allow(dead_code)] // used only inside proptest! (the offline stub expands to nothing)
 fn workload_strategy(cores: usize) -> impl Strategy<Value = Workload> {
     let op = (0u64..12, any::<bool>(), 0u64..8).prop_map(|(line, store, gap)| {
         TraceOp::new(
@@ -31,21 +27,17 @@ fn workload_strategy(cores: usize) -> impl Strategy<Value = Workload> {
             Cycles::new(gap),
         )
     });
-    proptest::collection::vec(proptest::collection::vec(op, 1..60), cores..=cores).prop_map(
-        |traces| {
-            Workload::new("prop", traces.into_iter().map(Trace::from_ops).collect())
-                .expect("non-empty")
-        },
-    )
+    collection::vec(collection::vec(op, 1..60), cores..=cores).prop_map(|traces| {
+        Workload::new("prop", traces.into_iter().map(Trace::from_ops).collect()).expect("non-empty")
+    })
 }
 
-#[allow(dead_code)] // used only inside proptest! (the offline stub expands to nothing)
 fn arbiter_strategy(cores: usize) -> impl Strategy<Value = ArbiterKind> {
     prop_oneof![
         Just(ArbiterKind::Rrof),
         Just(ArbiterKind::RoundRobin),
         Just(ArbiterKind::Fcfs),
-        proptest::collection::vec(any::<bool>(), cores..=cores).prop_map(|mut mask| {
+        collection::vec(any::<bool>(), cores..=cores).prop_map(|mut mask| {
             if !mask.iter().any(|&b| b) {
                 mask[0] = true;
             }
@@ -54,15 +46,15 @@ fn arbiter_strategy(cores: usize) -> impl Strategy<Value = ArbiterKind> {
     ]
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
+properties! {
+    #![cases(64)]
 
     /// Every run terminates, accounts every access, and ends in a state
     /// satisfying the coherence invariants (SWMR, bookkeeping agreement).
     #[test]
     fn runs_terminate_and_account_everything(
         workload in workload_strategy(3),
-        timers in proptest::collection::vec(timer_strategy(), 3),
+        timers in collection::vec(timer_strategy(), 3),
         arbiter in arbiter_strategy(3),
         via_llc in any::<bool>(),
     ) {
@@ -76,8 +68,8 @@ proptest! {
         let stats = sim.run().expect("no deadlock");
         sim.validate_coherence().expect("invariants hold");
         for (core, trace) in stats.cores.iter().zip(workload.traces()) {
-            prop_assert_eq!(core.accesses(), trace.len() as u64);
-            prop_assert!(core.finish <= stats.cycles);
+            assert_eq!(core.accesses(), trace.len() as u64);
+            assert!(core.finish <= stats.cycles);
         }
     }
 
@@ -86,7 +78,7 @@ proptest! {
     #[test]
     fn request_latency_bounded_by_eq1(
         workload in workload_strategy(4),
-        timers in proptest::collection::vec(timer_strategy(), 4),
+        timers in collection::vec(timer_strategy(), 4),
     ) {
         let config = SimConfig::builder(4).timers(timers.clone()).build().expect("valid");
         let latency = *config.latency();
@@ -94,7 +86,7 @@ proptest! {
         let stats = sim.run().expect("no deadlock");
         for i in 0..4 {
             let bound = wcl_miss(i, &timers, &latency).get();
-            prop_assert!(
+            assert!(
                 stats.cores[i].worst_request.get() <= bound,
                 "core {} observed {} > bound {} (timers {:?})",
                 i, stats.cores[i].worst_request.get(), bound, timers
@@ -106,12 +98,12 @@ proptest! {
     #[test]
     fn simulation_is_deterministic(
         workload in workload_strategy(2),
-        timers in proptest::collection::vec(timer_strategy(), 2),
+        timers in collection::vec(timer_strategy(), 2),
     ) {
         let config = SimConfig::builder(2).timers(timers).build().expect("valid");
         let a = SimBuilder::new(config.clone(), &workload).build().expect("sim").run().expect("ok");
         let b = SimBuilder::new(config, &workload).build().expect("sim").run().expect("ok");
-        prop_assert_eq!(a, b);
+        assert_eq!(a, b);
     }
 
     /// Timer switches mid-run never break termination or invariants.
@@ -132,7 +124,7 @@ proptest! {
         let stats = sim.run().expect("no deadlock");
         sim.validate_coherence().expect("invariants hold");
         for core in &stats.cores {
-            prop_assert_eq!(core.accesses(), rounds as u64);
+            assert_eq!(core.accesses(), rounds as u64);
         }
     }
 
@@ -156,6 +148,6 @@ proptest! {
             let mut sim = SimBuilder::new(config, &workload).build().expect("sim");
             sim.run().expect("ok").cores[0].hits
         };
-        prop_assert!(run(small + extra) >= run(small));
+        assert!(run(small + extra) >= run(small));
     }
 }
