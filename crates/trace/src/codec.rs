@@ -2,11 +2,12 @@
 //!
 //! Two formats are provided:
 //!
-//! - **JSON** (via `serde_json::Value`): human-readable, used for experiment manifests and
-//!   small scripted workloads checked into the repository;
+//! - **JSON** (via `serde_json::Value`): human-readable, used for
+//!   experiment manifests and small scripted workloads checked into the
+//!   repository;
 //! - **binary**: a compact little-endian framing for full-scale kernel
 //!   traces (an ocean trace at 2.5 M requests is ~32 MiB as JSON but
-//!   ~13 bytes/op here), built on the [`bytes`] crate.
+//!   ~13 bytes/op here), written to a `Vec<u8>` and read from a slice.
 //!
 //! # Examples
 //!
@@ -21,8 +22,6 @@
 //! assert_eq!(codec::from_binary(&bin)?, w);
 //! # Ok::<(), cohort_types::Error>(())
 //! ```
-
-use bytes::{Buf, BufMut, Bytes, BytesMut};
 
 use cohort_types::{Cycles, Error, LineAddr, Result};
 
@@ -123,29 +122,28 @@ pub fn from_json(json: &str) -> Result<Workload> {
 /// a name longer than 65 535 bytes, or a compute gap that does not fit the
 /// 32-bit on-disk field (the round-trip guarantee would otherwise be
 /// silently broken).
-pub fn to_binary(workload: &Workload) -> Result<Bytes> {
+pub fn to_binary(workload: &Workload) -> Result<Vec<u8>> {
     let name = workload.name().as_bytes();
     let name_len = u16::try_from(name.len())
         .map_err(|_| Error::Codec(format!("workload name is {} bytes, max 65535", name.len())))?;
-    let mut buf =
-        BytesMut::with_capacity(16 + name.len() + workload.total_accesses() as usize * 13);
-    buf.put_slice(MAGIC);
-    buf.put_u16_le(VERSION);
-    buf.put_u16_le(name_len);
-    buf.put_slice(name);
-    buf.put_u32_le(workload.cores() as u32);
+    let mut buf = Vec::with_capacity(16 + name.len() + workload.total_accesses() as usize * 13);
+    buf.extend_from_slice(MAGIC);
+    buf.extend_from_slice(&VERSION.to_le_bytes());
+    buf.extend_from_slice(&name_len.to_le_bytes());
+    buf.extend_from_slice(name);
+    buf.extend_from_slice(&(workload.cores() as u32).to_le_bytes());
     for trace in workload.traces() {
-        buf.put_u64_le(trace.len() as u64);
+        buf.extend_from_slice(&(trace.len() as u64).to_le_bytes());
         for op in trace {
             let gap = u32::try_from(op.gap.get()).map_err(|_| {
                 Error::Codec(format!("compute gap {} exceeds the 32-bit field", op.gap.get()))
             })?;
-            buf.put_u64_le(op.line.raw());
-            buf.put_u8(u8::from(op.kind.is_store()));
-            buf.put_u32_le(gap);
+            buf.extend_from_slice(&op.line.raw().to_le_bytes());
+            buf.push(u8::from(op.kind.is_store()));
+            buf.extend_from_slice(&gap.to_le_bytes());
         }
     }
-    Ok(buf.freeze())
+    Ok(buf)
 }
 
 /// Deserializes a workload from the compact binary format.
@@ -155,48 +153,46 @@ pub fn to_binary(workload: &Workload) -> Result<Bytes> {
 /// Returns [`Error::Codec`] on truncated input, an unknown magic/version, or
 /// a corrupt access-kind byte.
 pub fn from_binary(mut buf: &[u8]) -> Result<Workload> {
-    fn need(buf: &[u8], n: usize, what: &str) -> Result<()> {
-        if buf.remaining() < n {
-            return Err(Error::Codec(format!("truncated input while reading {what}")));
-        }
-        Ok(())
+    /// Splits the first `n` bytes off `buf`.
+    fn take<'a>(buf: &mut &'a [u8], n: usize, what: &str) -> Result<&'a [u8]> {
+        let (head, rest) = buf
+            .split_at_checked(n)
+            .ok_or_else(|| Error::Codec(format!("truncated input while reading {what}")))?;
+        *buf = rest;
+        Ok(head)
+    }
+    /// Splits off one little-endian field of `N` bytes.
+    fn field<const N: usize>(buf: &mut &[u8], what: &str) -> Result<[u8; N]> {
+        Ok(take(buf, N, what)?.try_into().expect("take returns N bytes"))
     }
 
-    need(buf, 6, "header")?;
-    let mut magic = [0u8; 4];
-    buf.copy_to_slice(&mut magic);
-    if &magic != MAGIC {
+    if take(&mut buf, 4, "header")? != MAGIC {
         return Err(Error::Codec("bad magic bytes, not a CoHoRT trace file".into()));
     }
-    let version = buf.get_u16_le();
+    let version = u16::from_le_bytes(field(&mut buf, "header")?);
     if version != VERSION {
         return Err(Error::Codec(format!("unsupported trace format version {version}")));
     }
-    need(buf, 2, "name length")?;
-    let name_len = buf.get_u16_le() as usize;
-    need(buf, name_len, "name")?;
-    let name = String::from_utf8(buf[..name_len].to_vec())
+    let name_len = u16::from_le_bytes(field(&mut buf, "name length")?) as usize;
+    let name = String::from_utf8(take(&mut buf, name_len, "name")?.to_vec())
         .map_err(|e| Error::Codec(format!("workload name is not utf-8: {e}")))?;
-    buf.advance(name_len);
-    need(buf, 4, "core count")?;
-    let cores = buf.get_u32_le() as usize;
+    let cores = u32::from_le_bytes(field(&mut buf, "core count")?) as usize;
     if cores == 0 {
         return Err(Error::Codec("workload encodes zero cores".into()));
     }
 
     let mut traces = Vec::with_capacity(cores);
     for core in 0..cores {
-        need(buf, 8, "trace length")?;
-        let len = buf.get_u64_le() as usize;
+        let len = u64::from_le_bytes(field(&mut buf, "trace length")?) as usize;
         // Never trust the length field for allocation: cap the initial
         // capacity by what the remaining bytes could possibly hold (13
         // bytes per op), so a corrupt header cannot trigger a huge
         // allocation before the per-op bounds checks run.
-        let mut ops = Vec::with_capacity(len.min(buf.remaining() / 13 + 1));
+        let mut ops = Vec::with_capacity(len.min(buf.len() / 13 + 1));
         for i in 0..len {
-            need(buf, 13, "trace op")?;
-            let line = LineAddr::new(buf.get_u64_le());
-            let kind = match buf.get_u8() {
+            let op: [u8; 13] = field(&mut buf, "trace op")?;
+            let line = LineAddr::new(u64::from_le_bytes(op[..8].try_into().expect("8 bytes")));
+            let kind = match op[8] {
                 0 => AccessKind::Load,
                 1 => AccessKind::Store,
                 k => {
@@ -205,8 +201,8 @@ pub fn from_binary(mut buf: &[u8]) -> Result<Workload> {
                     )))
                 }
             };
-            let gap = Cycles::new(u64::from(buf.get_u32_le()));
-            ops.push(TraceOp::new(line, kind, gap));
+            let gap = u32::from_le_bytes(op[9..].try_into().expect("4 bytes"));
+            ops.push(TraceOp::new(line, kind, Cycles::new(u64::from(gap))));
         }
         traces.push(Trace::from_ops(ops));
     }
@@ -223,6 +219,17 @@ mod tests {
         let w = micro::random_shared(3, 16, 40, 0.3, 9);
         let json = to_json(&w).unwrap();
         assert_eq!(from_json(&json).unwrap(), w);
+    }
+
+    #[test]
+    fn binary_encoding_is_pinned() {
+        // Trace files on disk outlive the code that wrote them.
+        let bin = to_binary(&micro::random_shared(4, 64, 200, 0.5, 1)).unwrap();
+        let digest = cohort_types::FingerprintBuilder::new().bytes(&bin).finish();
+        assert_eq!(
+            (bin.len(), digest.to_hex().as_str()),
+            (10_457, "c05013a81213d555c6220c094c940d14")
+        );
     }
 
     #[test]
