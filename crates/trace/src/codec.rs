@@ -257,7 +257,7 @@ mod tests {
     #[test]
     fn binary_rejects_wrong_version() {
         let w = micro::ping_pong(1, 1);
-        let mut bin = to_binary(&w).unwrap().to_vec();
+        let mut bin = to_binary(&w).unwrap();
         bin[4] = 99;
         assert!(from_binary(&bin).unwrap_err().to_string().contains("version"));
     }
@@ -265,7 +265,7 @@ mod tests {
     #[test]
     fn binary_rejects_corrupt_kind() {
         let w = micro::ping_pong(1, 1);
-        let mut bin = to_binary(&w).unwrap().to_vec();
+        let mut bin = to_binary(&w).unwrap();
         let kind_offset = bin.len() - 5; // last op: ..., kind(1), gap(4)
         bin[kind_offset] = 7;
         assert!(from_binary(&bin).unwrap_err().to_string().contains("access kind"));
@@ -274,7 +274,7 @@ mod tests {
     #[test]
     fn binary_rejects_huge_length_field_without_allocating() {
         let w = micro::ping_pong(1, 1);
-        let mut bin = to_binary(&w).unwrap().to_vec();
+        let mut bin = to_binary(&w).unwrap();
         // Overwrite the trace-length field (after magic+version+name+cores)
         // with u64::MAX: must error, not attempt an exabyte allocation.
         let len_offset = 4 + 2 + 2 + "ping-pong".len() + 4;
