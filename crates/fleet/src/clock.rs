@@ -5,7 +5,7 @@
 //! comparison. *Where the ticks come from* is the only nondeterministic
 //! part, so it is injected: production fleets read a monotonic
 //! [`SystemClock`] (the workspace's single sanctioned wall-clock read),
-//! tests and loom models drive a [`TestClock`] by hand — lease-expiry
+//! tests drive a [`TestClock`] by hand — lease-expiry
 //! paths become deterministic instead of `sleep`-raced.
 
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -44,7 +44,7 @@ impl Clock for SystemClock {
     }
 }
 
-/// A hand-driven clock for tests and loom models: time moves only when
+/// A hand-driven clock for tests: time moves only when
 /// the test says so.
 #[derive(Debug, Default)]
 pub struct TestClock {

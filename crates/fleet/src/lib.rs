@@ -38,7 +38,6 @@ pub mod disk;
 mod queue;
 mod spec;
 mod store;
-pub mod sync;
 mod worker;
 
 pub use client::{Fleet, FleetBuilder, FleetClient, FleetHealth, FleetStats, Ticket};

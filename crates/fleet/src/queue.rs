@@ -12,20 +12,17 @@
 //!
 //! Time is injected ([`Clock`]): deadlines are nanosecond ticks on
 //! whatever monotonic axis the clock provides. Production uses
-//! [`SystemClock`]; tests and the loom models drive a
-//! [`crate::TestClock`] by hand, so every expiry path is exercised
-//! deterministically. The sync primitives come from [`crate::sync`], so
-//! `--cfg loom` swaps them for loom's modeled versions.
+//! [`SystemClock`]; tests drive a [`crate::TestClock`] by hand, so every
+//! expiry path is exercised deterministically.
 
 use std::collections::{BTreeMap, VecDeque};
-use std::sync::{Arc, PoisonError};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
 
 use cohort_types::{Epoch, Error, Fingerprint, Result, WorkerId};
 
 use crate::clock::{Clock, SystemClock};
 use crate::spec::JobSpec;
-use crate::sync::{Condvar, Mutex, MutexGuard};
 
 /// Default attempt budget: five expired leases convict a job as poison.
 const DEFAULT_MAX_ATTEMPTS: u64 = 5;
@@ -144,7 +141,7 @@ impl JobQueue {
     }
 
     /// Creates a queue timed by an injected [`Clock`] — the deterministic
-    /// entry point for tests and loom models.
+    /// entry point for tests.
     #[must_use]
     pub fn with_clock(lease: Duration, clock: Arc<dyn Clock>) -> Self {
         let lease = lease.max(Duration::from_millis(1));
@@ -307,7 +304,7 @@ impl JobQueue {
 
     /// Claims a job for `worker` if one is claimable *right now* (after
     /// sweeping expired leases), without blocking. The non-blocking core
-    /// of [`JobQueue::claim`], and the surface the loom models drive.
+    /// of [`JobQueue::claim`], and the surface the race tests drive.
     #[must_use]
     pub fn try_claim(&self, worker: WorkerId) -> Option<Claim> {
         let mut st = self.lock();
@@ -338,10 +335,9 @@ impl JobQueue {
         }
     }
 
-    /// Parks until the queue is notified — or, outside loom, until it is
-    /// time to sweep the earliest lease (the host clock keeps moving on
-    /// its own, so the wait must poll).
-    #[cfg(not(loom))]
+    /// Parks until the queue is notified — or until it is time to sweep
+    /// the earliest lease (the host clock keeps moving on its own, so the
+    /// wait must poll).
     fn wait_for_change<'q>(&'q self, st: MutexGuard<'q, QueueState>) -> MutexGuard<'q, QueueState> {
         let now_ns = self.clock.now_ns();
         let timeout = st
@@ -358,13 +354,6 @@ impl JobQueue {
             .max(Duration::from_millis(1));
         let (guard, _) = self.cv.wait_timeout(st, timeout).unwrap_or_else(PoisonError::into_inner);
         guard
-    }
-
-    /// Under loom there is no timed wait (and no self-moving clock):
-    /// block until another modeled thread notifies.
-    #[cfg(loom)]
-    fn wait_for_change<'q>(&'q self, st: MutexGuard<'q, QueueState>) -> MutexGuard<'q, QueueState> {
-        self.cv.wait(st).unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Records `fingerprint` as completed by the claim taken at `epoch`.
@@ -427,18 +416,11 @@ impl JobQueue {
                     return WaitOutcome::TimedOut;
                 }
             }
-            #[cfg(not(loom))]
-            {
-                let (guard, _) = self
-                    .cv
-                    .wait_timeout(st, Duration::from_millis(50))
-                    .unwrap_or_else(PoisonError::into_inner);
-                st = guard;
-            }
-            #[cfg(loom)]
-            {
-                st = self.cv.wait(st).unwrap_or_else(PoisonError::into_inner);
-            }
+            let (guard, _) = self
+                .cv
+                .wait_timeout(st, Duration::from_millis(50))
+                .unwrap_or_else(PoisonError::into_inner);
+            st = guard;
         }
     }
 

@@ -8,8 +8,7 @@ use std::time::Duration;
 
 use cohort::{Protocol, SystemSpec};
 use cohort_fleet::{
-    execute_experiment, ga_payload, Clock, Fleet, JobQueue, JobSpec, ResultStore, TestClock,
-    WaitOutcome, WorkerId, WorkerShard,
+    execute_experiment, ga_payload, Fleet, JobQueue, JobSpec, ResultStore, WorkerId, WorkerShard,
 };
 use cohort_optim::{GaConfig, GaRun, TimerProblem};
 use cohort_trace::{micro, Workload};
@@ -170,52 +169,6 @@ fn the_persistent_memo_answers_a_later_fleet_run_without_executing() {
     assert_eq!(stats.executed, 0);
     assert!(stats.store_hits >= 1);
     std::fs::remove_dir_all(&dir).ok();
-}
-
-/// 64-iteration stress twin of the loom model
-/// `quarantine_races_slow_completion_exactly_one_wins` (tests/loom.rs),
-/// runnable without `--cfg loom`: real threads race a late completion
-/// against the sweep that convicts a budget-exhausted job. Exactly one of
-/// {late completion lands, quarantine} may win — never both, never
-/// neither.
-#[test]
-fn quarantine_vs_slow_completion_stress_exactly_one_wins() {
-    let workload = Arc::new(micro::ping_pong(2, 20));
-    for round in 0..64 {
-        let clock = Arc::new(TestClock::new());
-        let mut queue =
-            JobQueue::with_clock(Duration::from_millis(10), Arc::clone(&clock) as Arc<dyn Clock>);
-        queue.set_max_attempts(1);
-        let queue = Arc::new(queue);
-        let (fp, _) = queue.submit(experiment(&workload)).unwrap();
-        let slow = queue.try_claim(WorkerId::new(0)).expect("first claim");
-        clock.advance(Duration::from_millis(20));
-
-        let (slow_landed, swept_claim) = std::thread::scope(|s| {
-            let qa = Arc::clone(&queue);
-            let slow_epoch = slow.epoch;
-            let t_slow = s.spawn(move || qa.complete(fp, slow_epoch).is_ok());
-            let qb = Arc::clone(&queue);
-            let t_sweep = s.spawn(move || qb.try_claim(WorkerId::new(1)).is_some());
-            (t_slow.join().unwrap(), t_sweep.join().unwrap())
-        });
-        assert!(!swept_claim, "attempt budget 1: the job is never re-claimed (round {round})");
-        let stats = queue.stats();
-        let quarantined = stats.quarantined == 1;
-        assert!(
-            slow_landed ^ quarantined,
-            "round {round}: exactly one outcome (slow={slow_landed}, quarantined={quarantined})"
-        );
-        if quarantined {
-            assert_eq!(stats.stale_completions, 1, "round {round}");
-            assert!(matches!(
-                queue.wait_outcome(fp, None),
-                WaitOutcome::Quarantined(diag) if diag.fingerprint == fp && diag.attempts == 1
-            ));
-        } else {
-            assert!(queue.wait_done(fp));
-        }
-    }
 }
 
 #[test]

@@ -1,22 +1,22 @@
-//! Model-checking suite for the JobQueue epoch/lease/claim state machine.
+//! Stress tests of the JobQueue epoch/lease/claim state machine.
 //!
-//! Compiled only under `RUSTFLAGS="--cfg loom"`, where the queue's sync
-//! primitives (see `cohort_fleet::sync`) are loom's modeled versions and
-//! `loom::model` explores thread interleavings of each body. The models
-//! drive the non-blocking [`JobQueue::try_claim`] surface — loom has no
-//! timed waits, and the lease clock is a hand-driven [`TestClock`], so
-//! every interleaving is deterministic.
+//! Each test races real threads through the production queue for
+//! [`ROUNDS`] rounds. The races drive the non-blocking
+//! [`JobQueue::try_claim`] surface, and the lease clock is a hand-driven
+//! [`TestClock`], so only the thread interleaving varies from round to
+//! round. A round that ends in a wait goes through the production
+//! `wait_done`/`wait_outcome` path.
 //!
-//! Each model asserts an *outcome set*: whichever interleaving runs,
+//! Each test asserts an *outcome set*: whichever interleaving runs,
 //! exactly one worker wins a claim, exactly one completion lands, and
 //! the stats stay consistent with which branch happened.
-#![cfg(loom)]
 
 use std::sync::Arc;
+use std::thread;
 use std::time::Duration;
 
 use cohort::Protocol;
-use cohort_fleet::{Claim, Clock, JobQueue, JobSpec, TestClock, WorkerId};
+use cohort_fleet::{Claim, Clock, JobQueue, JobSpec, TestClock, WaitOutcome, WorkerId};
 use cohort_trace::micro;
 use cohort_types::{Criticality, Epoch, Error};
 
@@ -32,6 +32,16 @@ fn job(n: usize) -> JobSpec {
     }
 }
 
+/// Rounds per race.
+const ROUNDS: usize = 64;
+
+/// Runs one race [`ROUNDS`] times.
+fn stress(race: impl Fn()) {
+    for _ in 0..ROUNDS {
+        race();
+    }
+}
+
 fn clocked(lease: Duration) -> (Arc<JobQueue>, Arc<TestClock>) {
     let clock = Arc::new(TestClock::new());
     let queue = Arc::new(JobQueue::with_clock(lease, Arc::clone(&clock) as Arc<dyn Clock>));
@@ -40,13 +50,13 @@ fn clocked(lease: Duration) -> (Arc<JobQueue>, Arc<TestClock>) {
 
 #[test]
 fn claim_is_exclusive_across_workers() {
-    loom::model(|| {
+    stress(|| {
         let (q, _clock) = clocked(Duration::from_secs(1));
         q.submit(job(4)).unwrap();
         let qa = Arc::clone(&q);
         let qb = Arc::clone(&q);
-        let ta = loom::thread::spawn(move || qa.try_claim(WorkerId::new(0)).is_some());
-        let tb = loom::thread::spawn(move || qb.try_claim(WorkerId::new(1)).is_some());
+        let ta = thread::spawn(move || qa.try_claim(WorkerId::new(0)).is_some());
+        let tb = thread::spawn(move || qb.try_claim(WorkerId::new(1)).is_some());
         let a = ta.join().unwrap();
         let b = tb.join().unwrap();
         assert!(a ^ b, "exactly one worker may hold the claim (got a={a}, b={b})");
@@ -55,12 +65,12 @@ fn claim_is_exclusive_across_workers() {
 
 #[test]
 fn concurrent_duplicate_submissions_dedup_to_one_job() {
-    loom::model(|| {
+    stress(|| {
         let (q, _clock) = clocked(Duration::from_secs(1));
         let qa = Arc::clone(&q);
         let qb = Arc::clone(&q);
-        let ta = loom::thread::spawn(move || qa.submit(job(6)).unwrap().1);
-        let tb = loom::thread::spawn(move || qb.submit(job(6)).unwrap().1);
+        let ta = thread::spawn(move || qa.submit(job(6)).unwrap().1);
+        let tb = thread::spawn(move || qb.submit(job(6)).unwrap().1);
         let fresh_a = ta.join().unwrap();
         let fresh_b = tb.join().unwrap();
         assert!(fresh_a ^ fresh_b, "exactly one submission is the first of its kind");
@@ -73,7 +83,7 @@ fn concurrent_duplicate_submissions_dedup_to_one_job() {
 
 #[test]
 fn slow_completion_races_reclaim_exactly_one_lands() {
-    loom::model(|| {
+    stress(|| {
         let (q, clock) = clocked(Duration::from_millis(10));
         let (fp, _) = q.submit(job(8)).unwrap();
         let slow: Claim = q.try_claim(WorkerId::new(0)).expect("first claim");
@@ -81,9 +91,9 @@ fn slow_completion_races_reclaim_exactly_one_lands() {
         clock.advance(Duration::from_millis(20));
         let qa = Arc::clone(&q);
         let slow_epoch = slow.epoch;
-        let t_slow = loom::thread::spawn(move || qa.complete(fp, slow_epoch).is_ok());
+        let t_slow = thread::spawn(move || qa.complete(fp, slow_epoch).is_ok());
         let qb = Arc::clone(&q);
-        let t_sweep = loom::thread::spawn(move || match qb.try_claim(WorkerId::new(1)) {
+        let t_sweep = thread::spawn(move || match qb.try_claim(WorkerId::new(1)) {
             Some(claim) => {
                 assert_eq!(claim.fingerprint, fp);
                 assert_eq!(claim.epoch, Epoch::FIRST.next(), "reclaim advances the epoch");
@@ -113,7 +123,7 @@ fn slow_completion_races_reclaim_exactly_one_lands() {
 
 #[test]
 fn quarantine_races_slow_completion_exactly_one_wins() {
-    loom::model(|| {
+    stress(|| {
         let clock = Arc::new(TestClock::new());
         let mut queue =
             JobQueue::with_clock(Duration::from_millis(10), Arc::clone(&clock) as Arc<dyn Clock>);
@@ -126,9 +136,9 @@ fn quarantine_races_slow_completion_exactly_one_wins() {
         clock.advance(Duration::from_millis(20));
         let qa = Arc::clone(&q);
         let slow_epoch = slow.epoch;
-        let t_slow = loom::thread::spawn(move || qa.complete(fp, slow_epoch).is_ok());
+        let t_slow = thread::spawn(move || qa.complete(fp, slow_epoch).is_ok());
         let qb = Arc::clone(&q);
-        let t_sweep = loom::thread::spawn(move || {
+        let t_sweep = thread::spawn(move || {
             assert!(
                 qb.try_claim(WorkerId::new(1)).is_none(),
                 "attempt budget 1: the job is never re-claimed"
@@ -150,7 +160,10 @@ fn quarantine_races_slow_completion_exactly_one_wins() {
             let diag = q.quarantine_diag(fp).expect("conviction carries diagnostics");
             assert_eq!(diag.attempts, 1);
             assert_eq!(diag.worker, WorkerId::new(0));
-            assert!(matches!(q.wait_outcome(fp, None), cohort_fleet::WaitOutcome::Quarantined(_)));
+            assert!(matches!(
+                q.wait_outcome(fp, None),
+                WaitOutcome::Quarantined(diag) if diag.fingerprint == fp && diag.attempts == 1
+            ));
         } else {
             assert_eq!(stats.stale_completions, 0);
             assert!(q.wait_done(fp));
@@ -160,7 +173,7 @@ fn quarantine_races_slow_completion_exactly_one_wins() {
 
 #[test]
 fn stale_epoch_is_rejected_after_reclaim() {
-    loom::model(|| {
+    stress(|| {
         let (q, clock) = clocked(Duration::from_millis(10));
         let (fp, _) = q.submit(job(10)).unwrap();
         let dead = q.try_claim(WorkerId::new(0)).expect("first claim");
