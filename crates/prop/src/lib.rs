@@ -223,7 +223,7 @@ pub mod collection {
         }
     }
 
-    /// The strategy returned by [`vec`].
+    /// The strategy returned by [`vec()`].
     pub struct VecStrategy<S> {
         element: S,
         size: SizeRange,
@@ -252,9 +252,9 @@ const JSON_TOKENS: &[&str] = &[
     "-", "0", "-1", "1.5e999", "18446744073709551616", "\"inf\"", "é", "😀", "\u{0}", " ",
 ];
 
-/// `doc` damaged by one to eight edits, each inserting a [`JSON_TOKENS`]
-/// entry, deleting up to eight bytes or truncating the tail, at a char
-/// boundary.
+/// `doc` damaged by one to eight edits at char boundaries: each inserts
+/// a JSON token (structure, an escape, an extreme number or non-ASCII
+/// text), deletes up to eight bytes or truncates the tail.
 #[must_use]
 pub fn json_mutations(doc: &str) -> impl Strategy<Value = String> {
     let doc = doc.to_string();

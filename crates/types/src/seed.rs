@@ -86,7 +86,7 @@ impl SeedRng {
     }
 
     /// A uniform draw from `range` (`a..b` or `a..=b`): integers take one
-    /// draw modulo the span, floats scale [`unit`](Self::unit) onto it.
+    /// draw modulo the span, floats scale a `[0, 1)` draw onto it.
     ///
     /// # Panics
     ///
