@@ -58,8 +58,8 @@ impl ModeSwitchLut {
         self.rows.len() as u32
     }
 
-    /// Number of cores covered (`0` for a table that bypassed [`Self::new`]
-    /// with no modes, e.g. one arriving through deserialization).
+    /// Number of cores covered (`0` for a table with no modes, which only
+    /// a struct literal that bypasses [`Self::new`] can build).
     #[must_use]
     pub fn cores(&self) -> usize {
         self.rows.first().map_or(0, Vec::len)

@@ -78,9 +78,9 @@ impl std::fmt::Display for ProtocolKind {
 
 /// The coherence solutions compared in the paper's evaluation (§VIII).
 ///
-/// Serializable so fleet job specs can carry a full protocol
-/// configuration (timers, criticality masks) across the submission wire,
-/// not just its [`ProtocolKind`] name.
+/// Fleet job specs carry a full protocol configuration (timers,
+/// criticality masks), not just its [`ProtocolKind`] name, and digest it
+/// into their fingerprints.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Protocol {
     /// CoHoRT: per-core timers (θ = −1 ⇒ MSI), RROF arbitration, direct

@@ -5,8 +5,8 @@
 //! comparison. *Where the ticks come from* is the only nondeterministic
 //! part, so it is injected: production fleets read a monotonic
 //! [`SystemClock`] (the workspace's single sanctioned wall-clock read),
-//! tests drive a [`TestClock`] by hand — lease-expiry
-//! paths become deterministic instead of `sleep`-raced.
+//! tests drive a [`TestClock`] by hand — lease-expiry paths become
+//! deterministic instead of `sleep`-raced.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
@@ -44,8 +44,7 @@ impl Clock for SystemClock {
     }
 }
 
-/// A hand-driven clock for tests: time moves only when
-/// the test says so.
+/// A hand-driven clock for tests: time moves only when the test says so.
 #[derive(Debug, Default)]
 pub struct TestClock {
     ns: AtomicU64,

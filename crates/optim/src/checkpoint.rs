@@ -9,9 +9,10 @@
 //!
 //! The JSON codec is written by hand over `serde_json::Value` because the
 //! format must stay stable and hand-inspectable: a long LUT optimization's
-//! checkpoint may be moved between hosts mid-run. Non-finite fitness values (an infeasible-penalty
-//! fitness can legitimately return `+∞`) are encoded as the strings
-//! `"inf"`/`"-inf"`, since JSON numbers cannot represent them.
+//! checkpoint may be moved between hosts mid-run. Non-finite fitness
+//! values (an infeasible-penalty fitness can legitimately return `+∞`)
+//! are encoded as the strings `"inf"`/`"-inf"`, since JSON numbers cannot
+//! represent them.
 
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};

@@ -4,11 +4,11 @@
 //! The engine is generic: the CoHoRT timer problem is one instance, the
 //! ablation benches reuse it with other fitness functions. Determinism is a
 //! hard requirement (the paper's Table II must regenerate identically), so
-//! all randomness flows from a caller-provided seed through [`SeedRng`], and the
-//! engine is structured so that **parallel evaluation is bit-identical to
-//! serial evaluation**: each generation's offspring are bred sequentially
-//! with the RNG first, then the batch is scored across scoped worker
-//! threads — the RNG never observes evaluation order.
+//! all randomness flows from a caller-provided seed through [`SeedRng`],
+//! and the engine is structured so that **parallel evaluation is
+//! bit-identical to serial evaluation**: each generation's offspring are
+//! bred sequentially with the RNG first, then the batch is scored across
+//! scoped worker threads — the RNG never observes evaluation order.
 //!
 //! Three further properties matter for long LUT optimizations:
 //!
