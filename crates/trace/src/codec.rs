@@ -181,7 +181,9 @@ pub fn from_binary(mut buf: &[u8]) -> Result<Workload> {
         return Err(Error::Codec("workload encodes zero cores".into()));
     }
 
-    let mut traces = Vec::with_capacity(cores);
+    // Each core needs at least its 8-byte length field, so the remaining
+    // bytes cap the allocation a corrupt core count can ask for.
+    let mut traces = Vec::with_capacity(cores.min(buf.len() / 8));
     for core in 0..cores {
         let len = u64::from_le_bytes(field(&mut buf, "trace length")?) as usize;
         // Never trust the length field for allocation: cap the initial

@@ -104,3 +104,15 @@ fn deeply_nested_trace_json_is_a_codec_error() {
         assert!(matches!(codec::from_json(&text), Err(Error::Codec(_))));
     }
 }
+
+/// A header claiming `u32::MAX` cores with no bytes behind it is a
+/// truncation error, not an allocation that aborts the process.
+#[test]
+fn huge_core_count_is_a_codec_error() {
+    let mut bytes = b"CHRT".to_vec();
+    bytes.extend_from_slice(&1u16.to_le_bytes()); // version
+    bytes.extend_from_slice(&0u16.to_le_bytes()); // empty name
+    bytes.extend_from_slice(&u32::MAX.to_le_bytes()); // core count
+    assert_eq!(bytes.len(), 12);
+    assert!(matches!(codec::from_binary(&bytes), Err(Error::Codec(_))));
+}
