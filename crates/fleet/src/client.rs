@@ -212,7 +212,7 @@ pub struct Fleet {
 
 /// The fleet's self-healing scoreboard: every fault the supervision layer
 /// tolerated, and what it did about it. Embedded in [`FleetStats`] and in
-/// the fleet/cert bench reports (validated by `schema_check`).
+/// the fleet/cert bench reports (validated by their report checks).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct FleetHealth {
     /// Expired leases swept back to pending (killed/slow workers).
@@ -252,7 +252,7 @@ impl FleetHealth {
     }
 
     /// The scoreboard as a JSON object — the shape embedded in the
-    /// fleet/cert bench reports and validated by `schema_check`.
+    /// fleet/cert bench reports and validated by their report checks.
     #[must_use]
     pub fn to_json(&self) -> Value {
         serde_json::json!({
@@ -284,6 +284,9 @@ pub struct FleetStats {
     pub stale: u64,
     /// GA claims resumed from a checkpoint across all shards.
     pub resumed: u64,
+    /// Jobs abandoned by the `crash_before_complete` chaos hook across
+    /// all shards.
+    pub crashed: u64,
     /// Store reads answered (memory or persistent mirror).
     pub store_hits: u64,
     /// The self-healing scoreboard.
@@ -325,6 +328,7 @@ impl Fleet {
             stats.served += shard.served.load(Ordering::Relaxed);
             stats.stale += shard.stale.load(Ordering::Relaxed);
             stats.resumed += shard.resumed.load(Ordering::Relaxed);
+            stats.crashed += shard.crashed.load(Ordering::Relaxed);
         }
         stats
     }
@@ -345,27 +349,14 @@ impl Fleet {
     /// Closes the queue, drains the remaining jobs, joins the shards and
     /// returns the lifetime counters.
     #[must_use]
-    pub fn shutdown(self) -> FleetStats {
+    pub fn shutdown(mut self) -> FleetStats {
         self.queue.close();
-        for handle in self.handles {
+        for handle in std::mem::take(&mut self.handles) {
             // A shard that panicked outside its job sandbox is already
             // accounted for by lease reclaim; ignore the join error.
             let _ = handle.join();
         }
-        let queue = self.queue.stats();
-        let mut stats = FleetStats {
-            queue,
-            store_hits: self.store.hits(),
-            health: FleetHealth::collect(&queue, self.store.health()),
-            ..FleetStats::default()
-        };
-        for shard in &self.shard_stats {
-            stats.executed += shard.executed.load(Ordering::Relaxed);
-            stats.served += shard.served.load(Ordering::Relaxed);
-            stats.stale += shard.stale.load(Ordering::Relaxed);
-            stats.resumed += shard.resumed.load(Ordering::Relaxed);
-        }
-        stats
+        self.stats()
     }
 }
 

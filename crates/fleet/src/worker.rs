@@ -48,6 +48,8 @@ pub struct ShardStats {
     pub stale: AtomicU64,
     /// GA claims that resumed from a store checkpoint.
     pub resumed: AtomicU64,
+    /// Jobs abandoned by the `crash_before_complete` chaos hook.
+    pub crashed: AtomicU64,
 }
 
 /// One worker shard of the fleet: a claim/execute/complete loop over the
@@ -60,7 +62,6 @@ pub struct WorkerShard {
     stats: Arc<ShardStats>,
     crash_after_generations: Option<usize>,
     crash_before_complete: u64,
-    crashed: AtomicU64,
     poison: Arc<BTreeSet<Fingerprint>>,
 }
 
@@ -75,7 +76,6 @@ impl WorkerShard {
             stats: Arc::new(ShardStats::default()),
             crash_after_generations: None,
             crash_before_complete: 0,
-            crashed: AtomicU64::new(0),
             poison: Arc::new(BTreeSet::new()),
         }
     }
@@ -145,8 +145,8 @@ impl WorkerShard {
                         // Persistence failed; abandon so a sibling retries.
                         continue;
                     }
-                    if self.crashed.load(Ordering::Relaxed) < self.crash_before_complete {
-                        self.crashed.fetch_add(1, Ordering::Relaxed);
+                    if self.stats.crashed.load(Ordering::Relaxed) < self.crash_before_complete {
+                        self.stats.crashed.fetch_add(1, Ordering::Relaxed);
                         continue; // killed between store and complete
                     }
                     self.finish(&claim, &self.stats.executed);

@@ -59,6 +59,22 @@ fn a_burst_of_duplicate_submissions_shares_one_execution() {
 }
 
 #[test]
+fn crashes_before_complete_are_counted_in_the_fleet_stats() {
+    let fleet = Fleet::builder()
+        .shards(1)
+        .lease(Duration::from_millis(40))
+        .crash_before_complete(1)
+        .build()
+        .unwrap();
+    let workload = Arc::new(micro::ping_pong(2, 16));
+    let payload = fleet.client().run(experiment(&workload)).unwrap();
+    let reference = execute_experiment(&platform(2), &Protocol::Msi, &workload).unwrap();
+    assert_eq!(canonical(&payload), canonical(&reference));
+    let stats = fleet.shutdown();
+    assert_eq!(stats.crashed, 1, "the hook abandoned exactly one job");
+}
+
+#[test]
 fn a_killed_worker_is_reclaimed_and_the_rerun_is_bit_identical() {
     let queue = Arc::new(JobQueue::new(Duration::from_millis(50)));
     let store = Arc::new(ResultStore::in_memory());
