@@ -17,6 +17,10 @@
 //!    engine, and is written next to the report as
 //!    `cert_counterexample_<seed>.json`.
 //!
+//! The report's check holds the trial accounting and claims 2 and 3, and
+//! runs on every run, so a broken claim exits non-zero with or without
+//! `--json`.
+//!
 //! ```text
 //! cargo run --release -p cohort-bench --bin cert -- \
 //!     [--quick] [--json results/BENCH_cert.json]
@@ -26,7 +30,7 @@ use std::time::Instant;
 
 use serde_json::json;
 
-use cohort_bench::report::{self, ReportWriter};
+use cohort_bench::report::{ReportWriter, CERT};
 use cohort_bench::CliOptions;
 use cohort_cert::{run_certification, CertConfig, CertOutcome};
 
@@ -127,54 +131,31 @@ fn main() {
     );
     std::fs::remove_dir_all(&store_dir).ok();
 
-    assert!(identical, "two runs of the same campaign must produce bit-identical aggregates");
-    assert_eq!(first.stats.executed, first.jobs, "a cold store executes every batch");
-    assert_eq!(
-        second.stats.executed, 0,
-        "the warm store replays the whole campaign with zero fresh executions"
-    );
-    assert_eq!(
-        first.fault.trials + first.sched.trials,
-        trials_planned,
-        "every planned trial must be accounted for"
-    );
-    assert!(
-        !first.counterexamples.is_empty(),
-        "at least one seeded campaign must convict and minimize"
-    );
-    for c in &first.counterexamples {
-        assert!(c.reconvicts, "seed {}: the minimized workload must still convict", c.seed);
-        assert!(c.replay_clean, "seed {}: the faithful replay must be clean", c.seed);
-    }
-
-    if let Some(path) = &options.json {
-        let doc = json!({
-            "quick": quick,
-            "trials": trials_planned,
-            "fault": first.fault.to_json(),
-            "schedulability": first.sched.to_json(),
-            "counterexamples": first
-                .counterexamples
-                .iter()
-                .map(cohort_cert::Counterexample::to_json)
-                .collect::<Vec<serde_json::Value>>(),
-            "jobs": first.jobs,
-            "runs_identical": identical,
-            "fleet": json!({
-                "submitted": first.stats.queue.submitted,
-                "deduplicated": first.stats.queue.deduplicated,
-                "executed": first.stats.executed,
-                "served": first.stats.served,
-                "health": first.stats.health.to_json(),
-            }),
-            "memoized_run": json!({
-                "executed": second.stats.executed,
-                "store_hits": second.stats.store_hits,
-                "health": second.stats.health.to_json(),
-            }),
-            "seconds": json!({ "run1": first_seconds, "run2": second_seconds }),
-        });
-        ReportWriter::new(&report::CERT, "cert").write(path, doc).expect("writable --json path");
-        println!("\nwrote {}", path.display());
-    }
+    let report = json!({
+        "quick": quick,
+        "trials": trials_planned,
+        "fault": first.fault.to_json(),
+        "schedulability": first.sched.to_json(),
+        "counterexamples": first
+            .counterexamples
+            .iter()
+            .map(cohort_cert::Counterexample::to_json)
+            .collect::<Vec<serde_json::Value>>(),
+        "jobs": first.jobs,
+        "runs_identical": identical,
+        "fleet": json!({
+            "submitted": first.stats.queue.submitted,
+            "deduplicated": first.stats.queue.deduplicated,
+            "executed": first.stats.executed,
+            "served": first.stats.served,
+            "health": first.stats.health.to_json(),
+        }),
+        "memoized_run": json!({
+            "executed": second.stats.executed,
+            "store_hits": second.stats.store_hits,
+            "health": second.stats.health.to_json(),
+        }),
+        "seconds": json!({ "run1": first_seconds, "run2": second_seconds }),
+    });
+    ReportWriter::new(&CERT).write_or_exit(options.json.as_deref(), report);
 }

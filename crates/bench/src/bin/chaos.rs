@@ -10,14 +10,15 @@
 //! ```
 //!
 //! Every campaign runs **twice** and the two [`DegradationReport`]s must
-//! serialize byte-identically — the bin exits non-zero on any
-//! non-determinism, watchdog miss, or dirty replay, so CI can use it as a
-//! smoke gate.
+//! serialize byte-identically. The report's check runs on every run, so
+//! the bin exits non-zero on any non-determinism, watchdog miss, or dirty
+//! replay, and CI can use it as a smoke gate.
 
 use std::process::ExitCode;
 
 use cohort::{run_with_watchdog, DegradationReport, ModeSwitchLut, WatchdogPolicy};
-use cohort_bench::{json_report_envelope, write_json, CliOptions};
+use cohort_bench::report::{ReportWriter, CHAOS};
+use cohort_bench::CliOptions;
 use cohort_sim::{FaultKind, FaultPlan, FaultSpec, SimConfig, WcmlViolationKind};
 use cohort_trace::{Trace, TraceOp, Workload};
 use cohort_types::{Cycles, Result, TimerValue};
@@ -165,10 +166,6 @@ fn main() -> ExitCode {
         let ja = serde_json::to_string_pretty(&first.to_json()).unwrap_or_default();
         let jb = serde_json::to_string_pretty(&second.to_json()).unwrap_or_default();
         let deterministic = first == second && ja == jb && !ja.is_empty();
-        if !deterministic {
-            eprintln!("{}: two identical runs produced different reports", campaign.name);
-            failed = true;
-        }
         if campaign.expect_switch {
             let compliant =
                 first.post_switch.as_ref().is_some_and(|p| p.requests > 0 && p.compliant);
@@ -188,15 +185,6 @@ fn main() -> ExitCode {
                 None
             }
         };
-        if let Some(replay) = &replay {
-            if replay.get("engine_clean").and_then(serde_json::Value::as_bool) != Some(true) {
-                eprintln!(
-                    "{}: exported workload replayed dirty on the faithful engine",
-                    campaign.name
-                );
-                failed = true;
-            }
-        }
 
         println!(
             "{:<18} seed {:<12} faults {}/{}  convictions {:>3}  switches {}  final mode {}  \
@@ -228,15 +216,8 @@ fn main() -> ExitCode {
         records.push(serde_json::Value::Object(record));
     }
 
-    if let Some(path) = &options.json {
-        let doc = json_report_envelope("chaos", quick, records);
-        if let Err(e) = write_json(path, &doc) {
-            eprintln!("cannot write {}: {e}", path.display());
-            failed = true;
-        } else {
-            println!("wrote {}", path.display());
-        }
-    }
+    let report = json!({ "quick": quick, "campaigns": records });
+    ReportWriter::new(&CHAOS).write_or_exit(options.json.as_deref(), report);
 
     if failed {
         ExitCode::FAILURE

@@ -21,6 +21,9 @@
 //!    bit-identically between the phases. Zero jobs lost; the whole
 //!    campaign runs twice and its aggregates must be bit-identical.
 //!
+//! The report's check holds every gate the document carries and runs on
+//! every run, so a failed gate exits non-zero with or without `--json`.
+//!
 //! ```text
 //! cargo run --release -p cohort-bench --bin fleet -- \
 //!     [--quick] [--json results/BENCH_fleet.json]
@@ -34,7 +37,7 @@ use std::time::{Duration, Instant};
 use serde_json::json;
 
 use cohort::{Protocol, SystemSpec};
-use cohort_bench::report::{self, ReportWriter};
+use cohort_bench::report::{ReportWriter, FLEET};
 use cohort_bench::CliOptions;
 use cohort_fleet::{
     ga_payload, Disk, FaultyDisk, Fleet, FleetStats, JobQueue, JobSpec, ResultStore, StoreBudget,
@@ -362,6 +365,8 @@ fn run_churn(run: usize, accesses: usize) -> ChurnResult {
         "poison reclaims plus the kill reclaim: {} reclaims",
         cold.health.reclaims
     );
+    // The report's check holds run 1's cold health to the next two; they
+    // stay for the repeat run, whose health the report does not carry.
     assert!(cold.health.disk_retries >= 1, "at least one transient disk fault was absorbed");
     assert_eq!(cold.health.disk_give_ups, 0, "no mirror write was abandoned");
     assert_eq!(cold.health.evictions, 2, "six entries over a four-entry budget evict two");
@@ -417,10 +422,6 @@ fn run_churn(run: usize, accesses: usize) -> ChurnResult {
         (warm.health.corrupt_quarantined, warm.health.repairs),
         (1, 1),
         "the bit-rotted entry is quarantined and repaired exactly once"
-    );
-    assert_eq!(
-        warm.health.repairs_bit_identical, warm.health.repairs,
-        "every repair re-derives the recorded payload bit for bit"
     );
     assert_eq!(warm.health.quarantined, 0, "no healthy job is ever convicted");
     assert_eq!(
@@ -509,7 +510,6 @@ fn main() {
          {} stale completion(s), bit-identical: {}",
         kill.seconds, kill.reclaims, kill.resumed, kill.stale_completions, kill.bit_identical,
     );
-    assert!(kill.bit_identical, "kill-recovery must reproduce the reference payload bit for bit");
 
     println!("\nreplay: second fleet over the same persistent store ...");
     let replay = run_replay(&jobs);
@@ -517,8 +517,6 @@ fn main() {
         "  {} store hits, {} executions, bit-identical: {}",
         replay.store_hits, replay.executed, replay.bit_identical,
     );
-    assert_eq!(replay.executed, 0, "a replayed run must execute nothing");
-    assert!(replay.bit_identical, "replayed payloads must match the originals");
 
     println!(
         "\nchurn: kills + poison + disk faults + bit rot over a budgeted mirror, \
@@ -530,7 +528,7 @@ fn main() {
     let churn_identical = churn.aggregate == churn_repeat.aggregate;
     let lost = churn.jobs - churn.payloads.len() as u64 - churn.quarantine.len() as u64;
     println!(
-        "  {:.3} s + {:.3} s: {} jobs, {} lost, {} reclaims, 1 kill, \
+        "  {:.3} s + {:.3} s: {} jobs, {} lost, {} reclaims, {} kill(s), \
          quarantined after {} attempts, {} disk fault(s) absorbed, \
          {} + {} evictions, {} repair(s) (bit-identical {}), runs identical: {churn_identical}",
         churn.seconds,
@@ -538,6 +536,7 @@ fn main() {
         churn.jobs,
         lost,
         churn.cold.health.reclaims,
+        churn.cold.crashed,
         churn.quarantine[0].1,
         churn.disk_faults,
         churn.cold.health.evictions,
@@ -545,58 +544,53 @@ fn main() {
         churn.warm.health.repairs,
         churn.warm.health.repairs_bit_identical,
     );
-    assert_eq!(lost, 0, "every churn job reaches a terminal outcome");
     assert_eq!(churn.payloads, churn.replayed, "the warm phase reproduces every payload");
-    assert!(churn_identical, "two runs of the churn campaign must agree bit for bit");
 
-    if let Some(path) = &options.json {
-        let doc = json!({
-            "quick": quick,
-            "shards": shards as u64,
-            "lease_ms": u64::try_from(KILL_LEASE.as_millis()).expect("small lease"),
-            "burst": json!({
-                "submissions": burst.submissions,
-                "distinct_jobs": burst.distinct,
-                "executed": burst.executed,
-                "dedup_hits": burst.dedup_hits,
-                "dedup_rate": dedup_rate,
-                "seconds": burst.seconds,
-                "submissions_per_sec": throughput,
-            }),
-            "kill_recovery": json!({
-                "reclaims": kill.reclaims,
-                "resumed": kill.resumed,
-                "stale_completions": kill.stale_completions,
-                "bit_identical": kill.bit_identical,
-                "seconds": kill.seconds,
-            }),
-            "replay": json!({
-                "store_hits": replay.store_hits,
-                "executed": replay.executed,
-                "bit_identical": replay.bit_identical,
-            }),
-            "churn": json!({
-                "jobs": churn.jobs,
-                "lost": lost,
-                "runs_identical": churn_identical,
-                "kills": 1u64,
-                "quarantine": churn.quarantine
-                    .iter()
-                    .map(|(fp, attempts, worker)| json!({
-                        "fingerprint": fp, "attempts": *attempts, "worker": *worker,
-                    }))
-                    .collect::<Vec<serde_json::Value>>(),
-                "disk_faults_injected": churn.disk_faults,
-                "cold_executed": churn.cold.executed,
-                "cold_served": churn.cold.served,
-                "warm_executed": churn.warm.executed,
-                "warm_served": churn.warm.served,
-                "cold_health": churn.cold.health.to_json(),
-                "warm_health": churn.warm.health.to_json(),
-                "seconds": json!({ "run1": churn.seconds, "run2": churn_repeat.seconds }),
-            }),
-        });
-        ReportWriter::new(&report::FLEET, "fleet").write(path, doc).expect("writable --json path");
-        println!("\nwrote {}", path.display());
-    }
+    let report = json!({
+        "quick": quick,
+        "shards": shards as u64,
+        "lease_ms": u64::try_from(KILL_LEASE.as_millis()).expect("small lease"),
+        "burst": json!({
+            "submissions": burst.submissions,
+            "distinct_jobs": burst.distinct,
+            "executed": burst.executed,
+            "dedup_hits": burst.dedup_hits,
+            "dedup_rate": dedup_rate,
+            "seconds": burst.seconds,
+            "submissions_per_sec": throughput,
+        }),
+        "kill_recovery": json!({
+            "reclaims": kill.reclaims,
+            "resumed": kill.resumed,
+            "stale_completions": kill.stale_completions,
+            "bit_identical": kill.bit_identical,
+            "seconds": kill.seconds,
+        }),
+        "replay": json!({
+            "store_hits": replay.store_hits,
+            "executed": replay.executed,
+            "bit_identical": replay.bit_identical,
+        }),
+        "churn": json!({
+            "jobs": churn.jobs,
+            "lost": lost,
+            "runs_identical": churn_identical,
+            "kills": churn.cold.crashed,
+            "quarantine": churn.quarantine
+                .iter()
+                .map(|(fp, attempts, worker)| json!({
+                    "fingerprint": fp, "attempts": *attempts, "worker": *worker,
+                }))
+                .collect::<Vec<serde_json::Value>>(),
+            "disk_faults_injected": churn.disk_faults,
+            "cold_executed": churn.cold.executed,
+            "cold_served": churn.cold.served,
+            "warm_executed": churn.warm.executed,
+            "warm_served": churn.warm.served,
+            "cold_health": churn.cold.health.to_json(),
+            "warm_health": churn.warm.health.to_json(),
+            "seconds": json!({ "run1": churn.seconds, "run2": churn_repeat.seconds }),
+        }),
+    });
+    ReportWriter::new(&FLEET).write_or_exit(options.json.as_deref(), report);
 }

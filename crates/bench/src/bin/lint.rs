@@ -7,15 +7,15 @@
 //! Walks every library source file of the workspace, runs the DET / FPR /
 //! LCK passes, applies `// lint:allow(<code>) <justification>` markers,
 //! prints every diagnostic (suppressed ones flagged as justified), and
-//! exits non-zero when any *unsuppressed* diagnostic remains. `--json`
-//! additionally writes the machine-readable report (`lint/1` schema,
-//! validated by `schema_check --lint`).
+//! checks the machine-readable report (`lint/1`) against its schema, so
+//! it exits non-zero when any *unsuppressed* diagnostic remains. `--json`
+//! writes the report before the check, so a dirty tree's report lands
+//! too.
 
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 use cohort_bench::report::{ReportWriter, LINT};
-use cohort_bench::write_json;
 use cohort_lint::analyze_workspace;
 use serde_json::json;
 
@@ -78,21 +78,8 @@ fn main() -> ExitCode {
         println!("  {}", diag.render());
     }
 
-    if let Some(path) = &options.json {
-        let writer = ReportWriter::new(&LINT, "lint");
-        let doc = writer.envelope(json!({
-            "report": analysis.to_json_value(),
-        }));
-        if let Err(err) = write_json(path, &doc) {
-            eprintln!("lint: cannot write {}: {err}", path.display());
-            return ExitCode::FAILURE;
-        }
-        println!("wrote {}", path.display());
-    }
-
-    if analysis.unsuppressed() > 0 {
-        eprintln!("lint: {} unsuppressed diagnostics", analysis.unsuppressed());
-        return ExitCode::FAILURE;
-    }
+    // A dirty tree fails the report's check after the report is written.
+    let report = json!({ "report": analysis.to_json_value() });
+    ReportWriter::new(&LINT).write_or_exit(options.json.as_deref(), report);
     ExitCode::SUCCESS
 }

@@ -7,8 +7,8 @@
 //! 1. **Engine throughput** — a synthetic, deliberately CPU-bound fitness
 //!    (a sequential xorshift chain, immune to external memoization) gives
 //!    a clean serial-vs-parallel comparison of the batch evaluator. The
-//!    parallel outcome is asserted bit-identical to the serial one before
-//!    any speedup is reported.
+//!    report's check fails the run unless the parallel outcome is
+//!    bit-identical to the serial one.
 //! 2. **Timer problem** — the real offline objective (static cache
 //!    analysis + Eq. 1) on an Ocean-style workload, reporting how far the
 //!    genome memo cache cuts the evaluation count in practice.
@@ -24,7 +24,7 @@ use std::hint::black_box;
 use std::time::Instant;
 
 use cohort_analysis::{guaranteed_hits, theta_saturation, HitMissCounts};
-use cohort_bench::report::{self, ReportWriter};
+use cohort_bench::report::{ReportWriter, OPTIM};
 use cohort_bench::{bench_ga, CliOptions};
 use cohort_optim::{
     GaConfig, GaOutcome, GaRun, GeneticAlgorithm, SearchSpace, StopReason, TimerProblem,
@@ -197,10 +197,6 @@ fn main() {
         );
     }
 
-    // Determinism is the engine's core contract: refuse to report a
-    // speedup for a solver that changes its answer with the thread count.
-    assert_eq!(serial.outcome, parallel.outcome, "parallel run must be bit-identical to serial");
-
     for (label, run) in [("serial", &serial), ("parallel", &parallel)] {
         println!(
             "{label:<10} {:>9} {:>12.3} {:>13.1} {:>12} {:>11}",
@@ -252,44 +248,43 @@ fn main() {
         kernel.ns_per_access(),
     );
 
-    if let Some(path) = &options.json {
-        let writer = ReportWriter::new(&report::OPTIM, "optim");
-        let report = json!({
-            "quick": options.quick,
-            "host_parallelism": host_parallelism,
-            "workers_forced": options.workers,
-            "population": base.population,
-            "generations": base.generations,
-            "spins": spins,
-            "requests": requests,
-            "reps": reps,
-            "bit_identical": true,
-            "speedup": speedup,
-            "runs": [
-                run_to_json(&serial, base.generations),
-                run_to_json(&parallel, base.generations),
-            ],
-            "timer_problem": json!({
-                "seconds": timer_seconds,
-                "evaluations": timer_outcome.evaluations,
-                "cache_hits": timer_outcome.cache_hits,
-                "cache_hit_rate": timer_outcome.cache_hit_rate(),
-                "best_fitness": timer_outcome.best_fitness,
-                "feasible": feasible,
-                "stop": stop_label(timer_outcome.stop),
-            }),
-            "hit_kernel": json!({
-                "thetas": HIT_KERNEL_THETAS,
-                "rounds": kernel.rounds,
-                "calls": kernel.calls,
-                "accesses": kernel.accesses,
-                "hits": kernel.counts.hits,
-                "misses": kernel.counts.misses,
-                "seconds": kernel.seconds,
-                "ns_per_access": kernel.ns_per_access(),
-            }),
-        });
-        writer.write(path, report).expect("write JSON report");
-        println!("\nwrote {}", path.display());
-    }
+    // Determinism is the engine's core contract: the report's check
+    // refuses a speedup for a solver that changes its answer with the
+    // thread count.
+    let report = json!({
+        "quick": options.quick,
+        "host_parallelism": host_parallelism,
+        "workers_forced": options.workers,
+        "population": base.population,
+        "generations": base.generations,
+        "spins": spins,
+        "requests": requests,
+        "reps": reps,
+        "bit_identical": serial.outcome == parallel.outcome,
+        "speedup": speedup,
+        "runs": [
+            run_to_json(&serial, base.generations),
+            run_to_json(&parallel, base.generations),
+        ],
+        "timer_problem": json!({
+            "seconds": timer_seconds,
+            "evaluations": timer_outcome.evaluations,
+            "cache_hits": timer_outcome.cache_hits,
+            "cache_hit_rate": timer_outcome.cache_hit_rate(),
+            "best_fitness": timer_outcome.best_fitness,
+            "feasible": feasible,
+            "stop": stop_label(timer_outcome.stop),
+        }),
+        "hit_kernel": json!({
+            "thetas": HIT_KERNEL_THETAS,
+            "rounds": kernel.rounds,
+            "calls": kernel.calls,
+            "accesses": kernel.accesses,
+            "hits": kernel.counts.hits,
+            "misses": kernel.counts.misses,
+            "seconds": kernel.seconds,
+            "ns_per_access": kernel.ns_per_access(),
+        }),
+    });
+    ReportWriter::new(&OPTIM).write_or_exit(options.json.as_deref(), report);
 }

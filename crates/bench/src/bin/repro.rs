@@ -18,10 +18,12 @@ use std::fs;
 
 use cohort::Protocol;
 use cohort_bench::artifacts::{self, ConfigRuns, ModeStudy};
+use cohort_bench::report::{ReportWriter, REPORT};
 use cohort_bench::{
-    bench_ga, json_report, kernels, run_to_json, sweep_protocols_opts, write_chrome_trace,
-    write_json, CliOptions, CritConfig, CORES,
+    bench_ga, kernels, run_to_json, sweep_protocols_opts, write_chrome_trace, CliOptions,
+    CritConfig, CORES,
 };
+use serde_json::json;
 
 fn main() {
     let options = CliOptions::parse_or_exit();
@@ -89,8 +91,5 @@ fn main() {
         .expect("writable summary");
     println!("wrote {}", path.display());
 
-    if let Some(path) = &options.json {
-        write_json(path, &json_report("repro", records)).expect("writable --json path");
-        println!("wrote per-job results to {}", path.display());
-    }
+    ReportWriter::new(&REPORT).write_or_exit(options.json.as_deref(), json!({ "runs": records }));
 }

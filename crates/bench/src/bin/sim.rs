@@ -8,10 +8,10 @@
 //! rescanning every core and waiting line. The dense workloads bound the
 //! other end: bus-saturated sharing where every cycle has work.
 //!
-//! Before timing, asserts double-run determinism (bit-identical event
-//! logs, stats and injected-fault records) on the timed workloads and on
-//! the protocol preset matrix under seeded fault plans; CI smoke-checks
-//! the report via `schema_check --sim`.
+//! Before timing, compares two runs of each timed workload and of the
+//! protocol preset matrix under seeded fault plans (event logs, stats and
+//! injected-fault records). The verdict is the report's `determinism`
+//! field, and the report's check fails the run when it is false.
 //!
 //! ```text
 //! cargo run --release -p cohort-bench --bin sim -- \
@@ -22,7 +22,7 @@ use std::time::Instant;
 
 use serde_json::json;
 
-use cohort_bench::report::{self, ReportWriter};
+use cohort_bench::report::{ReportWriter, SIM};
 use cohort_bench::CliOptions;
 use cohort_sim::{
     ArbiterKind, CacheGeometry, DataPath, Event, EventLogProbe, FaultPlan, InjectedFault, LlcModel,
@@ -109,14 +109,14 @@ fn measure(name: &str, config: &SimConfig, workload: &Workload) -> Result<Measur
     })
 }
 
-/// Runs one scenario twice and asserts the event logs, final stats and
-/// injected-fault records are bit-identical.
-fn assert_deterministic(
+/// Runs one scenario twice; returns whether the event logs, final stats
+/// and injected-fault records are bit-identical.
+fn deterministic(
     label: &str,
     config: &SimConfig,
     workload: &Workload,
     plan: &FaultPlan,
-) -> Result<()> {
+) -> Result<bool> {
     let run = || -> Result<(Vec<Event>, SimStats, Vec<InjectedFault>)> {
         let mut sim = SimBuilder::new(config.clone(), workload)
             .probe(EventLogProbe::new())
@@ -126,12 +126,11 @@ fn assert_deterministic(
         let injected = sim.injected_faults().to_vec();
         Ok((sim.into_probe().into_events(), stats, injected))
     };
-    let (first_log, first_stats, first_faults) = run()?;
-    let (second_log, second_stats, second_faults) = run()?;
-    assert_eq!(first_log, second_log, "{label}: different event logs on identical runs");
-    assert_eq!(first_stats, second_stats, "{label}: different stats on identical runs");
-    assert_eq!(first_faults, second_faults, "{label}: different fault records on identical runs");
-    Ok(())
+    let identical = run()? == run()?;
+    if !identical {
+        eprintln!("sim: {label}: identical runs differ in event log, stats or fault records");
+    }
+    Ok(identical)
 }
 
 /// The preset matrix the determinism sweep covers: every arbiter, data
@@ -163,20 +162,20 @@ fn preset_matrix(cores: usize) -> Vec<(&'static str, SimConfig)> {
 }
 
 /// Sweeps the preset matrix × seeded fault plans through the double-run
-/// determinism check, returning the number of presets compared. Panics on
-/// the first difference.
-fn assert_presets_deterministic(quick: bool) -> Result<usize> {
+/// determinism check, returning the number of presets compared and
+/// whether every one was deterministic.
+fn presets_deterministic(quick: bool) -> Result<(usize, bool)> {
     let seeds: &[u64] = if quick { &[1] } else { &[1, 9] };
-    let mut compared = 0;
+    let (mut compared, mut all) = (0, true);
     for &seed in seeds {
         let workload = micro::random_shared(4, 32, if quick { 80 } else { 160 }, 0.5, seed);
         let plan = FaultPlan::seeded(seed, 4, 20_000, 6);
         for (name, config) in preset_matrix(4) {
-            assert_deterministic(&format!("seed {seed} / {name}"), &config, &workload, &plan)?;
+            all &= deterministic(&format!("seed {seed} / {name}"), &config, &workload, &plan)?;
             compared += 1;
         }
     }
-    Ok(compared)
+    Ok((compared, all))
 }
 
 fn main() -> Result<()> {
@@ -194,11 +193,12 @@ fn main() -> Result<()> {
 
     eprintln!("sim: determinism check");
     let empty = FaultPlan::empty();
-    assert_deterministic("sparse_dram", &sparse_config, &sparse, &empty)?;
-    assert_deterministic("dense_random_shared", &dense_config, &shared, &empty)?;
+    let mut determinism = deterministic("sparse_dram", &sparse_config, &sparse, &empty)?;
+    determinism &= deterministic("dense_random_shared", &dense_config, &shared, &empty)?;
 
     eprintln!("sim: preset matrix determinism");
-    let presets_compared = assert_presets_deterministic(quick)?;
+    let (presets_compared, presets) = presets_deterministic(quick)?;
+    determinism &= presets;
 
     eprintln!("sim: timing");
     let measurements = vec![
@@ -218,28 +218,24 @@ fn main() -> Result<()> {
         );
     }
 
-    if let Some(path) = &options.json {
-        // Hand-built document: the `--sim` schema in schema_check.
-        let results: Vec<serde_json::Value> = measurements
-            .iter()
-            .map(|m| {
-                json!({
-                    "workload": m.workload.clone(),
-                    "cores": m.cores as u64,
-                    "accesses": m.accesses,
-                    "cycles_simulated": m.cycles_simulated,
-                    "cycles_per_sec": m.cycles_per_sec(),
-                })
+    let results: Vec<serde_json::Value> = measurements
+        .iter()
+        .map(|m| {
+            json!({
+                "workload": m.workload.clone(),
+                "cores": m.cores as u64,
+                "accesses": m.accesses,
+                "cycles_simulated": m.cycles_simulated,
+                "cycles_per_sec": m.cycles_per_sec(),
             })
-            .collect();
-        let doc = json!({
-            "quick": quick,
-            "determinism": true,
-            "presets_compared": presets_compared as u64,
-            "results": results,
-        });
-        ReportWriter::new(&report::SIM, "sim").write(path, doc)?;
-        eprintln!("sim: wrote {}", path.display());
-    }
+        })
+        .collect();
+    let report = json!({
+        "quick": quick,
+        "determinism": determinism,
+        "presets_compared": presets_compared as u64,
+        "results": results,
+    });
+    ReportWriter::new(&SIM).write_or_exit(options.json.as_deref(), report);
     Ok(())
 }

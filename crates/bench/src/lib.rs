@@ -351,45 +351,6 @@ pub fn write_chrome_trace(
     sim.into_probe().write_to(path).map_err(|e| Error::Codec(e.to_string()))
 }
 
-/// Wraps per-run records into the `--json` report envelope
-/// (`{"schema": "report/1", "generator": ..., "runs": [...]}`), stamped
-/// through the shared [`report::REPORT`] definition.
-#[must_use]
-pub fn json_report(generator: &str, runs: Vec<serde_json::Value>) -> serde_json::Value {
-    report::ReportWriter::new(&report::REPORT, generator).envelope(json!({ "runs": runs }))
-}
-
-/// Wraps chaos campaign records into the chaos report envelope
-/// (`{"schema": "chaos/1", "generator": ..., "quick": ..., "campaigns":
-/// [...]}`) consumed by `schema_check --chaos`, stamped through the shared
-/// [`report::CHAOS`] definition.
-#[must_use]
-pub fn json_report_envelope(
-    generator: &str,
-    quick: bool,
-    campaigns: Vec<serde_json::Value>,
-) -> serde_json::Value {
-    report::ReportWriter::new(&report::CHAOS, generator).envelope(json!({
-        "quick": quick,
-        "campaigns": campaigns,
-    }))
-}
-
-/// Writes a machine-readable report to `path` (pretty-printed JSON),
-/// creating parent directories as needed.
-///
-/// # Errors
-///
-/// Returns [`Error::Codec`] when serialization or the filesystem fails.
-pub fn write_json(path: &Path, value: &serde_json::Value) -> Result<()> {
-    if let Some(parent) = path.parent().filter(|p| !p.as_os_str().is_empty()) {
-        std::fs::create_dir_all(parent).map_err(|e| Error::Codec(e.to_string()))?;
-    }
-    let mut text = serde_json::to_string_pretty(value).map_err(|e| Error::Codec(e.to_string()))?;
-    text.push('\n');
-    std::fs::write(path, text).map_err(|e| Error::Codec(e.to_string()))
-}
-
 /// Parses the common CLI flags of the bin targets.
 #[derive(Debug, Clone, Default)]
 pub struct CliOptions {
@@ -633,15 +594,14 @@ mod tests {
         let baseline_cores = baseline.get("cores").and_then(serde_json::Value::as_array).unwrap();
         assert_eq!(baseline_cores[0].get("wcml_bound"), Some(&serde_json::Value::Null));
 
-        let report = json_report("test", vec![record, baseline]);
-        let text = serde_json::to_string_pretty(&report).unwrap();
-        assert!(text.contains("\"generator\""));
-
         let dir = std::env::temp_dir().join("cohort-bench-json-test");
         let path = dir.join("nested").join("report.json");
-        write_json(&path, &report).unwrap();
+        let writer = report::ReportWriter::new(&report::REPORT);
+        let summary = writer.write(Some(&path), json!({ "runs": [record, baseline] })).unwrap();
+        assert_eq!(summary, "report ok: 2 runs");
         let round: serde_json::Value =
             serde_json::from_str(&std::fs::read_to_string(&path).unwrap()).unwrap();
+        assert_eq!(round.get("generator").and_then(serde_json::Value::as_str), Some("repro"));
         let round_runs = round.get("runs").and_then(serde_json::Value::as_array).unwrap();
         assert_eq!(round_runs.len(), 2);
         std::fs::remove_dir_all(&dir).ok();
