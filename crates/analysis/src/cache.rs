@@ -21,16 +21,26 @@
 //! with every other core's timer, then share one entry per (trace, θ)
 //! instead of walking the trace again for each penalty.
 //!
+//! The cache also memoizes whole simulations ([`AnalysisCache::simulate`]):
+//! a no-probe run keyed by the workload's trace fingerprints and the full
+//! [`SimConfig`]. The paper's criticality-free baselines (PCC, MSI+FCFS)
+//! simulate the same configuration under all three criticality masks, so
+//! a Fig. 5/6 pass serves those repeats from the memo. The run memo has
+//! its own counters ([`AnalysisCache::run_stats`]) and is dropped by
+//! [`AnalysisCache::clear`] together with the hit curves; it has no
+//! capacity bound, so only callers that clear per pass (the paper-cell
+//! sweep of `cohort-bench`) consult it.
+//!
 //! A process-wide instance is available through [`analysis_cache`]; the
 //! optimization engine and `analyze_cohort` route through it by default.
 
-use std::collections::HashMap; // lint:allow(det-unordered) geometry-keyed memo of pure analysis results; lookup-only, never iterated
+use std::collections::HashMap; // lint:allow(det-unordered) memo of pure analysis results and simulation statistics; lookup-only, never iterated
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{OnceLock, RwLock};
 
-use cohort_sim::CacheGeometry;
-use cohort_trace::Trace;
-use cohort_types::{Cycles, TimerValue};
+use cohort_sim::{CacheGeometry, SimBuilder, SimConfig, SimStats};
+use cohort_trace::{Trace, Workload};
+use cohort_types::{Cycles, Result, TimerValue};
 
 use crate::isolation::{effective_penalty, guaranteed_hits, saturation_search, HitMissCounts};
 
@@ -54,6 +64,15 @@ struct SatKey {
     geometry: CacheGeometry,
     hit_latency: Cycles,
     miss_penalty: Cycles,
+}
+
+/// Key of one simulation run: the workload's content and the whole
+/// simulator configuration (a no-probe, no-fault run depends on nothing
+/// else).
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+struct RunKey {
+    traces: Vec<u128>,
+    config: SimConfig,
 }
 
 /// Hit/lookup counters of an [`AnalysisCache`], for observability.
@@ -99,6 +118,9 @@ pub struct AnalysisCache {
     saturation: RwLock<HashMap<SatKey, u64>>,
     lookups: AtomicU64,
     served: AtomicU64,
+    runs: RwLock<HashMap<RunKey, SimStats>>,
+    run_lookups: AtomicU64,
+    run_served: AtomicU64,
 }
 
 impl AnalysisCache {
@@ -214,7 +236,52 @@ impl AnalysisCache {
         sat
     }
 
-    /// Lookup/hit counters since creation (or the last [`Self::clear`]).
+    /// Memoized no-probe simulation: the statistics of
+    /// `SimBuilder::new(config, workload).build()?.run()`, computed once
+    /// per (trace fingerprints, configuration). Errors are returned and
+    /// not memoized. Counted by [`Self::run_stats`], not [`Self::stats`].
+    ///
+    /// # Errors
+    ///
+    /// Propagates simulator build and run errors.
+    pub fn simulate(&self, config: &SimConfig, workload: &Workload) -> Result<SimStats> {
+        let key = RunKey {
+            traces: workload.traces().iter().map(Trace::fingerprint).collect(),
+            config: config.clone(),
+        };
+        self.run_lookups.fetch_add(1, Ordering::Relaxed);
+        if let Some(stats) =
+            self.runs.read().unwrap_or_else(std::sync::PoisonError::into_inner).get(&key)
+        {
+            self.run_served.fetch_add(1, Ordering::Relaxed);
+            return Ok(stats.clone());
+        }
+        let stats = SimBuilder::new(config.clone(), workload).build()?.run()?;
+        self.runs
+            .write()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+            .insert(key, stats.clone());
+        Ok(stats)
+    }
+
+    /// Lookup/served counters of [`Self::simulate`] since creation (or
+    /// the last [`Self::clear`]).
+    #[must_use]
+    pub fn run_stats(&self) -> CacheStats {
+        CacheStats {
+            lookups: self.run_lookups.load(Ordering::Relaxed),
+            hits: self.run_served.load(Ordering::Relaxed),
+        }
+    }
+
+    /// Number of memoized simulation runs.
+    #[must_use]
+    pub fn run_len(&self) -> usize {
+        self.runs.read().unwrap_or_else(std::sync::PoisonError::into_inner).len()
+    }
+
+    /// Analysis lookup/hit counters since creation (or the last
+    /// [`Self::clear`]); [`Self::simulate`] does not count here.
     #[must_use]
     pub fn stats(&self) -> CacheStats {
         CacheStats {
@@ -223,7 +290,8 @@ impl AnalysisCache {
         }
     }
 
-    /// Number of memoized entries across both maps.
+    /// Number of memoized analysis entries (hit curves and saturation
+    /// points; [`Self::run_len`] counts the runs).
     #[must_use]
     pub fn len(&self) -> usize {
         self.hits.read().unwrap_or_else(std::sync::PoisonError::into_inner).len()
@@ -236,22 +304,28 @@ impl AnalysisCache {
         self.len() == 0
     }
 
-    /// Drops every memoized entry and resets the counters.
+    /// Drops every memoized entry, runs included, and resets every
+    /// counter.
     pub fn clear(&self) {
         self.hits.write().unwrap_or_else(std::sync::PoisonError::into_inner).clear();
         self.saturation.write().unwrap_or_else(std::sync::PoisonError::into_inner).clear();
+        self.runs.write().unwrap_or_else(std::sync::PoisonError::into_inner).clear();
         self.lookups.store(0, Ordering::Relaxed);
         self.served.store(0, Ordering::Relaxed);
+        self.run_lookups.store(0, Ordering::Relaxed);
+        self.run_served.store(0, Ordering::Relaxed);
     }
 }
 
 /// The process-wide analysis cache.
 ///
 /// Shared by the optimization engine's fitness evaluations, the whole-
-/// system analyses and every batch-sweep worker; entries live for the
-/// process lifetime (bounded in practice by the handful of traces ×
-/// probed θ values a run touches). Call [`AnalysisCache::clear`] to drop
-/// them, e.g. between unrelated benchmark phases.
+/// system analyses, every batch-sweep worker and the paper-cell sweep's
+/// run memo. Entries live until [`AnalysisCache::clear`] and nothing
+/// bounds their number: a one-shot run touches a handful of traces × θ
+/// values, but a long-lived process that never clears (a fleet worker)
+/// adds entries for every new trace. Clear between unrelated phases,
+/// e.g. per benchmark pass.
 #[must_use]
 pub fn analysis_cache() -> &'static AnalysisCache {
     static CACHE: OnceLock<AnalysisCache> = OnceLock::new();
@@ -368,6 +442,53 @@ mod tests {
         );
         cache.clear();
         assert!(cache.is_empty());
+    }
+
+    fn run_config() -> cohort_sim::SimConfigBuilder {
+        SimConfig::builder(2).timer(0, TimerValue::timed(40).unwrap())
+    }
+
+    #[test]
+    fn run_memo_serves_repeats_and_clears_with_the_analysis_memo() {
+        let workload = cohort_trace::micro::random_shared(2, 16, 200, 0.4, 9);
+        let config = run_config().build().unwrap();
+        let cold = SimBuilder::new(config.clone(), &workload).build().unwrap().run().unwrap();
+        let cache = AnalysisCache::new();
+        assert_eq!(cache.simulate(&config, &workload).unwrap(), cold);
+        // A different allocation of the same content is served.
+        assert_eq!(cache.simulate(&config, &workload.clone()).unwrap(), cold);
+        assert_eq!(cache.run_stats(), CacheStats { lookups: 2, hits: 1 });
+        assert_eq!(cache.run_len(), 1);
+        // Runs are counted apart from the analysis queries.
+        assert_eq!(cache.stats(), CacheStats::default());
+        assert!(cache.is_empty());
+
+        cache.clear();
+        assert_eq!(cache.run_len(), 0);
+        assert_eq!(cache.run_stats(), CacheStats::default());
+        assert_eq!(cache.simulate(&config, &workload).unwrap(), cold);
+        assert_eq!(cache.run_stats(), CacheStats { lookups: 1, hits: 0 });
+    }
+
+    #[test]
+    fn every_run_config_field_keys_the_run_memo() {
+        let workload = cohort_trace::micro::random_shared(2, 16, 200, 0.4, 9);
+        let variants = [
+            run_config(),
+            run_config().timer(1, TimerValue::timed(7).unwrap()),
+            run_config().arbiter(cohort_sim::ArbiterKind::Fcfs),
+            run_config().data_path(cohort_sim::DataPath::ViaSharedMemory),
+            run_config().waiter_priority(vec![true, false]),
+            run_config().llc(cohort_sim::LlcModel::Finite(CacheGeometry::paper_llc())),
+        ];
+        let cache = AnalysisCache::new();
+        for (i, builder) in variants.into_iter().enumerate() {
+            let config = builder.build().unwrap();
+            let cold = SimBuilder::new(config.clone(), &workload).build().unwrap().run().unwrap();
+            assert_eq!(cache.simulate(&config, &workload).unwrap(), cold, "variant {i}");
+            assert_eq!(cache.run_stats().hits, 0, "variant {i} was served another's run");
+        }
+        assert_eq!(cache.run_len(), 6);
     }
 
     #[test]

@@ -10,17 +10,18 @@
 pub mod artifacts;
 pub mod report;
 
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
 
 use cohort::{
-    ExperimentJob, ExperimentOutcome, JobProgress, Protocol, ProtocolKind, Sweep, SweepObserver,
+    run_experiment_with_metrics, ExperimentOutcome, JobProgress, Protocol, SweepObserver,
     SystemSpec,
 };
+use cohort_analysis::analysis_cache;
 use cohort_optim::{GaConfig, GaRun, TimerProblem};
 use cohort_sim::{ChromeTraceProbe, SimBuilder};
 use cohort_trace::{Kernel, KernelSpec, Workload};
-use cohort_types::{Criticality, Cycles, Error, Result, TimerValue};
+use cohort_types::{panic_message, run_indexed, Criticality, Cycles, Error, Result, TimerValue};
 use serde_json::json;
 
 /// The uniform timer PENDULUM programs on its critical cores (PENDULUM is
@@ -165,14 +166,20 @@ pub fn optimize_cohort_timers(
 /// Runs one kernel under one configuration for CoHoRT, PCC and PENDULUM
 /// (the Figure-5 sweep) plus MSI+FCFS (the Figure-6 baseline).
 ///
-/// The four protocol runs go through a [`Sweep`], so they execute on the
-/// bounded worker pool and share the memoized analysis curves; results
-/// keep the `[CoHoRT, PCC, PENDULUM, MSI+FCFS]` order the figure
-/// renderers index by position.
+/// The cell is one pool of [`GaConfig::resolved_workers`] threads claiming
+/// four tasks in protocol order: the GA timer search (run inline on one
+/// thread, which yields the same timers) followed by the CoHoRT run, then
+/// PCC, PENDULUM and MSI+FCFS, which do not wait for the GA. Every run
+/// goes through the run memo of [`analysis_cache`], so the
+/// criticality-free baselines (PCC, MSI+FCFS) simulate once per kernel
+/// trace across the three configurations. Results keep the
+/// `[CoHoRT, PCC, PENDULUM, MSI+FCFS]` order the figure renderers index
+/// by position.
 ///
 /// # Errors
 ///
-/// Propagates simulator/analysis errors (the first failed job's error).
+/// Propagates simulator/analysis errors (the first failed task's error; a
+/// panicking task becomes [`Error::JobPanicked`]).
 pub fn sweep_protocols(
     config: CritConfig,
     workload: &Workload,
@@ -182,13 +189,14 @@ pub fn sweep_protocols(
 }
 
 /// [`sweep_protocols`] with explicit options: when `collect_metrics` is
-/// set, every run executes under a `cohort_sim::MetricsProbe` and its
-/// [`ExperimentOutcome::metrics`] report flows into the `--json` records
-/// (the statistics themselves are bit-identical either way).
+/// set, every run executes under a `cohort_sim::MetricsProbe`, bypassing
+/// the run memo, and its [`ExperimentOutcome::metrics`] report flows into
+/// the `--json` records (the statistics themselves are bit-identical
+/// either way).
 ///
 /// # Errors
 ///
-/// Propagates simulator/analysis errors (the first failed job's error).
+/// Propagates simulator/analysis errors (the first failed task's error).
 pub fn sweep_protocols_opts(
     config: CritConfig,
     workload: &Workload,
@@ -196,29 +204,41 @@ pub fn sweep_protocols_opts(
     collect_metrics: bool,
 ) -> Result<Vec<ProtocolRun>> {
     let spec = config.spec();
-    let timers = optimize_cohort_timers(config, workload, ga)?;
-    let shared = Arc::new(workload.clone());
-    let protocols = [
-        Protocol::Cohort { timers: timers.clone() },
-        Protocol::Pcc,
-        Protocol::Pendulum { critical: config.critical_mask(), theta: PENDULUM_THETA },
-        Protocol::MsiFcfs,
-    ];
-    let sweep = Sweep::builder()
-        .jobs(protocols.into_iter().map(|p| {
-            let label = format!("{}/{}/{}", config.slug(), workload.name(), p.slug());
-            ExperimentJob::new(spec.clone(), p, Arc::clone(&shared)).with_label(label)
-        }))
-        .collect_metrics(collect_metrics)
-        .build();
-    let outcomes = sweep.run().into_outcomes()?;
-    Ok(outcomes
-        .into_iter()
-        .map(|outcome| {
-            let timers = (outcome.protocol == ProtocolKind::Cohort).then(|| timers.clone());
-            ProtocolRun { outcome, timers }
-        })
-        .collect())
+    let run = |protocol: &Protocol| {
+        if collect_metrics {
+            return run_experiment_with_metrics(&spec, protocol, workload);
+        }
+        let stats = analysis_cache().simulate(&protocol.sim_config(&spec)?, workload)?;
+        ExperimentOutcome::analyzed(&spec, protocol, workload, stats)
+    };
+    let inline_ga = GaConfig { workers: 1, ..ga.clone() };
+    let cohort = || {
+        let timers = optimize_cohort_timers(config, workload, &inline_ga)?;
+        let outcome = run(&Protocol::Cohort { timers: timers.clone() })?;
+        Ok(ProtocolRun { outcome, timers: Some(timers) })
+    };
+    let baseline = |protocol: Protocol| Ok(ProtocolRun { outcome: run(&protocol)?, timers: None });
+    let pcc = || baseline(Protocol::Pcc);
+    let pendulum =
+        || baseline(Protocol::Pendulum { critical: config.critical_mask(), theta: PENDULUM_THETA });
+    let fcfs = || baseline(Protocol::MsiFcfs);
+    run_tasks(ga.resolved_workers(), &[&cohort, &pcc, &pendulum, &fcfs])
+}
+
+/// One task of a [`run_tasks`] pool.
+type Task<'a, R> = &'a (dyn Fn() -> Result<R> + Sync);
+
+/// Runs `tasks` on at most `workers` threads that claim them in order,
+/// and returns their results in task order, or the first failed task's
+/// error. A panicking task becomes [`Error::JobPanicked`] instead of
+/// taking the pool down.
+fn run_tasks<R: Send>(workers: usize, tasks: &[Task<'_, R>]) -> Result<Vec<R>> {
+    run_indexed(tasks, workers, |_, task| {
+        catch_unwind(AssertUnwindSafe(task))
+            .unwrap_or_else(|payload| Err(Error::JobPanicked(panic_message(payload.as_ref()))))
+    })
+    .into_iter()
+    .collect()
 }
 
 /// A [`SweepObserver`] that prints one line per finished job to stderr.
@@ -442,6 +462,7 @@ impl CliOptions {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cohort::ProtocolKind;
 
     #[test]
     fn config_masks() {
@@ -540,6 +561,25 @@ mod tests {
         let timers = optimize_cohort_timers(CritConfig::AllCr, &w, &bench_ga(false)).unwrap();
         let thetas: Vec<Option<u64>> = timers.iter().map(|t| t.theta()).collect();
         assert_eq!(thetas, [Some(12), Some(11), Some(12), Some(12)]);
+    }
+
+    #[test]
+    fn cell_tasks_keep_order_and_turn_panics_into_errors() {
+        let first = || Ok(1);
+        let second = || Ok(2);
+        assert_eq!(run_tasks(2, &[&first, &second]).unwrap(), [1, 2]);
+
+        let panics = || -> Result<u32> { panic!("cell task died") };
+        let fails = || Err(Error::InvalidConfig("bad cell".into()));
+        assert_eq!(
+            run_tasks(2, &[&first, &panics, &fails]),
+            Err(Error::JobPanicked("cell task died".into()))
+        );
+        // The first failure in task order wins, whichever thread ran it.
+        assert_eq!(
+            run_tasks(2, &[&fails, &panics, &first]),
+            Err(Error::InvalidConfig("bad cell".into()))
+        );
     }
 
     #[test]

@@ -43,9 +43,9 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use cohort_trace::Workload;
-use cohort_types::{default_workers, run_indexed, Error, Result};
+use cohort_types::{default_workers, panic_message, run_indexed, Error, Result};
 
-use crate::experiment::{run_experiment, run_experiment_with_metrics, ExperimentOutcome};
+use crate::experiment::{run_experiment, ExperimentOutcome};
 use crate::protocol::{Protocol, ProtocolKind};
 use crate::SystemSpec;
 
@@ -196,7 +196,6 @@ pub type SweepRunner<'o> = &'o (dyn Fn(&ExperimentJob) -> Result<ExperimentOutco
 pub struct Sweep<'o> {
     jobs: Vec<ExperimentJob>,
     workers: usize,
-    collect_metrics: bool,
     observer: Option<&'o dyn SweepObserver>,
     runner: Option<SweepRunner<'o>>,
 }
@@ -206,7 +205,6 @@ impl std::fmt::Debug for Sweep<'_> {
         f.debug_struct("Sweep")
             .field("jobs", &self.jobs)
             .field("workers", &self.workers)
-            .field("collect_metrics", &self.collect_metrics)
             .field("observer", &self.observer.map(|_| "dyn SweepObserver"))
             .field("runner", &self.runner.map(|_| "dyn Fn"))
             .finish()
@@ -218,7 +216,6 @@ impl std::fmt::Debug for Sweep<'_> {
 pub struct SweepBuilder<'o> {
     jobs: Vec<ExperimentJob>,
     workers: Option<usize>,
-    collect_metrics: bool,
     observer: Option<&'o dyn SweepObserver>,
     runner: Option<SweepRunner<'o>>,
 }
@@ -228,7 +225,6 @@ impl std::fmt::Debug for SweepBuilder<'_> {
         f.debug_struct("SweepBuilder")
             .field("jobs", &self.jobs)
             .field("workers", &self.workers)
-            .field("collect_metrics", &self.collect_metrics)
             .field("observer", &self.observer.map(|_| "dyn SweepObserver"))
             .field("runner", &self.runner.map(|_| "dyn Fn"))
             .finish()
@@ -258,16 +254,6 @@ impl<'o> SweepBuilder<'o> {
         self
     }
 
-    /// Runs every job under a `cohort_sim::MetricsProbe`, attaching a
-    /// [`cohort_sim::MetricsReport`] to each outcome (latency histograms,
-    /// bus shares, timer occupancy). Off by default: plain sweeps stay
-    /// byte-identical to the unprobed driver.
-    #[must_use]
-    pub fn collect_metrics(mut self, collect: bool) -> Self {
-        self.collect_metrics = collect;
-        self
-    }
-
     /// Attaches a progress observer; [`Sweep::run`] reports every job
     /// start/finish to it from the worker threads.
     #[must_use]
@@ -277,7 +263,7 @@ impl<'o> SweepBuilder<'o> {
     }
 
     /// Replaces the job body executed for every job (the default simulates
-    /// and analyses, honouring [`SweepBuilder::collect_metrics`]). Tests
+    /// and analyses through [`run_experiment`]). Tests
     /// and alternative execution backends inject their own while keeping
     /// the pool, the panic isolation and the reporting.
     #[must_use]
@@ -292,7 +278,6 @@ impl<'o> SweepBuilder<'o> {
         Sweep {
             jobs: self.jobs,
             workers: self.workers.unwrap_or_else(default_workers),
-            collect_metrics: self.collect_metrics,
             observer: self.observer,
             runner: self.runner,
         }
@@ -321,16 +306,12 @@ impl<'o> Sweep<'o> {
     /// Runs every job and returns all results — the single entry point.
     /// Progress goes to the builder-configured observer (silent without
     /// one); the job body is the builder-configured runner, defaulting to
-    /// simulate + analyse (with metrics when
-    /// [`SweepBuilder::collect_metrics`] is set).
+    /// simulate + analyse.
     #[must_use]
     pub fn run(&self) -> SweepReport {
         let observer = self.observer.unwrap_or(&SilentObserver);
         match self.runner {
             Some(runner) => self.run_inner(observer, runner),
-            None if self.collect_metrics => self.run_inner(observer, &|job| {
-                run_experiment_with_metrics(&job.spec, &job.protocol, &job.workload)
-            }),
             None => self.run_inner(observer, &|job| {
                 run_experiment(&job.spec, &job.protocol, &job.workload)
             }),
@@ -375,17 +356,6 @@ impl<'o> Sweep<'o> {
             wall_time: started.elapsed(),
             workers: self.workers.min(self.jobs.len().max(1)),
         }
-    }
-}
-
-/// Extracts a human-readable message from a panic payload.
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
     }
 }
 
@@ -627,20 +597,6 @@ mod tests {
             assert!(ok);
         }
         assert!(report.wall_time >= report.results.iter().map(|r| r.wall_time).max().unwrap());
-    }
-
-    #[test]
-    fn collect_metrics_attaches_reports_without_changing_stats() {
-        let plain = Sweep::builder().jobs(tiny_jobs(3)).workers(2).build().run();
-        let probed =
-            Sweep::builder().jobs(tiny_jobs(3)).workers(2).collect_metrics(true).build().run();
-        for (p, m) in plain.results.iter().zip(&probed.results) {
-            let (p, m) = (p.outcome().unwrap(), m.outcome().unwrap());
-            assert_eq!(p.stats, m.stats, "metrics collection must not perturb the sweep");
-            assert!(p.metrics.is_none());
-            let report = m.metrics.as_ref().expect("probed sweep carries metrics");
-            assert_eq!(report.cycles, m.stats.cycles.get());
-        }
     }
 
     #[test]

@@ -26,6 +26,27 @@ pub struct ExperimentOutcome {
 }
 
 impl ExperimentOutcome {
+    /// Pairs the simulated `stats` of `protocol` on `workload` with the
+    /// protocol's analytical bounds (no metrics report).
+    ///
+    /// # Errors
+    ///
+    /// Propagates analysis errors.
+    pub fn analyzed(
+        spec: &SystemSpec,
+        protocol: &Protocol,
+        workload: &Workload,
+        stats: SimStats,
+    ) -> Result<Self> {
+        Ok(ExperimentOutcome {
+            protocol: protocol.kind(),
+            workload: workload.name().to_string(),
+            stats,
+            bounds: protocol.analyze(spec, workload)?,
+            metrics: None,
+        })
+    }
+
     /// Measured execution time (Figure 6's numerator).
     #[must_use]
     pub fn execution_time(&self) -> u64 {
@@ -79,16 +100,8 @@ pub fn run_experiment(
     workload: &Workload,
 ) -> Result<ExperimentOutcome> {
     let config = protocol.sim_config(spec)?;
-    let mut sim = SimBuilder::new(config, workload).build()?;
-    let stats = sim.run()?;
-    let bounds = protocol.analyze(spec, workload)?;
-    Ok(ExperimentOutcome {
-        protocol: protocol.kind(),
-        workload: workload.name().to_string(),
-        stats,
-        bounds,
-        metrics: None,
-    })
+    let stats = SimBuilder::new(config, workload).build()?.run()?;
+    ExperimentOutcome::analyzed(spec, protocol, workload, stats)
 }
 
 /// Runs one protocol on one workload under a [`MetricsProbe`]: identical
@@ -107,14 +120,8 @@ pub fn run_experiment_with_metrics(
     let mut sim = SimBuilder::new(config, workload).probe(MetricsProbe::new()).build()?;
     let stats = sim.run()?;
     let metrics = sim.into_probe().into_report();
-    let bounds = protocol.analyze(spec, workload)?;
-    Ok(ExperimentOutcome {
-        protocol: protocol.kind(),
-        workload: workload.name().to_string(),
-        stats,
-        bounds,
-        metrics: Some(metrics),
-    })
+    let outcome = ExperimentOutcome::analyzed(spec, protocol, workload, stats)?;
+    Ok(ExperimentOutcome { metrics: Some(metrics), ..outcome })
 }
 
 #[cfg(test)]

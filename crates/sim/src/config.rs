@@ -208,7 +208,7 @@ pub enum ArbiterKind {
 /// assert!(config.timers()[2].is_msi());
 /// # Ok::<(), cohort_types::Error>(())
 /// ```
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct SimConfig {
     cores: usize,
     latency: LatencyConfig,

@@ -64,7 +64,7 @@ pub use fleet::{Epoch, Fingerprint, FingerprintBuilder, WorkerId};
 pub use histogram::Log2Histogram;
 pub use ids::{Address, CoreId, LineAddr};
 pub use latency::{wcl_miss, LatencyConfig};
-pub use pool::{default_workers, run_indexed};
+pub use pool::{default_workers, panic_message, run_indexed};
 pub use seed::{splitmix64, SampleRange, SeedRng, Uniform};
 pub use task::{Requirements, Task};
 pub use time::Cycles;

@@ -61,6 +61,18 @@ where
     slots.into_iter().map(|slot| slot.expect("every index is claimed exactly once")).collect()
 }
 
+/// The message of a caught panic payload (`panic!` with a literal or a
+/// formatted string), for pools that turn a panicking job into an error.
+pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+    if let Some(s) = payload.downcast_ref::<&str>() {
+        (*s).to_string()
+    } else if let Some(s) = payload.downcast_ref::<String>() {
+        s.clone()
+    } else {
+        "non-string panic payload".to_string()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
