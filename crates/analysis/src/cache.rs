@@ -104,11 +104,11 @@ impl CacheStats {
 /// duplicate insert is harmless and cheaper than holding a lock across the
 /// trace walk.
 ///
-/// The cache is **panic-tolerant**: batch-sweep jobs share it across
-/// worker threads and a job that panics (isolated into a `JobError` by the
-/// sweep engine) must not take the memo down for later clean runs. Every
-/// lock acquisition therefore recovers from poisoning instead of
-/// propagating it — sound because values are only ever inserted complete
+/// The cache is **panic-tolerant**: pool jobs share it across worker
+/// threads and a job that panics (turned into `Error::JobPanicked` by
+/// `cohort_types::run_jobs`) must not take the memo down for later clean
+/// runs. Every lock acquisition therefore recovers from poisoning instead
+/// of propagating it — sound because values are only ever inserted complete
 /// (the analysis runs *outside* the lock and the `Copy` value is written
 /// in a single `insert`), so a poisoned guard still protects a consistent
 /// map and never exposes a partial result.
@@ -404,9 +404,9 @@ mod tests {
 
     #[test]
     fn poisoned_locks_recover_without_caching_partial_results() {
-        // A sweep job that panics while touching the memo (isolated into a
-        // `JobError` upstream) poisons the RwLocks; later clean runs must
-        // still be served exact results — the regression this guards
+        // A pool job that panics while touching the memo (turned into
+        // `Error::JobPanicked` upstream) poisons the RwLocks; later clean
+        // runs must still be served exact results — the regression this guards
         // against is the old `.expect("not poisoned")` panic cascade.
         let trace = kernel_trace();
         let cache = AnalysisCache::new();

@@ -6,11 +6,10 @@
 //! `fig7.txt`, `schedulability.txt` and the summary's `fig7` block.
 
 use std::fmt::Write;
-use std::sync::Arc;
 
 use cohort::{
-    ExperimentJob, ExperimentOutcome, ModeConfiguration, ModeController, ModeSetup, Protocol,
-    Sweep, SystemSpec,
+    run_experiment, ExperimentOutcome, ModeConfiguration, ModeController, ModeSetup, Protocol,
+    SystemSpec,
 };
 use cohort_optim::{GaConfig, GaRun, TimerProblem};
 use cohort_sim::{
@@ -18,12 +17,12 @@ use cohort_sim::{
     SimBuilder, SimConfig,
 };
 use cohort_trace::{micro, Kernel, KernelSpec, Trace, TraceOp, Workload};
-use cohort_types::{CoreId, Criticality, Cycles, LatencyConfig, Mode, Result, TimerValue};
+use cohort_types::{
+    default_workers, run_jobs, CoreId, Criticality, Cycles, LatencyConfig, Mode, Result, TimerValue,
+};
 use serde_json::json;
 
-use crate::{
-    bench_ga, geomean, optimize_cohort_timers, ConsoleObserver, CritConfig, ProtocolRun, CORES,
-};
+use crate::{bench_ga, geomean, optimize_cohort_timers, CritConfig, ProtocolRun, CORES};
 
 /// `println!` into the artifact being rendered (writing to a `String`
 /// cannot fail).
@@ -575,17 +574,12 @@ impl ModeStudy {
             .collect();
         let schedulable: Vec<&(usize, u64, Option<Mode>)> =
             stage_modes.iter().filter(|(_, _, m)| m.is_some()).collect();
-        let outcomes = Sweep::builder()
-            .jobs(schedulable.iter().map(|(stage, _, mode)| {
-                let mode = mode.expect("filtered to schedulable stages");
-                let timers = config.lut.timers_for(mode).expect("mode exists").to_vec();
-                ExperimentJob::new(spec.clone(), Protocol::Cohort { timers }, self.workload.clone())
-                    .with_label(format!("fig7/stage-{stage}/mode-{mode}"))
-            }))
-            .build()
-            .run()
-            .into_outcomes()
-            .expect("simulation succeeds");
+        let outcomes = run_jobs(&schedulable, default_workers(), |(_, _, mode)| {
+            let mode = mode.expect("filtered to schedulable stages");
+            let timers = config.lut.timers_for(mode).expect("mode exists").to_vec();
+            run_experiment(spec, &Protocol::Cohort { timers }, &self.workload)
+        })
+        .expect("simulation succeeds");
         let mut results = schedulable.iter().zip(&outcomes);
         for (stage, gamma, mode) in &stage_modes {
             let Some(mode) = mode else {
@@ -712,28 +706,18 @@ pub fn ablations(quick: bool) -> String {
         p.timers_from_genes(p.theta_saturations())
     };
     outln!(out, "{:<28} {:>12} {:>14} {:>20}", "policy", "exec time", "avg WCML bound", "timers");
-    // The four timer policies are independent jobs: run them as one sweep
-    // on the bounded pool (ConsoleObserver narrates progress on stderr).
+    // The four timer policies are independent jobs: run them on the
+    // bounded pool.
     let policies = [
         ("GA-optimized (ours)", optimized),
         ("uniform θ = 24", timers.clone()),
         ("saturation θ", saturated),
         ("all MSI (θ = -1)", vec![TimerValue::MSI; 4]),
     ];
-    let shared = Arc::new(w2.clone());
-    let report = Sweep::builder()
-        .jobs(policies.iter().map(|(name, t)| {
-            ExperimentJob::new(
-                spec.clone(),
-                Protocol::Cohort { timers: t.clone() },
-                Arc::clone(&shared),
-            )
-            .with_label((*name).to_string())
-        }))
-        .observer(&ConsoleObserver)
-        .build()
-        .run();
-    let outcomes = report.into_outcomes().expect("runs");
+    let outcomes = run_jobs(&policies, default_workers(), |(_, t)| {
+        run_experiment(&spec, &Protocol::Cohort { timers: t.clone() }, &w2)
+    })
+    .expect("runs");
     for ((name, t), outcome) in policies.iter().zip(&outcomes) {
         let avg_bound: u64 = outcome
             .bounds
@@ -838,6 +822,7 @@ pub fn scaling(quick: bool) -> String {
         levels: u32,
         spec: SystemSpec,
         workload: Workload,
+        protocol: Protocol,
     }
 
     let mut out = String::new();
@@ -856,9 +841,8 @@ pub fn scaling(quick: bool) -> String {
         "hit ratio"
     );
     // Per-point timer optimization is sequential (each point's GA feeds its
-    // own job); the four simulations then run as one bounded sweep.
+    // own job); the four simulations then run on the bounded pool.
     let mut points = Vec::new();
-    let mut jobs = Vec::new();
     for &cores in &[2usize, 4, 8, 16] {
         let levels = cores.min(8) as u32;
         let workload = KernelSpec::new(Kernel::Ocean, cores)
@@ -885,13 +869,12 @@ pub fn scaling(quick: bool) -> String {
         let outcome = GaRun::new(&problem).config(&ga).run();
         let timers = problem.timers_from_genes(&outcome.best);
 
-        jobs.push(
-            ExperimentJob::new(spec.clone(), Protocol::Cohort { timers }, workload.clone())
-                .with_label(format!("scaling/{cores}-cores")),
-        );
-        points.push(ScalePoint { cores, levels, spec, workload });
+        let protocol = Protocol::Cohort { timers };
+        points.push(ScalePoint { cores, levels, spec, workload, protocol });
     }
-    let runs = Sweep::builder().jobs(jobs).build().run().into_outcomes().expect("runs");
+    let runs =
+        run_jobs(&points, default_workers(), |p| run_experiment(&p.spec, &p.protocol, &p.workload))
+            .expect("runs");
     for (point, run) in points.iter().zip(&runs) {
         run.check_soundness().expect("bounds dominate at every scale");
         let bounds = run.bounds.as_ref().expect("bounded");

@@ -10,18 +10,14 @@
 pub mod artifacts;
 pub mod report;
 
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 
-use cohort::{
-    run_experiment_with_metrics, ExperimentOutcome, JobProgress, Protocol, SweepObserver,
-    SystemSpec,
-};
+use cohort::{run_experiment_with_metrics, ExperimentOutcome, Protocol, SystemSpec};
 use cohort_analysis::analysis_cache;
 use cohort_optim::{GaConfig, GaRun, TimerProblem};
 use cohort_sim::{ChromeTraceProbe, SimBuilder};
 use cohort_trace::{Kernel, KernelSpec, Workload};
-use cohort_types::{panic_message, run_indexed, Criticality, Cycles, Error, Result, TimerValue};
+use cohort_types::{run_jobs, Criticality, Cycles, Error, Result, TimerValue};
 use serde_json::json;
 
 /// The uniform timer PENDULUM programs on its critical cores (PENDULUM is
@@ -166,11 +162,11 @@ pub fn optimize_cohort_timers(
 /// Runs one kernel under one configuration for CoHoRT, PCC and PENDULUM
 /// (the Figure-5 sweep) plus MSI+FCFS (the Figure-6 baseline).
 ///
-/// The cell is one pool of [`GaConfig::resolved_workers`] threads claiming
-/// four tasks in protocol order: the GA timer search (run inline on one
-/// thread, which yields the same timers) followed by the CoHoRT run, then
-/// PCC, PENDULUM and MSI+FCFS, which do not wait for the GA. Every run
-/// goes through the run memo of [`analysis_cache`], so the
+/// The cell is one [`run_jobs`] pool of [`GaConfig::resolved_workers`]
+/// threads claiming four tasks in protocol order: the GA timer search (run
+/// inline on one thread, which yields the same timers) followed by the
+/// CoHoRT run, then PCC, PENDULUM and MSI+FCFS, which do not wait for the
+/// GA. Every run goes through the run memo of [`analysis_cache`], so the
 /// criticality-free baselines (PCC, MSI+FCFS) simulate once per kernel
 /// trace across the three configurations. Results keep the
 /// `[CoHoRT, PCC, PENDULUM, MSI+FCFS]` order the figure renderers index
@@ -222,42 +218,8 @@ pub fn sweep_protocols_opts(
     let pendulum =
         || baseline(Protocol::Pendulum { critical: config.critical_mask(), theta: PENDULUM_THETA });
     let fcfs = || baseline(Protocol::MsiFcfs);
-    run_tasks(ga.resolved_workers(), &[&cohort, &pcc, &pendulum, &fcfs])
-}
-
-/// One task of a [`run_tasks`] pool.
-type Task<'a, R> = &'a (dyn Fn() -> Result<R> + Sync);
-
-/// Runs `tasks` on at most `workers` threads that claim them in order,
-/// and returns their results in task order, or the first failed task's
-/// error. A panicking task becomes [`Error::JobPanicked`] instead of
-/// taking the pool down.
-fn run_tasks<R: Send>(workers: usize, tasks: &[Task<'_, R>]) -> Result<Vec<R>> {
-    run_indexed(tasks, workers, |_, task| {
-        catch_unwind(AssertUnwindSafe(task))
-            .unwrap_or_else(|payload| Err(Error::JobPanicked(panic_message(payload.as_ref()))))
-    })
-    .into_iter()
-    .collect()
-}
-
-/// A [`SweepObserver`] that prints one line per finished job to stderr.
-///
-/// Used by the ablation study so a long run shows forward progress
-/// without polluting the rendered tables.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct ConsoleObserver;
-
-impl SweepObserver for ConsoleObserver {
-    fn job_finished(&self, index: usize, label: &str, progress: &JobProgress) {
-        let status = if progress.ok { "ok" } else { "FAILED" };
-        eprintln!(
-            "  [{index}] {label}: {status} ({} cycles, bus {:.1}%, {:.2?})",
-            progress.cycles,
-            progress.bus_utilisation * 100.0,
-            progress.wall_time,
-        );
-    }
+    let tasks: [&(dyn Fn() -> Result<ProtocolRun> + Sync); 4] = [&cohort, &pcc, &pendulum, &fcfs];
+    run_jobs(&tasks, ga.resolved_workers(), |task| task())
 }
 
 /// The evaluation workloads at the given scale.
@@ -561,25 +523,6 @@ mod tests {
         let timers = optimize_cohort_timers(CritConfig::AllCr, &w, &bench_ga(false)).unwrap();
         let thetas: Vec<Option<u64>> = timers.iter().map(|t| t.theta()).collect();
         assert_eq!(thetas, [Some(12), Some(11), Some(12), Some(12)]);
-    }
-
-    #[test]
-    fn cell_tasks_keep_order_and_turn_panics_into_errors() {
-        let first = || Ok(1);
-        let second = || Ok(2);
-        assert_eq!(run_tasks(2, &[&first, &second]).unwrap(), [1, 2]);
-
-        let panics = || -> Result<u32> { panic!("cell task died") };
-        let fails = || Err(Error::InvalidConfig("bad cell".into()));
-        assert_eq!(
-            run_tasks(2, &[&first, &panics, &fails]),
-            Err(Error::JobPanicked("cell task died".into()))
-        );
-        // The first failure in task order wins, whichever thread ran it.
-        assert_eq!(
-            run_tasks(2, &[&fails, &panics, &first]),
-            Err(Error::InvalidConfig("bad cell".into()))
-        );
     }
 
     #[test]

@@ -127,9 +127,8 @@ pub fn run_experiment_with_metrics(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ExperimentJob;
     use cohort_trace::micro;
-    use cohort_types::{Criticality, TimerValue};
+    use cohort_types::{run_jobs, Criticality, TimerValue};
 
     fn spec(n: usize) -> SystemSpec {
         let mut b = SystemSpec::builder();
@@ -190,15 +189,10 @@ mod tests {
         let w = micro::random_shared(2, 16, 80, 0.4, 7);
         let protocols =
             [Protocol::Msi, Protocol::Pcc, Protocol::MsiFcfs, Protocol::Msi, Protocol::Pcc];
-        let sweep = crate::Sweep::builder()
-            .jobs(protocols.iter().map(|p| ExperimentJob::new(s.clone(), p.clone(), w.clone())))
-            .workers(2)
-            .build();
-        let report = sweep.run();
-        assert_eq!(report.results.len(), protocols.len());
-        for (result, protocol) in report.results.iter().zip(&protocols) {
-            let sequential = run_experiment(&s, protocol, &w).unwrap();
-            assert_eq!(result.outcome().unwrap(), &sequential);
+        let outcomes = run_jobs(&protocols, 2, |p| run_experiment(&s, p, &w)).unwrap();
+        assert_eq!(outcomes.len(), protocols.len());
+        for (outcome, protocol) in outcomes.iter().zip(&protocols) {
+            assert_eq!(*outcome, run_experiment(&s, protocol, &w).unwrap());
         }
     }
 }

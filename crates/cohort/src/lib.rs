@@ -21,11 +21,9 @@
 //!   instead of suspending them) until the bound fits;
 //! - [`run_experiment`]: the simulation + analysis driver for a single
 //!   protocol × workload pair;
-//! - [`Sweep`] / [`ExperimentJob`]: the batch sweep engine — a bounded
-//!   worker pool (sized from the machine's available parallelism) that
-//!   runs many experiments, isolates per-job panics into [`JobError`]s,
-//!   reports progress through [`SweepObserver`] hooks and returns every
-//!   job's outcome as a structured [`SweepReport`].
+//! - [`ExperimentJob`]: one owned experiment of a batch. Batches run on
+//!   the workspace's one fallible pool, [`cohort_types::run_jobs`];
+//!   [`Sweep`] is the benchmark's thin hook over it.
 //!
 //! # Examples
 //!
@@ -65,10 +63,7 @@ mod protocol;
 pub mod related;
 mod system;
 
-pub use batch::{
-    ExperimentJob, JobError, JobProgress, JobResult, Sweep, SweepBuilder, SweepObserver,
-    SweepReport, SweepRunner,
-};
+pub use batch::{ExperimentJob, Sweep, SweepBuilder, SweepReport};
 pub use controller::{ModeController, ModeDecision};
 pub use degrade::{
     run_with_watchdog, DegradationReport, PostSwitchCompliance, SwitchRecord, WatchdogPolicy,

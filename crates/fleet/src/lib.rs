@@ -1,8 +1,8 @@
 //! `cohort-fleet` — a sharded, persistent sweep service for CoHoRT
 //! experiment and GA-optimization campaigns.
 //!
-//! The fleet turns the workspace's one-shot drivers ([`cohort::Sweep`],
-//! [`cohort_optim::GaRun`]) into a service:
+//! The fleet turns the workspace's one-shot drivers
+//! ([`cohort::run_experiment`], [`cohort_optim::GaRun`]) into a service:
 //!
 //! - **[`JobSpec`]** — a serializable unit of work (an experiment or a GA
 //!   run) whose [`JobSpec::fingerprint`] content-addresses everything that

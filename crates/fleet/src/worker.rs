@@ -19,12 +19,12 @@ use serde_json::{json, Value};
 
 use cohort_types::Fingerprint;
 
-use cohort::{ExperimentJob, ExperimentOutcome, Sweep};
+use cohort::{run_experiment, ExperimentOutcome};
 use cohort_optim::{
     GaCheckpoint, GaConfig, GaObserver, GaOutcome, GaRun, GenerationReport, GeneticAlgorithm,
     TimerProblem,
 };
-use cohort_types::{Cycles, Error, Result};
+use cohort_types::{run_jobs, Cycles, Error, Result};
 
 use crate::queue::{Claim, JobQueue};
 use crate::spec::{timers_to_json, JobSpec};
@@ -255,26 +255,24 @@ impl GaObserver for CheckpointSink<'_> {
     }
 }
 
-/// Runs one experiment job through the sweep engine's single entry point
-/// (pool of 1 — the fleet's parallelism lives across shards, not inside a
-/// job) and serializes its outcome.
+/// Runs one experiment job on the fallible pool (one job, one worker —
+/// the fleet's parallelism lives across shards, not inside a job) and
+/// serializes its outcome.
 ///
 /// # Errors
 ///
 /// Propagates the simulation's own error (e.g. an invalid spec or a
-/// detected deadlock) — deterministic, so the fleet stores it as an
-/// error payload rather than retrying.
+/// detected deadlock), and turns a panicking experiment into
+/// [`Error::JobPanicked`]. Both are deterministic, so the fleet stores
+/// them as error payloads rather than retrying.
 pub fn execute_experiment(
     spec: &cohort::SystemSpec,
     protocol: &cohort::Protocol,
     workload: &Arc<cohort_trace::Workload>,
 ) -> Result<Value> {
-    let report = Sweep::builder()
-        .job(ExperimentJob::new(spec.clone(), protocol.clone(), Arc::clone(workload)))
-        .workers(1)
-        .build()
-        .run();
-    let outcome = report.into_outcomes()?.pop().expect("one job yields one outcome");
+    let outcome = run_jobs(&[workload], 1, |w| run_experiment(spec, protocol, w))?
+        .pop()
+        .expect("one job yields one outcome");
     Ok(outcome_payload(&outcome))
 }
 

@@ -1,7 +1,6 @@
-//! Progress observation for GA runs, mirroring the sweep engine's
-//! `SweepObserver` and the simulator's `SimProbe` patterns: a `Sync` trait
-//! of defaulted no-op hooks, so observation is strictly opt-in and costs
-//! nothing when unused.
+//! Progress observation for GA runs, mirroring the simulator's `SimProbe`
+//! pattern: a `Sync` trait of defaulted no-op hooks, so observation is
+//! strictly opt-in and costs nothing when unused.
 
 use std::collections::HashMap; // lint:allow(det-unordered) observer hooks borrow the GA's memo read-only; no hook iterates it
 

@@ -49,9 +49,9 @@ pub enum Error {
     /// The optimization engine could not find a feasible timer assignment
     /// (constraint C1 cannot be met for at least one task).
     Infeasible(String),
-    /// A batch job panicked; the payload is the panic message. Produced by
-    /// the sweep engine when a caller collapses isolated per-job failures
-    /// back into a single `Result`.
+    /// A pool job panicked; the payload is the panic message. Produced by
+    /// the fallible worker pool (`run_jobs`), which catches the unwind so
+    /// the job's siblings still run.
     JobPanicked(String),
     /// The simulation engine made no observable progress for its defensive
     /// watchdog window — an engine bug or a pathological configuration,

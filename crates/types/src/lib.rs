@@ -18,7 +18,8 @@
 //! - and the workspace's shared primitives, each defined once: the
 //!   mergeable [`Log2Histogram`], the [`splitmix64`] seeded-stream mixer
 //!   and the [`SeedRng`] generator built on it,
-//!   the bounded worker pool ([`run_indexed`], [`default_workers`]) and
+//!   the bounded worker pool ([`run_indexed`], its fallible runner
+//!   [`run_jobs`] and [`default_workers`]) and
 //!   the dual-stream FNV-1a digest behind [`FingerprintBuilder`].
 //!
 //! # Examples
@@ -64,7 +65,7 @@ pub use fleet::{Epoch, Fingerprint, FingerprintBuilder, WorkerId};
 pub use histogram::Log2Histogram;
 pub use ids::{Address, CoreId, LineAddr};
 pub use latency::{wcl_miss, LatencyConfig};
-pub use pool::{default_workers, panic_message, run_indexed};
+pub use pool::{default_workers, run_indexed, run_jobs};
 pub use seed::{splitmix64, SampleRange, SeedRng, Uniform};
 pub use task::{Requirements, Task};
 pub use time::Cycles;

@@ -1,9 +1,9 @@
 //! Cross-protocol behaviour through the public API: the qualitative
 //! relationships the paper's evaluation rests on.
 
-use cohort::{run_experiment, ExperimentJob, Protocol, Sweep, SystemSpec};
+use cohort::{run_experiment, Protocol, SystemSpec};
 use cohort_trace::{micro, Kernel, KernelSpec};
-use cohort_types::{Criticality, TimerValue};
+use cohort_types::{default_workers, run_jobs, Criticality, TimerValue};
 
 fn spec4() -> SystemSpec {
     let mut b = SystemSpec::builder();
@@ -88,15 +88,11 @@ fn parallel_sweep_reproduces_sequential_results() {
     let s = spec4();
     let w = KernelSpec::new(Kernel::Radix, 4).with_total_requests(2_000).generate();
     let protocols = [Protocol::Msi, Protocol::Pcc, Protocol::MsiFcfs];
-    let report = Sweep::builder()
-        .jobs(protocols.iter().map(|p| ExperimentJob::new(s.clone(), p.clone(), w.clone())))
-        .build()
-        .run();
-    assert_eq!(report.error_count(), 0);
-    for (p, result) in protocols.iter().zip(&report.results) {
-        assert_eq!(result.protocol, p.kind());
+    let outcomes = run_jobs(&protocols, default_workers(), |p| run_experiment(&s, p, &w)).unwrap();
+    for (p, outcome) in protocols.iter().zip(&outcomes) {
+        assert_eq!(outcome.protocol, p.kind());
         let sequential = run_experiment(&s, p, &w).unwrap();
-        assert_eq!(result.outcome().unwrap().stats, sequential.stats, "{}", p.label());
+        assert_eq!(outcome.stats, sequential.stats, "{}", p.label());
     }
 }
 
@@ -105,12 +101,7 @@ fn sweep_outcomes_match_the_sequential_driver() {
     let s = spec4();
     let w = micro::ping_pong(4, 10);
     let protocols = [Protocol::Msi, Protocol::MsiFcfs];
-    let outcomes = Sweep::builder()
-        .jobs(protocols.iter().map(|p| ExperimentJob::new(s.clone(), p.clone(), w.clone())))
-        .build()
-        .run()
-        .into_outcomes()
-        .unwrap();
+    let outcomes = run_jobs(&protocols, default_workers(), |p| run_experiment(&s, p, &w)).unwrap();
     for (p, outcome) in protocols.iter().zip(&outcomes) {
         let sequential = run_experiment(&s, p, &w).unwrap();
         assert_eq!(outcome.stats, sequential.stats, "{}", p.label());
