@@ -10,11 +10,13 @@
 //! concurrent sweep workers share results without serialising on hits.
 //!
 //! Keys are *content* keys: the trace enters as its 128-bit
-//! [`Trace::fingerprint`], alongside the timer, cache geometry and the two
-//! latencies that shape the virtual timeline. Identical inputs therefore
-//! hit the cache no matter which `Trace` allocation they arrive through,
-//! and the memoized results are bit-identical to the uncached analysis by
-//! construction (the cached value *is* the uncached function's output).
+//! [`Trace::fingerprint`] (hashed once per trace and cached with it, so a
+//! lookup costs no trace walk), alongside the timer, cache geometry and
+//! the two latencies that shape the virtual timeline. Identical inputs
+//! therefore hit the cache no matter which `Trace` allocation they arrive
+//! through, and the memoized results are bit-identical to the uncached
+//! analysis by construction (the cached value *is* the uncached function's
+//! output).
 //! The one exception is the burst regime of [`crate::isolation`]: when the
 //! miss penalty is at least θ the counts do not depend on it, so the key
 //! records the penalty as θ. The GA's fitness queries, whose penalty moves
@@ -31,8 +33,11 @@
 //! capacity bound, so only callers that clear per pass (the paper-cell
 //! sweep of `cohort-bench`) consult it.
 //!
-//! A process-wide instance is available through [`analysis_cache`]; the
-//! optimization engine and `analyze_cohort` route through it by default.
+//! A process-wide instance is available through [`analysis_cache`]. Two
+//! callers feed it: the optimization engine's `TimerProblem` (θ-saturation
+//! searches and fitness hit curves) and the paper-cell sweep's run memo.
+//! One-shot bounds ([`crate::analyze_cohort`]) call [`guaranteed_hits`]
+//! directly, so an experiment job neither reads nor grows the memo.
 
 use std::collections::HashMap; // lint:allow(det-unordered) memo of pure analysis results and simulation statistics; lookup-only, never iterated
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -131,10 +136,6 @@ impl AnalysisCache {
     }
 
     /// Memoized [`guaranteed_hits`]: identical signature, identical result.
-    ///
-    /// Fingerprints the trace on every call; when the caller queries the
-    /// same trace many times (GA fitness loops), precompute the
-    /// fingerprint once and use [`Self::guaranteed_hits_fp`].
     #[must_use]
     pub fn guaranteed_hits(
         &self,
@@ -144,32 +145,8 @@ impl AnalysisCache {
         hit_latency: Cycles,
         miss_penalty: Cycles,
     ) -> HitMissCounts {
-        self.guaranteed_hits_fp(
-            trace.fingerprint(),
-            trace,
-            timer,
-            geometry,
-            hit_latency,
-            miss_penalty,
-        )
-    }
-
-    /// Memoized [`guaranteed_hits`] with a precomputed trace fingerprint.
-    ///
-    /// The caller vouches that `fingerprint == trace.fingerprint()`; a
-    /// stale fingerprint silently returns the *other* trace's counts.
-    #[must_use]
-    pub fn guaranteed_hits_fp(
-        &self,
-        fingerprint: u128,
-        trace: &Trace,
-        timer: TimerValue,
-        geometry: &CacheGeometry,
-        hit_latency: Cycles,
-        miss_penalty: Cycles,
-    ) -> HitMissCounts {
         let key = HitKey {
-            trace: fingerprint,
+            trace: trace.fingerprint(),
             timer,
             geometry: *geometry,
             hit_latency,
@@ -200,20 +177,8 @@ impl AnalysisCache {
         hit_latency: Cycles,
         miss_penalty: Cycles,
     ) -> u64 {
-        self.theta_saturation_fp(trace.fingerprint(), trace, geometry, hit_latency, miss_penalty)
-    }
-
-    /// Memoized θ-saturation with a precomputed trace fingerprint.
-    #[must_use]
-    pub fn theta_saturation_fp(
-        &self,
-        fingerprint: u128,
-        trace: &Trace,
-        geometry: &CacheGeometry,
-        hit_latency: Cycles,
-        miss_penalty: Cycles,
-    ) -> u64 {
-        let key = SatKey { trace: fingerprint, geometry: *geometry, hit_latency, miss_penalty };
+        let key =
+            SatKey { trace: trace.fingerprint(), geometry: *geometry, hit_latency, miss_penalty };
         self.lookups.fetch_add(1, Ordering::Relaxed);
         if let Some(&sat) =
             self.saturation.read().unwrap_or_else(std::sync::PoisonError::into_inner).get(&key)
@@ -222,8 +187,7 @@ impl AnalysisCache {
             return sat;
         }
         let sat = saturation_search(|theta| {
-            self.guaranteed_hits_fp(
-                fingerprint,
+            self.guaranteed_hits(
                 trace,
                 TimerValue::timed(theta).expect("θ within register range"),
                 geometry,
@@ -319,13 +283,14 @@ impl AnalysisCache {
 
 /// The process-wide analysis cache.
 ///
-/// Shared by the optimization engine's fitness evaluations, the whole-
-/// system analyses, every batch-sweep worker and the paper-cell sweep's
-/// run memo. Entries live until [`AnalysisCache::clear`] and nothing
-/// bounds their number: a one-shot run touches a handful of traces × θ
-/// values, but a long-lived process that never clears (a fleet worker)
-/// adds entries for every new trace. Clear between unrelated phases,
-/// e.g. per benchmark pass.
+/// Fed only by the optimization engine (`TimerProblem`'s θ-saturation
+/// searches and fitness evaluations, on every GA worker) and the
+/// paper-cell sweep's run memo; `analyze_cohort` bypasses it. Entries live
+/// until [`AnalysisCache::clear`] and nothing bounds their number: a GA run
+/// touches a handful of traces × θ values, but a long-lived process that
+/// never clears (a fleet worker serving `optimize` jobs) adds entries for
+/// every new trace. Clear between unrelated phases, e.g. per benchmark
+/// pass.
 #[must_use]
 pub fn analysis_cache() -> &'static AnalysisCache {
     static CACHE: OnceLock<AnalysisCache> = OnceLock::new();

@@ -22,7 +22,8 @@
 //!   system analyses pairing each core with its WCML bound;
 //! - [`AnalysisCache`] / [`analysis_cache`] — a process-wide memo of
 //!   guaranteed-hit and θ-saturation results keyed on trace fingerprints,
-//!   shared by the optimization engine and parallel sweep workers.
+//!   shared by the optimization engine's workers (whole-system analyses
+//!   walk the traces directly and leave it alone).
 //!
 //! # Examples
 //!

@@ -5,7 +5,7 @@ use cohort_sim::{CacheGeometry, LlcModel};
 use cohort_trace::Workload;
 use cohort_types::{Cycles, Error, LatencyConfig, Result, TimerValue};
 
-use crate::{analysis_cache, wcl_miss, wcl_pcc, wcl_pendulum, wcml_snoop, wcml_timed};
+use crate::{guaranteed_hits, wcl_miss, wcl_pcc, wcl_pendulum, wcml_snoop, wcml_timed};
 
 /// Analysis result for one core.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -90,11 +90,10 @@ pub fn analyze_cohort(
         .map(|(i, trace)| {
             let wcl = wcl_miss(i, timers, latency);
             if timers[i].is_timed() && llc.is_perfect() {
-                // Routed through the process-wide memo: repeated analyses
-                // of the same (trace, θ, latency) — e.g. across the jobs
-                // of a batch sweep — walk the trace only once.
-                let counts =
-                    analysis_cache().guaranteed_hits(trace, timers[i], l1, latency.hit, wcl);
+                // One walk of the trace, outside the process-wide memo: a
+                // one-shot analysis (e.g. a fleet experiment job) must not
+                // grow a cache that nothing in that process clears.
+                let counts = guaranteed_hits(trace, timers[i], l1, latency.hit, wcl);
                 CoreBound {
                     hits: counts.hits,
                     misses: counts.misses,

@@ -40,9 +40,6 @@ pub struct TimerProblem<'w> {
     timed: Vec<usize>,
     /// Per timed core: the saturation timer bounding the search.
     theta_sat: Vec<u64>,
-    /// Per-core trace fingerprints, precomputed so the hot fitness loop
-    /// queries the shared analysis cache without re-hashing the traces.
-    fingerprints: Vec<u128>,
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -126,13 +123,10 @@ impl<'w> TimerProblemBuilder<'w> {
                 "at least one core must be timed for the optimization to have variables".into(),
             ));
         }
-        let fingerprints: Vec<u128> =
-            self.workload.traces().iter().map(cohort_trace::Trace::fingerprint).collect();
         let theta_sat = timed
             .iter()
             .map(|&i| {
-                analysis_cache().theta_saturation_fp(
-                    fingerprints[i],
+                analysis_cache().theta_saturation(
                     &self.workload.traces()[i],
                     &self.l1,
                     self.latency.hit,
@@ -148,7 +142,6 @@ impl<'w> TimerProblemBuilder<'w> {
             roles: self.roles,
             timed,
             theta_sat,
-            fingerprints,
         })
     }
 }
@@ -204,8 +197,7 @@ impl<'w> TimerProblem<'w> {
         if !self.llc.is_perfect() {
             return (0, self.workload.traces()[core].len() as u64);
         }
-        let counts = analysis_cache().guaranteed_hits_fp(
-            self.fingerprints[core],
+        let counts = analysis_cache().guaranteed_hits(
             &self.workload.traces()[core],
             timer,
             &self.l1,

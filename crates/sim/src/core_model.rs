@@ -1,6 +1,6 @@
 //! Trace-driven core model with MSHRs (non-blocking, hits-over-misses).
 
-use cohort_trace::TraceOp;
+use cohort_trace::{Trace, TraceOp};
 use cohort_types::Cycles;
 
 use crate::coherence::{CohSlot, ReqKind};
@@ -29,8 +29,8 @@ pub(crate) struct MshrEntry {
 /// the bookkeeping it operates on.
 #[derive(Debug, Clone)]
 pub(crate) struct CoreModel {
-    /// Trace operations to replay.
-    pub ops: Vec<TraceOp>,
+    /// The trace to replay: a clone sharing the workload's op buffer.
+    pub trace: Trace,
     /// Index of the next operation to issue.
     pub cursor: usize,
     /// Earliest cycle the core can act (compute gap / hit latency elapsed).
@@ -49,10 +49,10 @@ pub(crate) struct CoreModel {
 }
 
 impl CoreModel {
-    pub(crate) fn new(ops: Vec<TraceOp>, mshr_capacity: usize) -> Self {
-        let first_gap = ops.first().map_or(Cycles::ZERO, |op| op.gap);
+    pub(crate) fn new(trace: Trace, mshr_capacity: usize) -> Self {
+        let first_gap = trace.ops().first().map_or(Cycles::ZERO, |op| op.gap);
         CoreModel {
-            ops,
+            trace,
             cursor: 0,
             ready_at: first_gap,
             stalled: false,
@@ -65,12 +65,12 @@ impl CoreModel {
 
     /// The next operation to issue, if the trace is not drained.
     pub(crate) fn current_op(&self) -> Option<&TraceOp> {
-        self.ops.get(self.cursor)
+        self.trace.ops().get(self.cursor)
     }
 
     /// True once the trace is drained and all misses have completed.
     pub(crate) fn is_done(&self) -> bool {
-        self.cursor >= self.ops.len() && self.mshr.is_empty()
+        self.cursor >= self.trace.len() && self.mshr.is_empty()
     }
 
     /// The core's oldest outstanding request.
@@ -118,7 +118,6 @@ impl CoreModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cohort_trace::TraceOp;
 
     fn entry(line: u64, issued: u64) -> MshrEntry {
         MshrEntry {
@@ -133,21 +132,21 @@ mod tests {
 
     #[test]
     fn initial_ready_time_honours_first_gap() {
-        let core = CoreModel::new(vec![TraceOp::load(0).after(7)], 1);
+        let core = CoreModel::new(Trace::from_ops(vec![TraceOp::load(0).after(7)]), 1);
         assert_eq!(core.ready_at.get(), 7);
         assert!(!core.is_done());
     }
 
     #[test]
     fn empty_trace_is_done_immediately() {
-        let core = CoreModel::new(vec![], 1);
+        let core = CoreModel::new(Trace::new(), 1);
         assert!(core.is_done());
         assert!(core.current_op().is_none());
     }
 
     #[test]
     fn mshr_lifecycle() {
-        let mut core = CoreModel::new(vec![TraceOp::load(0)], 2);
+        let mut core = CoreModel::new(Trace::from_ops(vec![TraceOp::load(0)]), 2);
         core.allocate(entry(0, 5));
         core.allocate(entry(1, 9));
         assert!(core.has_inflight(LineAddr::new(0)));
@@ -164,7 +163,7 @@ mod tests {
 
     #[test]
     fn a_broadcast_request_carries_its_coherence_slot() {
-        let mut core = CoreModel::new(vec![TraceOp::load(0)], 2);
+        let mut core = CoreModel::new(Trace::from_ops(vec![TraceOp::load(0)]), 2);
         core.allocate(entry(0, 5));
         core.allocate(entry(1, 9));
         assert_eq!(core.broadcast_slot(LineAddr::new(0)), None);

@@ -220,7 +220,7 @@ impl<'w, P: SimProbe> SimBuilder<'w, P> {
         let cores: Vec<CoreModel> = workload
             .traces()
             .iter()
-            .map(|t| CoreModel::new(t.ops().to_vec(), config.mshr_per_core()))
+            .map(|t| CoreModel::new(t.clone(), config.mshr_per_core()))
             .collect();
         // A core with an empty trace is done from the start.
         let cores_not_done = cores.iter().filter(|c| !c.is_done()).count();
@@ -1478,6 +1478,25 @@ mod tests {
             );
         }
         assert_eq!(sim.stats().cores.iter().map(CoreStats::accesses).sum::<u64>(), 64 * 1_000);
+    }
+
+    #[test]
+    fn cores_replay_the_workloads_own_buffers() {
+        let (config, w) = sparse_dram(200);
+        let mut sim = SimBuilder::new(config.clone(), &w).build().unwrap();
+        for (core, trace) in sim.cores.iter().zip(w.traces()) {
+            assert!(std::ptr::eq(core.trace.ops().as_ptr(), trace.ops().as_ptr()));
+        }
+        // Sharing the buffer changes nothing: a run over freshly copied
+        // traces gives the same statistics.
+        let copied = Workload::new(
+            w.name(),
+            w.traces().iter().map(|t| Trace::from_ops(t.ops().to_vec())).collect(),
+        )
+        .unwrap();
+        let reference = SimBuilder::new(config, &copied).build().unwrap().run().unwrap();
+        assert_eq!(sim.run().unwrap(), reference);
+        assert_eq!(reference.cores.iter().map(CoreStats::accesses).sum::<u64>(), 64 * 200);
     }
 
     #[test]

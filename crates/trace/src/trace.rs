@@ -1,4 +1,5 @@
 use std::collections::HashSet;
+use std::sync::{Arc, OnceLock};
 
 use cohort_types::{Cycles, FingerprintBuilder};
 
@@ -9,6 +10,14 @@ use crate::{AccessKind, TraceOp};
 /// A trace is an ordered sequence of [`TraceOp`]s. The simulator replays it
 /// through the core model; the static analysis walks it to compute
 /// guaranteed hits; Λ (the task's total access count) is [`Trace::len`].
+///
+/// A trace is **immutable and shared**: the operations live in one
+/// reference-counted buffer, so cloning a trace (or a whole
+/// [`Workload`](crate::Workload)) copies no operations, and the simulator
+/// replays the buffer it was given instead of a private copy. The content
+/// [`fingerprint`](Trace::fingerprint) is computed on first use and cached
+/// with the trace (clones made after that carry the cached value), so each
+/// trace is hashed at most once however many memo keys it enters.
 ///
 /// # Examples
 ///
@@ -22,28 +31,29 @@ use crate::{AccessKind, TraceOp};
 /// let stats = trace.stats();
 /// assert_eq!(stats.stores, 1);
 /// assert_eq!(stats.unique_lines, 1);
+///
+/// // A clone shares the operations instead of copying them.
+/// let copy = trace.clone();
+/// assert!(std::ptr::eq(copy.ops().as_ptr(), trace.ops().as_ptr()));
 /// ```
-#[derive(Debug, Default, Clone, PartialEq, Eq)]
+#[derive(Debug, Default, Clone)]
 pub struct Trace {
-    ops: Vec<TraceOp>,
+    ops: Arc<[TraceOp]>,
+    /// The content digest, filled by the first [`Trace::fingerprint`] call.
+    fingerprint: OnceLock<u128>,
 }
 
 impl Trace {
     /// Creates an empty trace.
     #[must_use]
     pub fn new() -> Self {
-        Trace { ops: Vec::new() }
+        Self::default()
     }
 
     /// Creates a trace from a vector of operations.
     #[must_use]
     pub fn from_ops(ops: Vec<TraceOp>) -> Self {
-        Trace { ops }
-    }
-
-    /// Appends one operation.
-    pub fn push(&mut self, op: TraceOp) {
-        self.ops.push(op);
+        Trace { ops: ops.into(), fingerprint: OnceLock::new() }
     }
 
     /// Returns the number of memory accesses Λ in the trace.
@@ -78,20 +88,23 @@ impl Trace {
     /// [`FingerprintBuilder`]'s two FNV-1a streams over every field of
     /// every op, seeded with the op count, which makes accidental 128-bit
     /// collisions between *different* traces of this workload's scale
-    /// vanishingly unlikely.
+    /// vanishingly unlikely. The walk runs once per trace; later calls
+    /// return the cached digest.
     #[must_use]
     pub fn fingerprint(&self) -> u128 {
-        self.ops
-            .iter()
-            .fold(FingerprintBuilder::with_length(self.ops.len() as u64), |digest, op| {
-                let kind = match op.kind {
-                    AccessKind::Load => 0,
-                    AccessKind::Store => 1,
-                };
-                digest.u64(op.line.raw()).u64(kind).u64(op.gap.get())
-            })
-            .finish()
-            .get()
+        *self.fingerprint.get_or_init(|| {
+            self.ops
+                .iter()
+                .fold(FingerprintBuilder::with_length(self.ops.len() as u64), |digest, op| {
+                    let kind = match op.kind {
+                        AccessKind::Load => 0,
+                        AccessKind::Store => 1,
+                    };
+                    digest.u64(op.line.raw()).u64(kind).u64(op.gap.get())
+                })
+                .finish()
+                .get()
+        })
     }
 
     /// Computes summary statistics over the trace.
@@ -101,7 +114,7 @@ impl Trace {
         let mut stores = 0u64;
         let mut compute = Cycles::ZERO;
         let mut lines = HashSet::new();
-        for op in &self.ops {
+        for op in self.ops.iter() {
             match op.kind {
                 AccessKind::Load => loads += 1,
                 AccessKind::Store => stores += 1,
@@ -115,23 +128,19 @@ impl Trace {
 
 impl FromIterator<TraceOp> for Trace {
     fn from_iter<I: IntoIterator<Item = TraceOp>>(iter: I) -> Self {
-        Trace { ops: iter.into_iter().collect() }
+        Trace::from_ops(iter.into_iter().collect())
     }
 }
 
-impl Extend<TraceOp> for Trace {
-    fn extend<I: IntoIterator<Item = TraceOp>>(&mut self, iter: I) {
-        self.ops.extend(iter);
+/// Traces are equal when their operations are: the cached fingerprint is
+/// derived from them and takes no part in the comparison.
+impl PartialEq for Trace {
+    fn eq(&self, other: &Self) -> bool {
+        self.ops == other.ops
     }
 }
 
-impl IntoIterator for Trace {
-    type Item = TraceOp;
-    type IntoIter = std::vec::IntoIter<TraceOp>;
-    fn into_iter(self) -> Self::IntoIter {
-        self.ops.into_iter()
-    }
-}
+impl Eq for Trace {}
 
 impl<'a> IntoIterator for &'a Trace {
     type Item = &'a TraceOp;
@@ -231,26 +240,58 @@ mod tests {
     fn fingerprint_golden_values_are_pinned() {
         // Trace fingerprints are persisted content addresses (analysis memo
         // and fleet store keys): these digests must never change.
+        // Each is checked on a clone taken before the first hash, on the
+        // hashed trace itself (a cache hit) and on a clone taken after.
         let hex = |t: &Trace| format!("{:032x}", t.fingerprint());
-        assert_eq!(hex(&Trace::new()), "cbf29ce4842223256c62272e07bb0142");
+        let pinned = |t: &Trace, expected: &str| {
+            let early = t.clone();
+            assert_eq!(hex(t), expected);
+            assert_eq!(hex(t), expected);
+            assert_eq!(hex(&t.clone()), expected);
+            assert_eq!(hex(&early), expected);
+        };
+        pinned(&Trace::new(), "cbf29ce4842223256c62272e07bb0142");
         let pp = crate::micro::ping_pong(2, 6);
-        assert_eq!(hex(&pp.traces()[0]), "a3454b858951cf45051c228260c8d104");
+        pinned(&pp.traces()[0], "a3454b858951cf45051c228260c8d104");
         let mixed: Trace =
             [TraceOp::load(1).after(2), TraceOp::store(0xdead_beef).after(300), TraceOp::load(7)]
                 .into_iter()
                 .collect();
-        assert_eq!(hex(&mixed), "f0003014e5b9de2dd3d0dac8c25685b5");
+        pinned(&mixed, "f0003014e5b9de2dd3d0dac8c25685b5");
     }
 
     #[test]
-    fn extend_and_iterate() {
-        let mut t = Trace::new();
-        t.extend([TraceOp::load(0), TraceOp::load(1)]);
-        t.push(TraceOp::store(2));
+    fn iterate_in_order() {
+        let t: Trace =
+            [TraceOp::load(0), TraceOp::load(1), TraceOp::store(2)].into_iter().collect();
         assert_eq!(t.len(), 3);
         let lines: Vec<u64> = t.iter().map(|op| op.line.raw()).collect();
         assert_eq!(lines, vec![0, 1, 2]);
-        let owned: Vec<TraceOp> = t.clone().into_iter().collect();
-        assert_eq!(owned.len(), 3);
+        let borrowed: Vec<&TraceOp> = (&t).into_iter().collect();
+        assert_eq!(borrowed.len(), 3);
+    }
+
+    #[test]
+    fn clones_share_the_op_buffer() {
+        let t = crate::micro::ping_pong(2, 6).traces()[0].clone();
+        let copy = t.clone();
+        assert!(std::ptr::eq(copy.ops().as_ptr(), t.ops().as_ptr()));
+        // A workload clone shares every trace's buffer too.
+        let w = crate::micro::random_shared(3, 8, 40, 0.3, 5);
+        for (a, b) in w.clone().traces().iter().zip(w.traces()) {
+            assert!(std::ptr::eq(a.ops().as_ptr(), b.ops().as_ptr()));
+        }
+    }
+
+    #[test]
+    fn the_cached_fingerprint_takes_no_part_in_equality() {
+        let ops = vec![TraceOp::load(1).after(2), TraceOp::store(0xdead_beef).after(300)];
+        let hashed = Trace::from_ops(ops.clone());
+        let fresh = Trace::from_ops(ops);
+        let _ = hashed.fingerprint();
+        assert_eq!(hashed, fresh);
+        assert_eq!(fresh, hashed);
+        assert_ne!(hashed, Trace::new());
+        assert_eq!(hashed.fingerprint(), fresh.fingerprint());
     }
 }
