@@ -11,17 +11,16 @@
 //!
 //! Keys are *content* keys: the trace enters as its 128-bit
 //! [`Trace::fingerprint`] (hashed once per trace and cached with it, so a
-//! lookup costs no trace walk), alongside the timer, cache geometry and
-//! the two latencies that shape the virtual timeline. Identical inputs
-//! therefore hit the cache no matter which `Trace` allocation they arrive
-//! through, and the memoized results are bit-identical to the uncached
-//! analysis by construction (the cached value *is* the uncached function's
-//! output).
-//! The one exception is the burst regime of [`crate::isolation`]: when the
-//! miss penalty is at least θ the counts do not depend on it, so the key
-//! records the penalty as θ. The GA's fitness queries, whose penalty moves
-//! with every other core's timer, then share one entry per (trace, θ)
-//! instead of walking the trace again for each penalty.
+//! lookup costs no trace walk), alongside the cache geometry, the hit
+//! latency and a class: the exact miss penalty, or "burst" when the
+//! penalty is at least θ. Each key holds the θ-stable intervals of
+//! [`crate::isolation`], sorted and disjoint, each with its counts; a
+//! query is answered by binary search for the interval holding its θ, so
+//! one walk serves every θ that replays it. In the burst class the counts
+//! do not depend on the penalty either, so the GA's fitness queries, whose
+//! penalty moves with every other core's timer, share the burst walks of
+//! a trace. Served counts are the uncached function's output for the
+//! query, as the module's tests check θ by θ.
 //!
 //! The cache also memoizes whole simulations ([`AnalysisCache::simulate`]):
 //! a no-probe run keyed by the workload's trace fingerprints and the full
@@ -36,10 +35,11 @@
 //! A process-wide instance is available through [`analysis_cache`]. Two
 //! callers feed it: the optimization engine's `TimerProblem` (θ-saturation
 //! searches and fitness hit curves) and the paper-cell sweep's run memo.
-//! One-shot bounds ([`crate::analyze_cohort`]) call [`guaranteed_hits`]
-//! directly, so an experiment job neither reads nor grows the memo.
+//! One-shot bounds ([`crate::analyze_cohort`]) call
+//! [`crate::guaranteed_hits`] directly, so an experiment job neither reads
+//! nor grows the memo.
 
-use std::collections::HashMap; // lint:allow(det-unordered) memo of pure analysis results and simulation statistics; lookup-only, never iterated
+use std::collections::HashMap; // lint:allow(det-unordered) memo of pure analysis results and simulation statistics; lookup-only, iterated only to count entries
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{OnceLock, RwLock};
 
@@ -47,19 +47,17 @@ use cohort_sim::{CacheGeometry, SimBuilder, SimConfig, SimStats};
 use cohort_trace::{Trace, Workload};
 use cohort_types::{Cycles, Result, TimerValue};
 
-use crate::isolation::{effective_penalty, guaranteed_hits, saturation_search, HitMissCounts};
+use crate::isolation::{saturation_search, stable_hits, HitMissCounts, StableHits};
 
-/// Key of one guaranteed-hit query: everything the result depends on.
+/// Key of one hit curve: everything but θ that the counts depend on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-struct HitKey {
+struct CurveKey {
     trace: u128,
-    timer: TimerValue,
     geometry: CacheGeometry,
     hit_latency: Cycles,
-    /// The [`effective_penalty`]: every penalty of at least θ shares the
-    /// entry of penalty θ. (A flag for that case would add 16 bytes to
-    /// every entry of the process-wide memo.)
-    miss_penalty: Cycles,
+    /// The miss penalty, or `None` for the burst regime (penalty ≥ θ),
+    /// whose walks do not depend on it.
+    penalty: Option<Cycles>,
 }
 
 /// Key of one θ-saturation query (no timer: the search spans all of them).
@@ -105,9 +103,9 @@ impl CacheStats {
 ///
 /// Reads take a shared lock; only a first-time computation takes the write
 /// lock, briefly, to publish its result. Two threads racing on the same
-/// cold key may both compute it — the function is deterministic, so the
-/// duplicate insert is harmless and cheaper than holding a lock across the
-/// trace walk.
+/// cold query may both walk the trace — the walk is deterministic and its
+/// interval is a whole class of θ, so both find the same interval and the
+/// second insert is a no-op, cheaper than holding a lock across the walk.
 ///
 /// The cache is **panic-tolerant**: pool jobs share it across worker
 /// threads and a job that panics (turned into `Error::JobPanicked` by
@@ -119,7 +117,8 @@ impl CacheStats {
 /// map and never exposes a partial result.
 #[derive(Debug, Default)]
 pub struct AnalysisCache {
-    hits: RwLock<HashMap<HitKey, HitMissCounts>>,
+    /// Per key, the θ-stable intervals walked so far, sorted and disjoint.
+    curves: RwLock<HashMap<CurveKey, Vec<StableHits>>>,
     saturation: RwLock<HashMap<SatKey, u64>>,
     lookups: AtomicU64,
     served: AtomicU64,
@@ -135,7 +134,11 @@ impl AnalysisCache {
         Self::default()
     }
 
-    /// Memoized [`guaranteed_hits`]: identical signature, identical result.
+    /// Memoized [`crate::guaranteed_hits`]: identical signature, identical
+    /// result. A query whose θ lies in a stored interval of its key is
+    /// served (counted as a hit); any other walks the trace once and
+    /// stores the walk's interval. An MSI query needs no walk and counts as
+    /// served.
     #[must_use]
     pub fn guaranteed_hits(
         &self,
@@ -145,23 +148,40 @@ impl AnalysisCache {
         hit_latency: Cycles,
         miss_penalty: Cycles,
     ) -> HitMissCounts {
-        let key = HitKey {
+        self.lookups.fetch_add(1, Ordering::Relaxed);
+        let Some(theta) = timer.theta() else {
+            self.served.fetch_add(1, Ordering::Relaxed);
+            return HitMissCounts { hits: 0, misses: trace.len() as u64 };
+        };
+        let key = CurveKey {
             trace: trace.fingerprint(),
-            timer,
             geometry: *geometry,
             hit_latency,
-            miss_penalty: effective_penalty(timer, miss_penalty),
+            penalty: (miss_penalty < Cycles::new(theta)).then_some(miss_penalty),
         };
-        self.lookups.fetch_add(1, Ordering::Relaxed);
-        if let Some(&counts) =
-            self.hits.read().unwrap_or_else(std::sync::PoisonError::into_inner).get(&key)
-        {
+        let served = self
+            .curves
+            .read()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+            .get(&key)
+            .and_then(|intervals| {
+                let walk = intervals.get(intervals.partition_point(|w| w.hi < theta))?;
+                (walk.lo <= theta).then_some(walk.counts)
+            });
+        if let Some(counts) = served {
             self.served.fetch_add(1, Ordering::Relaxed);
             return counts;
         }
-        let counts = guaranteed_hits(trace, timer, geometry, hit_latency, miss_penalty);
-        self.hits.write().unwrap_or_else(std::sync::PoisonError::into_inner).insert(key, counts);
-        counts
+        let walk = stable_hits(trace, theta, geometry, hit_latency, miss_penalty);
+        let mut curves = self.curves.write().unwrap_or_else(std::sync::PoisonError::into_inner);
+        let intervals = curves.entry(key).or_default();
+        let at = intervals.partition_point(|w| w.hi < walk.lo);
+        // Intervals are whole classes of θ: one that reaches into this
+        // walk's is this walk's, inserted by a racing thread.
+        if intervals.get(at).is_none_or(|w| w.lo > walk.hi) {
+            intervals.insert(at, walk);
+        }
+        walk.counts
     }
 
     /// Memoized [`crate::theta_saturation`]: identical signature and result.
@@ -254,11 +274,12 @@ impl AnalysisCache {
         }
     }
 
-    /// Number of memoized analysis entries (hit curves and saturation
-    /// points; [`Self::run_len`] counts the runs).
+    /// Number of memoized analysis entries (θ-stable intervals and
+    /// saturation points; [`Self::run_len`] counts the runs).
     #[must_use]
     pub fn len(&self) -> usize {
-        self.hits.read().unwrap_or_else(std::sync::PoisonError::into_inner).len()
+        let curves = self.curves.read().unwrap_or_else(std::sync::PoisonError::into_inner);
+        curves.values().map(Vec::len).sum::<usize>()
             + self.saturation.read().unwrap_or_else(std::sync::PoisonError::into_inner).len()
     }
 
@@ -271,7 +292,7 @@ impl AnalysisCache {
     /// Drops every memoized entry, runs included, and resets every
     /// counter.
     pub fn clear(&self) {
-        self.hits.write().unwrap_or_else(std::sync::PoisonError::into_inner).clear();
+        self.curves.write().unwrap_or_else(std::sync::PoisonError::into_inner).clear();
         self.saturation.write().unwrap_or_else(std::sync::PoisonError::into_inner).clear();
         self.runs.write().unwrap_or_else(std::sync::PoisonError::into_inner).clear();
         self.lookups.store(0, Ordering::Relaxed);
@@ -300,7 +321,7 @@ pub fn analysis_cache() -> &'static AnalysisCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::theta_saturation;
+    use crate::{guaranteed_hits, theta_saturation};
     use cohort_trace::{Kernel, KernelSpec};
 
     const L1: CacheGeometry = CacheGeometry::paper_l1();
@@ -324,10 +345,13 @@ mod tests {
             assert_eq!(cold, first);
             assert_eq!(cold, memoized);
         }
+        // Each repeat is served, and so is the first MAX_THETA query: its
+        // θ lies in the interval the 4,096 walk stored (no θ-sensitive
+        // access of this trace misses at 4,096).
         let s = cache.stats();
         assert_eq!(s.lookups, 10);
-        assert_eq!(s.hits, 5);
-        assert!((s.hit_ratio() - 0.5).abs() < 1e-12);
+        assert_eq!(s.hits, 6);
+        assert!((s.hit_ratio() - 0.6).abs() < 1e-12);
     }
 
     #[test]
@@ -368,6 +392,42 @@ mod tests {
     }
 
     #[test]
+    fn dense_theta_sweep_matches_cold_analysis_at_every_theta() {
+        let trace = kernel_trace();
+        let cache = AnalysisCache::new();
+        let mut thetas: Vec<u64> = (1..=2_000).collect();
+        thetas.extend([4_096, 30_000, TimerValue::MAX_THETA - 1, TimerValue::MAX_THETA]);
+        // Ascending at one penalty, descending at the other, so intervals
+        // are inserted at both ends of a key's list.
+        let queries = thetas
+            .iter()
+            .map(|&theta| (Cycles::new(54), theta))
+            .chain(thetas.iter().rev().map(|&theta| (PENALTY, theta)));
+        for (penalty, theta) in queries {
+            let timer = TimerValue::timed(theta).unwrap();
+            assert_eq!(
+                cache.guaranteed_hits(&trace, timer, &L1, HIT, penalty),
+                guaranteed_hits(&trace, timer, &L1, HIT, penalty),
+                "θ {theta}, penalty {penalty:?}"
+            );
+        }
+        // Each key's intervals are sorted, disjoint and non-empty.
+        let stored: Vec<Vec<StableHits>> = cache.curves.read().unwrap().values().cloned().collect();
+        for key in &stored {
+            assert!(key.iter().all(|w| w.lo <= w.hi), "{key:?}");
+            assert!(key.windows(2).all(|w| w[0].hi < w[1].lo), "{key:?}");
+        }
+        // One thread: every lookup not served walked once and stored one
+        // interval, and the intervals spare most of the walks.
+        let s = cache.stats();
+        let walks = s.lookups - s.hits;
+        assert_eq!(s.lookups, 2 * thetas.len() as u64);
+        assert_eq!(walks, stored.iter().map(Vec::len).sum::<usize>() as u64);
+        assert_eq!(walks, cache.len() as u64);
+        assert!(walks * 4 < s.lookups, "{walks} walks for {} lookups", s.lookups);
+    }
+
+    #[test]
     fn poisoned_locks_recover_without_caching_partial_results() {
         // A pool job that panics while touching the memo (turned into
         // `Error::JobPanicked` upstream) poisons the RwLocks; later clean
@@ -381,14 +441,15 @@ mod tests {
 
         for _ in 0..2 {
             let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                let _hits = cache.hits.write().unwrap_or_else(std::sync::PoisonError::into_inner);
+                let _curves =
+                    cache.curves.write().unwrap_or_else(std::sync::PoisonError::into_inner);
                 let _sat =
                     cache.saturation.write().unwrap_or_else(std::sync::PoisonError::into_inner);
                 panic!("job died mid-flight");
             }));
             assert!(unwound.is_err());
         }
-        assert!(cache.hits.is_poisoned());
+        assert!(cache.curves.is_poisoned());
         assert!(cache.saturation.is_poisoned());
 
         // The memoized entry survives, new entries can still be published,

@@ -80,11 +80,35 @@
 //! modified bit. [`guaranteed_hits`] takes this walk whenever `P ≥ θ`; it
 //! is the flat kernel's exact specialisation to the regime, as the
 //! direct-mapped loop is for one-way geometries, and a property test pins
-//! the two to the reference walk. The memo in [`crate::cache`] keys every
-//! regime penalty as θ, so the GA's fitness queries, whose penalty (Eq. 1's
-//! WCL) moves with every other core's θ, share one walk per (trace, θ).
-//! One cycle below the regime the penalty matters again: at θ = P + 1 a
-//! line can outlive one intervening miss.
+//! the two to the reference walk. The memo in [`crate::cache`] files every
+//! regime query under one "burst" class per (trace, geometry, hit
+//! latency), so the GA's fitness queries, whose penalty (Eq. 1's WCL)
+//! moves with every other core's θ, share the burst walks of a trace. One
+//! cycle below the regime the penalty matters again: at θ = P + 1 a line
+//! can outlive one intervening miss.
+//!
+//! ## θ-stable intervals
+//!
+//! Under LRU every access leaves its line at MRU, hit or miss, so which
+//! lines are resident before each access depends on the address stream
+//! alone, not on θ. At a fixed penalty the one step that reads θ is
+//! `elapsed < θ`, and a walk evaluates it only on a resident access whose
+//! permission is satisfied (a load, or a store to a modified line). Let
+//! `lo` be one more than the largest `elapsed` among those accesses that
+//! hit (0 if none did) and `hi` the smallest `elapsed` among those that
+//! missed (`MAX_THETA` if none did). By induction over the trace, a walk at
+//! any θ′ in `[lo, hi]` reaches every access in the same state and decides
+//! it the same way: a hit had `elapsed < lo ≤ θ′`, a θ-sensitive miss had
+//! `elapsed ≥ hi ≥ θ′`. So θ′ replays the whole trajectory and its counts,
+//! and no θ′ outside the interval does (the access that set the crossed
+//! bound would flip first). The intervals of one trace, geometry and pair
+//! of latencies are therefore the classes of θ that share a trajectory:
+//! they are disjoint. In the burst regime `elapsed` is the gaps and hit
+//! latencies since the run's miss, so there the trajectory does not depend
+//! on the penalty either, and a burst walk's interval holds for every
+//! `P′ ≥ θ′`. [`stable_hits`] reports the interval with the counts;
+//! [`crate::cache`] stores it, so one walk answers every later query
+//! inside it.
 
 use cohort_sim::CacheGeometry;
 use cohort_trace::Trace;
@@ -112,7 +136,8 @@ impl HitMissCounts {
 ///
 /// For θ = −1 (MSI) the analysis returns zero hits — without timers the
 /// in-isolation analysis is not preserved under contention (Eq. 3's
-/// premise). For θ = 0 likewise: the window is empty.
+/// premise). For θ = 0 likewise: the window is empty, so every access
+/// misses. [`stable_hits`] is the same walk with its θ-stable interval.
 ///
 /// # Examples
 ///
@@ -145,10 +170,50 @@ pub fn guaranteed_hits(
     hit_latency: Cycles,
     miss_penalty: Cycles,
 ) -> HitMissCounts {
-    let Some(theta) = timer.theta().filter(|&t| t > 0) else {
-        // MSI (or a zero window): no guaranteed hits.
-        return HitMissCounts { hits: 0, misses: trace.len() as u64 };
-    };
+    match timer.theta() {
+        Some(theta) => stable_hits(trace, theta, geometry, hit_latency, miss_penalty).counts,
+        // MSI: no guaranteed hits.
+        None => HitMissCounts { hits: 0, misses: trace.len() as u64 },
+    }
+}
+
+/// One walk's counts and the θ-stable interval `lo..=hi` of the module
+/// docs: every θ′ in it gives the same counts at the walk's penalty and,
+/// for a burst-regime walk (penalty ≥ θ), at every penalty ≥ θ′.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct StableHits {
+    /// The guaranteed hits and misses.
+    pub counts: HitMissCounts,
+    /// Smallest θ that replays the walk.
+    pub lo: u64,
+    /// Largest θ that replays the walk, at most `MAX_THETA`.
+    pub hi: u64,
+}
+
+/// [`guaranteed_hits`] at timer θ (at most `MAX_THETA`), with the
+/// interval of θ values that give the same walk (see the module docs).
+///
+/// # Examples
+///
+/// ```
+/// use cohort_analysis::stable_hits;
+/// use cohort_sim::CacheGeometry;
+/// use cohort_trace::{Trace, TraceOp};
+/// use cohort_types::Cycles;
+///
+/// // The revisit comes 5 cycles after the fill: every θ above 5 keeps it.
+/// let trace = Trace::from_ops(vec![TraceOp::store(0), TraceOp::store(0).after(5)]);
+/// let walk = stable_hits(&trace, 100, &CacheGeometry::paper_l1(), Cycles::new(1), Cycles::new(216));
+/// assert_eq!((walk.counts.hits, walk.lo, walk.hi), (1, 6, 65_535));
+/// ```
+#[must_use]
+pub fn stable_hits(
+    trace: &Trace,
+    theta: u64,
+    geometry: &CacheGeometry,
+    hit_latency: Cycles,
+    miss_penalty: Cycles,
+) -> StableHits {
     let theta = Cycles::new(theta);
     if miss_penalty >= theta {
         burst_walk(trace, theta, hit_latency, miss_penalty)
@@ -159,13 +224,24 @@ pub fn guaranteed_hits(
     }
 }
 
-/// The miss penalty as far as [`guaranteed_hits`] depends on it. In the
-/// burst regime of the module docs (θ > 0, penalty ≥ θ) every penalty
-/// gives the counts of penalty θ, so this is `min(miss_penalty, θ)`.
-pub(crate) fn effective_penalty(timer: TimerValue, miss_penalty: Cycles) -> Cycles {
-    match timer.theta() {
-        Some(theta) if theta > 0 => miss_penalty.min(Cycles::new(theta)),
-        _ => miss_penalty,
+impl StableHits {
+    /// A walk that has seen no access: no counts, every θ.
+    fn start() -> Self {
+        StableHits { counts: HitMissCounts::default(), lo: 0, hi: TimerValue::MAX_THETA }
+    }
+
+    /// Decides the one θ-sensitive step, a resident and permitted access
+    /// `elapsed` cycles after its fill, and narrows the interval to the θ
+    /// that decide it the same way.
+    fn window_holds(&mut self, elapsed: Cycles, theta: Cycles) -> bool {
+        let elapsed = elapsed.get();
+        if elapsed < theta.get() {
+            self.lo = self.lo.max(elapsed + 1);
+            true
+        } else {
+            self.hi = self.hi.min(elapsed);
+            false
+        }
     }
 }
 
@@ -177,25 +253,25 @@ fn burst_walk(
     theta: Cycles,
     hit_latency: Cycles,
     miss_penalty: Cycles,
-) -> HitMissCounts {
-    let mut counts = HitMissCounts::default();
+) -> StableHits {
+    let mut walk = StableHits::start();
     let mut now = Cycles::ZERO;
     let (mut line, mut fill, mut modified) = (None, Cycles::ZERO, false);
     for op in trace {
         now += op.gap;
         let store = op.kind.is_store();
-        if line == Some(op.line) && now - fill < theta && (!store || modified) {
-            counts.hits += 1;
+        if line == Some(op.line) && (!store || modified) && walk.window_holds(now - fill, theta) {
+            walk.counts.hits += 1;
             now += hit_latency;
         } else {
-            counts.misses += 1;
+            walk.counts.misses += 1;
             now += miss_penalty;
             line = Some(op.line);
             fill = now;
             modified = store;
         }
     }
-    counts
+    walk
 }
 
 /// The flat-kernel walk behind [`guaranteed_hits`] (see the module docs);
@@ -206,14 +282,14 @@ fn flat_walk<const DIRECT_MAPPED: bool>(
     geometry: &CacheGeometry,
     hit_latency: Cycles,
     miss_penalty: Cycles,
-) -> HitMissCounts {
+) -> StableHits {
     let indexer = geometry.set_indexer();
     let ways = geometry.ways as usize;
     let entries = geometry.sets() as usize * ways;
     let mut tags: Vec<Option<LineAddr>> = vec![None; entries];
     let mut fills = vec![Cycles::ZERO; entries];
     let mut modified = vec![false; entries];
-    let mut counts = HitMissCounts::default();
+    let mut walk = StableHits::start();
     let mut now = Cycles::ZERO;
     for op in trace {
         now += op.gap;
@@ -233,11 +309,11 @@ fn flat_walk<const DIRECT_MAPPED: bool>(
             (base, way.is_some())
         };
         let store = op.kind.is_store();
-        if resident && now - fills[slot] < theta && (!store || modified[slot]) {
-            counts.hits += 1;
+        if resident && (!store || modified[slot]) && walk.window_holds(now - fills[slot], theta) {
+            walk.counts.hits += 1;
             now += hit_latency;
         } else {
-            counts.misses += 1;
+            walk.counts.misses += 1;
             now += miss_penalty;
             // Refill: a fresh window anchored at the (worst-case)
             // completion instant, with the permission the request gains.
@@ -246,7 +322,7 @@ fn flat_walk<const DIRECT_MAPPED: bool>(
             modified[slot] = store;
         }
     }
-    counts
+    walk
 }
 
 /// Finds the timer saturation value `θ_sat`: the smallest θ at which the

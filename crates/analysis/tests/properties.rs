@@ -2,7 +2,7 @@
 
 use cohort_prop::prelude::*;
 
-use cohort_analysis::{guaranteed_hits, theta_saturation, HitMissCounts};
+use cohort_analysis::{guaranteed_hits, stable_hits, theta_saturation, HitMissCounts};
 use cohort_analysis::{wcl_miss, wcml_snoop, wcml_timed};
 use cohort_sim::{CacheGeometry, SetAssocCache};
 use cohort_trace::{micro, AccessKind, Kernel, KernelSpec, Trace, TraceOp};
@@ -98,6 +98,59 @@ fn flat_kernel_matches_the_reference_walk() {
             }
         }
     }
+}
+
+/// θ-stable intervals against the reference walk, on seeded random traces
+/// over direct-mapped, 2-way and 4-way geometries in both regimes: the
+/// interval a walk reports holds its θ, and the reference walk gives the
+/// walk's counts at `lo`, at `hi` and at a random θ′ between them — at the
+/// walk's penalty below the regime, at every tried `P′ ≥ θ′` in it.
+#[test]
+fn theta_stable_intervals_replay_the_reference_walk() {
+    let mut rng = SeedRng::seed_from_u64(28);
+    let mut widths = 0;
+    for ways in [1u64, 2, 4] {
+        for sets in [1u64, 4, 5, 16] {
+            let geom = geometry(sets, ways);
+            for _ in 0..16 {
+                let trace = random_trace(&mut rng, sets * ways * 3);
+                let hit = Cycles::new(rng.gen_range(0u64..5));
+                for burst in [true, false] {
+                    let theta = rng.gen_range(2u64..2_000);
+                    let penalty = if burst {
+                        theta + rng.gen_range(0u64..600)
+                    } else {
+                        rng.gen_range(1..theta)
+                    };
+                    let walk = stable_hits(&trace, theta, &geom, hit, Cycles::new(penalty));
+                    assert!(
+                        walk.lo <= theta && theta <= walk.hi,
+                        "θ {theta} outside {walk:?} ({sets}×{ways}, P {penalty})"
+                    );
+                    assert!(walk.hi <= TimerValue::MAX_THETA);
+                    widths += walk.hi - walk.lo;
+                    let between = rng.gen_range(walk.lo..=walk.hi);
+                    for other in [walk.lo, walk.hi, between] {
+                        let timer = TimerValue::timed(other).unwrap();
+                        let penalties = if burst {
+                            vec![other, other + 1, other + rng.gen_range(2u64..=3_000)]
+                        } else {
+                            vec![penalty]
+                        };
+                        for p in penalties.into_iter().map(Cycles::new) {
+                            assert_eq!(
+                                reference_hits(&trace, timer, &geom, hit, p),
+                                walk.counts,
+                                "θ′ {other} in {walk:?} from θ {theta}, P {penalty}, P′ {p:?}, \
+                                 {sets}×{ways}, hit {hit:?}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+    assert!(widths > 0, "the cases must include intervals wider than one θ");
 }
 
 /// The burst regime (miss penalty `P ≥ θ`) against the reference walk: the

@@ -1,6 +1,6 @@
-//! The paper cell's run memo, end to end. This file holds one test on
-//! purpose: it reads the process-wide memo's counters, which any other
-//! test running beside it in the same binary would move.
+//! The paper cell's run memo and hit-curve memo, end to end. This file
+//! holds one test on purpose: it reads the process-wide memo's counters,
+//! which any other test running beside it in the same binary would move.
 
 use cohort::{run_experiment, Protocol};
 use cohort_analysis::{analysis_cache, CacheStats};
@@ -23,6 +23,9 @@ fn one_kernel_pass_matches_separate_runs_and_serves_the_baselines() {
     // configurations are served both baselines.
     assert_eq!(analysis_cache().run_stats(), CacheStats { lookups: 12, hits: 4 });
     assert_eq!(analysis_cache().run_len(), 8);
+    // The inline GA's hit-curve queries: lookups − hits walks, each
+    // serving every later query whose θ lies in its θ-stable interval.
+    assert_eq!(analysis_cache().stats(), CacheStats { lookups: 213, hits: 170 });
 
     for (config, runs) in CritConfig::ALL.into_iter().zip(&cells) {
         let spec = config.spec();

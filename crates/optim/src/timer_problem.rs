@@ -191,8 +191,9 @@ impl<'w> TimerProblem<'w> {
     }
 
     /// Guaranteed hit/miss counts for one core, memoized in the shared
-    /// [`analysis_cache`] on (trace, θ, geometry, latencies). Under a
-    /// finite LLC no hits are guaranteed (back-invalidation).
+    /// [`analysis_cache`], which serves every θ inside the θ-stable
+    /// interval of an earlier walk. Under a finite LLC no hits are
+    /// guaranteed (back-invalidation).
     fn counts(&self, core: usize, timer: TimerValue, wcl: Cycles) -> (u64, u64) {
         if !self.llc.is_perfect() {
             return (0, self.workload.traces()[core].len() as u64);
