@@ -73,6 +73,14 @@ impl L1Line {
     }
 }
 
+/// Where a resident line sits: its set's first entry and its own entry.
+/// Valid until the cache is next modified.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Way {
+    base: usize,
+    at: usize,
+}
+
 /// A generic set-associative cache with true-LRU replacement.
 ///
 /// Used with `ways = 1` for the paper's direct-mapped private caches and
@@ -136,42 +144,55 @@ impl<T> SetAssocCache<T> {
         (set * self.ways, self.len[set] as usize)
     }
 
-    /// The entry holding `line`, if resident.
-    fn find(&self, line: LineAddr) -> Option<usize> {
+    /// Where `line` sits, if resident: the one probe of its set.
+    pub(crate) fn find_way(&self, line: LineAddr) -> Option<Way> {
         let (base, len) = self.set_of(line);
-        self.tags[base..base + len].iter().position(|&l| l == line).map(|way| base + way)
+        let way = self.tags[base..base + len].iter().position(|&l| l == line)?;
+        Some(Way { base, at: base + way })
+    }
+
+    /// The payload of the line found at `way`.
+    pub(crate) fn way(&self, way: Way) -> &T {
+        self.payloads[way.at].as_ref().expect("an occupied way has a payload")
+    }
+
+    /// Promotes the line found at `way` to MRU without probing its set
+    /// again, and returns its payload.
+    pub(crate) fn promote_way(&mut self, way: Way) -> &mut T {
+        self.promote(way.base, way.at);
+        self.payloads[way.base].as_mut().expect("an occupied way has a payload")
     }
 
     /// Moves entry `at` of the set starting at `base` to the MRU way,
-    /// shifting the ways before it down by one.
+    /// shifting the ways before it down by one. An entry already at the
+    /// MRU way (every hit of a direct-mapped cache) stays in place.
     fn promote(&mut self, base: usize, at: usize) {
-        self.tags[base..=at].rotate_right(1);
-        self.payloads[base..=at].rotate_right(1);
+        if at != base {
+            self.tags[base..=at].rotate_right(1);
+            self.payloads[base..=at].rotate_right(1);
+        }
     }
 
     /// Looks up a line without touching LRU state.
     #[must_use]
     pub fn peek(&self, line: LineAddr) -> Option<&T> {
-        self.find(line).and_then(|at| self.payloads[at].as_ref())
+        self.find_way(line).map(|way| self.way(way))
     }
 
     /// Looks up a line mutably without touching LRU state.
     pub fn peek_mut(&mut self, line: LineAddr) -> Option<&mut T> {
-        self.find(line).and_then(|at| self.payloads[at].as_mut())
+        self.find_way(line).and_then(|way| self.payloads[way.at].as_mut())
     }
 
     /// Looks up a line and promotes it to MRU.
     pub fn touch(&mut self, line: LineAddr) -> Option<&mut T> {
-        let at = self.find(line)?;
-        let base = at - at % self.ways;
-        self.promote(base, at);
-        self.payloads[base].as_mut()
+        self.find_way(line).map(|way| self.promote_way(way))
     }
 
     /// Returns `true` if the line is present.
     #[must_use]
     pub fn contains(&self, line: LineAddr) -> bool {
-        self.find(line).is_some()
+        self.find_way(line).is_some()
     }
 
     /// Inserts a line as MRU, evicting the least-recently-used entry of a
@@ -221,9 +242,9 @@ impl<T> SetAssocCache<T> {
 
     /// Removes a line, returning its payload.
     pub fn remove(&mut self, line: LineAddr) -> Option<T> {
-        let at = self.find(line)?;
-        let set = at / self.ways;
-        let end = set * self.ways + self.len[set] as usize;
+        let Way { base, at } = self.find_way(line)?;
+        let set = base / self.ways;
+        let end = base + self.len[set] as usize;
         self.len[set] -= 1;
         let payload = self.payloads[at].take();
         self.tags[at..end].rotate_left(1);
@@ -330,6 +351,49 @@ mod tests {
         // 0 is still LRU: inserting evicts it.
         let evicted = c.insert(LineAddr::new(2), 3).unwrap();
         assert_eq!(evicted.0, LineAddr::new(0));
+    }
+
+    /// Replays seeded accesses over twice the capacity through `find_way`
+    /// then `promote_way`, and through a reference that keeps each set as
+    /// an MRU-first list, looks a line up without promoting it (peek) and
+    /// then moves it to the front (touch). After every access both must
+    /// hold the same lines in the same LRU order with the same payloads.
+    #[test]
+    fn one_probe_hits_match_peek_then_touch() {
+        for ways in [1, 2, 4, 8] {
+            for sets in [1, 3, 4, 256] {
+                // A struct literal: 3 sets is not a power of two, so it
+                // takes the `%` set-index rule.
+                let geometry = CacheGeometry { size_bytes: sets * ways * 64, line_bytes: 64, ways };
+                let indexer = geometry.set_indexer();
+                let mut cache: SetAssocCache<u64> = SetAssocCache::new(geometry);
+                let mut reference: Vec<Vec<(LineAddr, u64)>> = vec![Vec::new(); sets as usize];
+                for step in 0..3_000 {
+                    let line = LineAddr::new(
+                        cohort_types::splitmix64(sets * 16 + ways, step) % (2 * sets * ways),
+                    );
+                    let set = &mut reference[indexer.index(line)];
+                    match (cache.find_way(line), set.iter().position(|&(l, _)| l == line)) {
+                        (Some(way), Some(at)) => {
+                            assert_eq!(*cache.way(way), set[at].1);
+                            *cache.promote_way(way) += 1;
+                            let (line, payload) = set.remove(at);
+                            set.insert(0, (line, payload + 1));
+                        }
+                        (None, None) => {
+                            cache.insert(line, step);
+                            set.insert(0, (line, step));
+                            set.truncate(ways as usize);
+                        }
+                        (way, at) => {
+                            panic!("{sets}×{ways}, {line}: found {way:?}, reference {at:?}")
+                        }
+                    }
+                    let held: Vec<(LineAddr, u64)> = cache.iter().map(|(l, &p)| (l, p)).collect();
+                    assert_eq!(held, reference.concat(), "{sets}×{ways} after step {step}");
+                }
+            }
+        }
     }
 
     #[test]
