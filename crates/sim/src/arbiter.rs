@@ -331,6 +331,56 @@ mod tests {
         assert_eq!(asked(&arb, SW, &c), (Some(3), vec![1, 0, 2, 3]));
     }
 
+    /// The engine asks only the cores with pending requests and answers
+    /// `None` for the rest. Over seeded candidate sets (every core with a
+    /// candidate is pending, some pending cores have none), rotation
+    /// states and grant instants, that restricted grant must equal the
+    /// grant over every core for each policy.
+    #[test]
+    fn a_grant_over_the_pending_cores_matches_a_grant_over_every_core() {
+        for cores in [4, 64] {
+            let critical = (0..cores).map(|id| id % 3 != 1).collect();
+            let kinds = [
+                ArbiterKind::Rrof,
+                ArbiterKind::RoundRobin,
+                ArbiterKind::Tdm { critical },
+                ArbiterKind::Fcfs,
+            ];
+            for (k, kind) in kinds.iter().enumerate() {
+                let mut arb = Arbiter::new(kind, cores, SW);
+                let mut step = 0;
+                let mut draw = |span: u64| {
+                    step += 1;
+                    cohort_types::splitmix64(cores as u64 * 8 + k as u64, step) % span
+                };
+                for _ in 0..2_000 {
+                    let mut pending = 0u64;
+                    let c: Vec<Option<Candidate>> = (0..cores)
+                        .map(|id| {
+                            let wants = draw(4);
+                            if wants > 0 {
+                                pending |= 1 << id;
+                            }
+                            let kind = [CandidateKind::Broadcast, CandidateKind::Receive][id % 2];
+                            (wants > 1).then(|| cand(draw(50), kind)).flatten()
+                        })
+                        .collect();
+                    let now =
+                        Cycles::new(if draw(2) == 0 { SW.get() * draw(40) } else { draw(2_000) });
+                    let restricted =
+                        arb.grant(now, |id| if pending & 1 << id == 0 { None } else { c[id] });
+                    assert_eq!(restricted, arb.grant(now, |id| c[id]), "{kind:?} at {now}");
+                    if let Some((core, _)) = restricted {
+                        arb.on_grant(core);
+                        if draw(2) == 0 {
+                            arb.on_request_served(core);
+                        }
+                    }
+                }
+            }
+        }
+    }
+
     #[test]
     fn fcfs_asks_each_core_once() {
         let arb = Arbiter::new(&ArbiterKind::Fcfs, 4, SW);
