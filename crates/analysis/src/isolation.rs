@@ -3,7 +3,7 @@
 //! The optimization engine (§V) needs the Θ → M_hit relationship, which
 //! depends on the application's memory behaviour and is therefore computed
 //! by walking the task's trace against a model of its private cache. The
-//! key soundness argument (from PENDULUM\* [17]): with a timer θ, a line
+//! key soundness argument (from PENDULUM\* \[17\]): with a timer θ, a line
 //! fetched at time `t` cannot be stolen before `t + θ` no matter what the
 //! co-runners do, because the countdown counter's first expiry is θ cycles
 //! after Load. The analysis therefore trusts a line only inside the window

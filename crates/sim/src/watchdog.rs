@@ -5,8 +5,8 @@
 //! stop making progress, and accepts coherence-violation convictions from
 //! an external checker (e.g. [`Simulator::validate_coherence`] polled by a
 //! degradation driver). It is a plain [`SimProbe`], so it composes with
-//! [`MetricsProbe`](crate::MetricsProbe) and
-//! [`InvariantProbe`](crate::InvariantProbe) through the tuple combinators.
+//! [`MetricsProbe`] and [`InvariantProbe`](crate::InvariantProbe) through
+//! the tuple combinators.
 //!
 //! The guard only *detects*; it takes no action. A controller (the
 //! `cohort` crate's degradation driver) polls [`WcmlGuard::violations`]
