@@ -185,6 +185,8 @@ fn rotate_to_back(order: &mut VecDeque<usize>, core: usize) {
 
 #[cfg(test)]
 mod tests {
+    use cohort_prop::prelude::*;
+
     use super::*;
 
     #[allow(clippy::unnecessary_wraps)] // candidate slots are Option-typed
@@ -331,50 +333,65 @@ mod tests {
         assert_eq!(asked(&arb, SW, &c), (Some(3), vec![1, 0, 2, 3]));
     }
 
-    /// The engine asks only the cores with pending requests and answers
-    /// `None` for the rest. Over seeded candidate sets (every core with a
-    /// candidate is pending, some pending cores have none), rotation
-    /// states and grant instants, that restricted grant must equal the
-    /// grant over every core for each policy.
-    #[test]
-    fn a_grant_over_the_pending_cores_matches_a_grant_over_every_core() {
-        for cores in [4, 64] {
-            let critical = (0..cores).map(|id| id % 3 != 1).collect();
-            let kinds = [
-                ArbiterKind::Rrof,
-                ArbiterKind::RoundRobin,
-                ArbiterKind::Tdm { critical },
-                ArbiterKind::Fcfs,
-            ];
-            for (k, kind) in kinds.iter().enumerate() {
-                let mut arb = Arbiter::new(kind, cores, SW);
-                let mut step = 0;
-                let mut draw = |span: u64| {
-                    step += 1;
-                    cohort_types::splitmix64(cores as u64 * 8 + k as u64, step) % span
-                };
-                for _ in 0..2_000 {
-                    let mut pending = 0u64;
-                    let c: Vec<Option<Candidate>> = (0..cores)
-                        .map(|id| {
-                            let wants = draw(4);
-                            if wants > 0 {
-                                pending |= 1 << id;
-                            }
-                            let kind = [CandidateKind::Broadcast, CandidateKind::Receive][id % 2];
-                            (wants > 1).then(|| cand(draw(50), kind)).flatten()
-                        })
-                        .collect();
-                    let now =
-                        Cycles::new(if draw(2) == 0 { SW.get() * draw(40) } else { draw(2_000) });
-                    let restricted =
-                        arb.grant(now, |id| if pending & 1 << id == 0 { None } else { c[id] });
-                    assert_eq!(restricted, arb.grant(now, |id| c[id]), "{kind:?} at {now}");
-                    if let Some((core, _)) = restricted {
-                        arb.on_grant(core);
-                        if draw(2) == 0 {
-                            arb.on_request_served(core);
+    properties! {
+        #![cases(64)]
+
+        /// The engine asks only its ready cores and answers `None` for the
+        /// rest. Whatever superset of the cores with candidates it asks
+        /// (exactly those, every core, or a seeded mix between), the grant
+        /// must equal the grant over every core. Each case runs one policy
+        /// on 4 or 64 cores over seeded candidate sets of every density,
+        /// rotation states, TDM critical masks and grant instants.
+        #[test]
+        fn a_grant_over_any_superset_of_the_candidate_cores_matches_a_grant_over_every_core(
+            seed in any::<u64>(),
+            many in any::<bool>(),
+            policy in 0usize..4,
+        ) {
+            let cores = if many { 64 } else { 4 };
+            let mut step = 0;
+            let mut draw = |span: u64| {
+                step += 1;
+                cohort_types::splitmix64(seed, step) % span
+            };
+            let kind = match policy {
+                0 => ArbiterKind::Rrof,
+                1 => ArbiterKind::RoundRobin,
+                2 => ArbiterKind::Tdm {
+                    critical: (0..cores).map(|id| id == 0 || draw(2) == 0).collect(),
+                },
+                _ => ArbiterKind::Fcfs,
+            };
+            let mut arb = Arbiter::new(&kind, cores, SW);
+            for _ in 0..300 {
+                // One in `sparsity` cores has a candidate (none when 0).
+                let sparsity = draw(6);
+                let mut with = 0u64;
+                let c: Vec<Option<Candidate>> = (0..cores)
+                    .map(|id| {
+                        if sparsity == 0 || draw(sparsity) != 0 {
+                            return None;
                         }
+                        with |= 1 << id;
+                        let kind = [CandidateKind::Broadcast, CandidateKind::Receive][id % 2];
+                        cand(draw(50), kind)
+                    })
+                    .collect();
+                let asked = with
+                    | match draw(3) {
+                        0 => 0,
+                        1 => u64::MAX,
+                        _ => draw(u64::MAX) & draw(u64::MAX),
+                    };
+                let now =
+                    Cycles::new(if draw(2) == 0 { SW.get() * draw(40) } else { draw(2_000) });
+                let restricted =
+                    arb.grant(now, |id| if asked & 1 << id == 0 { None } else { c[id] });
+                assert_eq!(restricted, arb.grant(now, |id| c[id]), "{kind:?} at {now}");
+                if let Some((core, _)) = restricted {
+                    arb.on_grant(core);
+                    if draw(2) == 0 {
+                        arb.on_request_served(core);
                     }
                 }
             }

@@ -101,12 +101,14 @@ impl CoreModel {
     }
 
     /// Marks the oldest un-broadcast request for `line` as broadcast and
-    /// records the line's coherence slot.
-    pub(crate) fn mark_broadcast(&mut self, line: LineAddr, coh: CohSlot) {
+    /// records the line's coherence slot. Returns whether an un-broadcast
+    /// request is left.
+    pub(crate) fn mark_broadcast(&mut self, line: LineAddr, coh: CohSlot) -> bool {
         if let Some(m) = self.mshr.iter_mut().find(|m| m.line == line && !m.broadcast) {
             m.broadcast = true;
             m.coh = Some(coh);
         }
+        self.oldest_unbroadcast().is_some()
     }
 
     /// The coherence slot of the broadcast request for `line`, if any.
@@ -153,8 +155,9 @@ mod tests {
         assert_eq!(core.oldest_request().unwrap().issued.get(), 5);
         assert_eq!(core.oldest_unbroadcast().unwrap().line.raw(), 0);
         let slot = crate::coherence::CoherenceMap::new().acquire(LineAddr::new(0));
-        core.mark_broadcast(LineAddr::new(0), slot);
+        assert!(core.mark_broadcast(LineAddr::new(0), slot), "line 1 is still un-broadcast");
         assert_eq!(core.oldest_unbroadcast().unwrap().line.raw(), 1);
+        assert!(!core.mark_broadcast(LineAddr::new(1), slot));
         let done = core.complete(LineAddr::new(0)).unwrap();
         assert!(done.broadcast);
         assert!(!core.has_inflight(LineAddr::new(0)));

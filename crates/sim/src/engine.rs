@@ -133,10 +133,18 @@ pub struct Simulator<P: SimProbe = NoProbe> {
     lines_with_waiters: Vec<(LineAddr, CohSlot, Option<u64>)>,
     /// Cores that have not drained their trace and misses yet.
     cores_not_done: usize,
-    /// Bit `id` is set while core `id` has outstanding MSHR entries: set at
-    /// allocation, cleared when a completion empties the file. A core
-    /// without one has no bus candidate, so arbitration asks only these.
-    pending: u64,
+    /// Bit `id` is set while core `id` has an MSHR entry it has not
+    /// broadcast: set when a miss is allocated, cleared when a broadcast
+    /// marks the core's last such entry (a dropped broadcast leaves it).
+    unbroadcast: u64,
+    /// Bit `id` is set while core `id` heads a line whose dispossessed
+    /// holders have all released. The release phase clears it whenever it
+    /// re-derives every waiting line and sets the head of each re-derived
+    /// line whose release has passed. Between two such recomputes a
+    /// release only moves earlier, and every line it moves on is re-derived.
+    /// Together with `unbroadcast` it is exactly the set of cores with a
+    /// bus candidate, so arbitration asks only these.
+    receivable: u64,
     last_progress: Cycles,
     faults: FaultState,
     sched: EventSched,
@@ -256,7 +264,8 @@ impl<'w, P: SimProbe> SimBuilder<'w, P> {
             switches: BTreeMap::new(),
             lines_with_waiters: Vec::new(),
             cores_not_done,
-            pending: 0,
+            unbroadcast: 0,
+            receivable: 0,
             last_progress: Cycles::ZERO,
             now: Cycles::ZERO,
             faults: FaultState::new(plan),
@@ -503,9 +512,13 @@ impl<P: SimProbe> Simulator<P> {
             if recompute_releases {
                 lines.clear();
                 lines.extend(self.lines_with_waiters.iter().map(|&(line, _, _)| line));
+                self.receivable = 0;
             }
             for &line in &lines {
-                arb |= self.rearm_release(line, t);
+                if let Some(head) = self.rearm_release(line, t) {
+                    self.receivable |= 1 << head;
+                    arb = true;
+                }
             }
             lines.clear();
             self.sched.dirty_lines = lines;
@@ -541,25 +554,21 @@ impl<P: SimProbe> Simulator<P> {
     /// Re-derives the head-release instant of `line` and re-arms its wake,
     /// pushing a heap entry only when the instant differs from the one
     /// already armed (an armed future instant still has its entry pending).
-    /// Returns `true` when the release has already passed — the head waiter
-    /// may have become a ready receive candidate, so arbitration should be
-    /// attempted at this instant.
-    fn rearm_release(&mut self, line: LineAddr, t: Cycles) -> bool {
-        let Ok(at) = self.waiting(line) else {
-            return false;
-        };
+    /// Returns the head waiter's core when the release has already passed:
+    /// it is a ready receive candidate, so arbitration should be attempted
+    /// at this instant.
+    fn rearm_release(&mut self, line: LineAddr, t: Cycles) -> Option<usize> {
+        let at = self.waiting(line).ok()?;
         let (_, slot, armed) = self.lines_with_waiters[at];
-        match self.head_release_instant(line, slot) {
-            None => false,
-            Some(release) if release <= t => true,
-            Some(release) => {
-                if armed != Some(release.get()) {
-                    self.sched.arm(release.get(), WakeSource::Release(line));
-                    self.lines_with_waiters[at].2 = Some(release.get());
-                }
-                false
-            }
+        let release = self.head_release_instant(line, slot)?;
+        if release <= t {
+            return self.coh[slot].head().map(|head| head.core);
         }
+        if armed != Some(release.get()) {
+            self.sched.arm(release.get(), WakeSource::Release(line));
+            self.lines_with_waiters[at].2 = Some(release.get());
+        }
+        None
     }
 
     /// The index of `line` in `lines_with_waiters`, or where it would go.
@@ -810,7 +819,7 @@ impl<P: SimProbe> Simulator<P> {
                     coh: None,
                 });
                 core.cursor += 1;
-                self.pending |= 1 << id;
+                self.unbroadcast |= 1 << id;
                 // Issuing the miss occupies the core for one cycle; it then
                 // continues with subsequent accesses (hits-over-misses).
                 let next_gap = core.current_op().map_or(Cycles::ZERO, |o| o.gap);
@@ -889,6 +898,28 @@ impl<P: SimProbe> Simulator<P> {
     }
 
     // ----- bus side -------------------------------------------------------
+
+    /// The `(unbroadcast, receivable)` masks recomputed from the MSHR
+    /// files and the waiter queues, for the debug check at every grant
+    /// attempt: the cores with an un-broadcast entry, and the cores whose
+    /// broadcast request heads its line with every holder released.
+    fn ready_from_scratch(&self) -> (u64, u64) {
+        let (mut unbroadcast, mut receivable) = (0, 0);
+        for (id, core) in self.cores.iter().enumerate() {
+            if core.oldest_unbroadcast().is_some() {
+                unbroadcast |= 1 << id;
+            }
+            let heads_a_released_line = core.mshr.iter().any(|m| {
+                m.coh.is_some_and(|slot| {
+                    self.coh[slot].is_head(id) && self.holders_released(m.line, slot, self.now)
+                })
+            });
+            if heads_a_released_line {
+                receivable |= 1 << id;
+            }
+        }
+        (unbroadcast, receivable)
+    }
 
     /// Builds one core's arbitration candidate at the current cycle.
     fn candidate(&self, id: usize) -> Option<Candidate> {
@@ -998,31 +1029,25 @@ impl<P: SimProbe> Simulator<P> {
             return;
         }
         debug_assert_eq!(
-            self.pending,
-            (0..self.cores.len())
-                .filter(|&id| !self.cores[id].mshr.is_empty())
-                .fold(0, |mask, id| mask | 1 << id),
-            "the pending mask drifted from the MSHR files"
+            (self.unbroadcast, self.receivable),
+            self.ready_from_scratch(),
+            "the (un-broadcast, receivable) masks drifted from the MSHR files and waiter queues"
         );
-        // The arbiter asks only the cores its policy inspects, and only a
-        // core with a pending request builds a candidate. `candidate` is
-        // pure and a core without a request has none, so the grant is the
-        // same as over every core's candidate.
-        let candidate = |id: usize| {
-            if self.pending & 1 << id == 0 {
-                None
-            } else {
-                self.candidate(id)
-            }
-        };
+        // The ready cores are exactly those with a candidate: the arbiter
+        // asks only the cores its policy inspects, and only a ready core
+        // builds one. `candidate` is pure and every other core has none,
+        // so the grant is the same as over every core's candidate.
+        let ready = self.unbroadcast | self.receivable;
+        if ready == 0 {
+            return;
+        }
+        let candidate = |id: usize| (ready & 1 << id != 0).then(|| self.candidate(id)).flatten();
         let Some((granted, cand)) = self.arbiter.grant(self.now, candidate) else {
             return;
         };
         self.arbiter.on_grant(granted);
         if P::ACTIVE {
-            let stalled: Vec<usize> = cores_in(self.pending & !(1 << granted))
-                .filter(|&core| self.candidate(core).is_some())
-                .collect();
+            let stalled: Vec<usize> = cores_in(ready & !(1 << granted)).collect();
             self.probe.on_arbitration(self.now, granted, &stalled);
         }
         let dropped = !self.faults.is_empty()
@@ -1071,7 +1096,9 @@ impl<P: SimProbe> Simulator<P> {
         // The one hashed lookup of a miss: from here on the requester
         // waits on the line, so the slot stays live until the fill.
         let slot = self.coh.acquire(m.line);
-        self.cores[id].mark_broadcast(m.line, slot);
+        if !self.cores[id].mark_broadcast(m.line, slot) {
+            self.unbroadcast &= !(1 << id);
+        }
         let waiter = Waiter { core: id, kind: m.kind, enqueued: snoop_at };
         match self.config.waiter_priority() {
             Some(critical) if critical[id] => {
@@ -1324,9 +1351,6 @@ impl<P: SimProbe> Simulator<P> {
         let core = &mut self.cores[to];
         let was_oldest = core.oldest_request().is_some_and(|m| m.line == line);
         let entry = core.complete(line).expect("transfer completes an in-flight miss");
-        if core.mshr.is_empty() {
-            self.pending &= !(1 << to);
-        }
         let latency = ends - entry.issued;
         let stats = &mut self.stats.cores[to];
         stats.misses += 1;
@@ -1459,7 +1483,7 @@ mod tests {
     use std::collections::BTreeSet;
 
     use super::*;
-    use crate::CacheGeometry;
+    use crate::{ArbiterKind, CacheGeometry, EventLogProbe, FaultSpec};
 
     /// The 64-core DRAM-bound sparse shape: per-core private lines reused
     /// between compute gaps, a cold DRAM line every 256th access and a
@@ -1492,6 +1516,93 @@ mod tests {
             .build()
             .unwrap();
         (config, Workload::new("sparse-dram", traces).unwrap())
+    }
+
+    /// Broadcasts by a critical core onto a line whose queued requesters
+    /// are all non-critical: under priority insertion each one displaces
+    /// the line's head waiter.
+    fn displaced_heads(log: &EventLogProbe, critical: &[bool]) -> usize {
+        let mut queued: BTreeMap<LineAddr, Vec<usize>> = BTreeMap::new();
+        let mut displaced = 0;
+        for event in log {
+            match event.kind {
+                EventKind::Broadcast { core, line, .. } => {
+                    let waiters = queued.entry(line).or_default();
+                    if critical[core]
+                        && !waiters.is_empty()
+                        && waiters.iter().all(|&w| !critical[w])
+                    {
+                        displaced += 1;
+                    }
+                    waiters.push(core);
+                }
+                EventKind::Fill { core, line, .. } => {
+                    queued.entry(line).or_default().retain(|&w| w != core);
+                }
+                _ => {}
+            }
+        }
+        displaced
+    }
+
+    /// Runs each path that moves a core in or out of the ready masks. The
+    /// debug check at every grant attempt compares both masks with a
+    /// recomputation from the MSHR files and the waiter queues, so each
+    /// scenario only has to reach its transition, which it asserts.
+    #[test]
+    fn the_ready_masks_follow_every_transition() {
+        let timed = |theta| vec![TimerValue::timed(theta).unwrap(); 4];
+        let shared = cohort_trace::micro::random_shared(4, 24, 400, 0.4, 5);
+
+        // A dropped broadcast burns its grant and leaves the entry, and
+        // the core's un-broadcast bit, in place for a later grant.
+        let config = SimConfig::builder(4).timers(timed(40)).build().unwrap();
+        let drop = FaultSpec { kind: FaultKind::BusDrop, core: 2, at: Cycles::new(300) };
+        let mut sim =
+            SimBuilder::new(config, &shared).faults(FaultPlan::new(vec![drop])).build().unwrap();
+        while sim.injected_faults().is_empty() {
+            sim.run_until(sim.now() + Cycles::new(1)).unwrap();
+        }
+        assert_eq!(sim.injected_faults()[0].kind, FaultKind::BusDrop);
+        assert!(sim.cores[2].oldest_unbroadcast().is_some());
+        assert_ne!(sim.unbroadcast & 1 << 2, 0, "the dropped entry stays un-broadcast");
+        sim.run().unwrap();
+
+        // PENDULUM: TDM slot boundaries, and critical requests inserted
+        // ahead of queued non-critical ones, displacing their head.
+        let critical = vec![true, false, true, false];
+        let config = SimConfig::builder(4)
+            .timers(timed(60))
+            .arbiter(ArbiterKind::Tdm { critical: critical.clone() })
+            .waiter_priority(critical.clone())
+            .build()
+            .unwrap();
+        let mut sim = SimBuilder::new(config, &shared).probe(EventLogProbe::new()).build().unwrap();
+        sim.run().unwrap();
+        assert!(displaced_heads(sim.probe(), &critical) > 0, "no head was displaced");
+
+        // A mid-run switch to MSI releases every held line at once, and
+        // one back to timed holders protects lines again.
+        let config = SimConfig::builder(4).timers(timed(500)).build().unwrap();
+        let mut sim = SimBuilder::new(config, &shared).build().unwrap();
+        sim.run_until(Cycles::new(2_000)).unwrap();
+        sim.schedule_timer_switch(Cycles::new(2_500), vec![TimerValue::MSI; 4]).unwrap();
+        sim.schedule_timer_switch(Cycles::new(6_000), timed(300)).unwrap();
+        sim.run_until(Cycles::new(4_000)).unwrap();
+        assert_eq!(sim.timers(), [TimerValue::MSI; 4], "the first switch was applied");
+        sim.run().unwrap();
+        assert_eq!(sim.timers(), timed(300), "the second switch was applied");
+
+        // FCFS over the same requests.
+        let config =
+            SimConfig::builder(4).timers(timed(80)).arbiter(ArbiterKind::Fcfs).build().unwrap();
+        let stats = SimBuilder::new(config, &shared).build().unwrap().run().unwrap();
+        assert!(stats.transfers > 0);
+
+        // The 64-core sparse shape: timed holders on group-shared lines.
+        let (config, w) = sparse_dram(300);
+        let stats = SimBuilder::new(config, &w).build().unwrap().run().unwrap();
+        assert_eq!(stats.cores.iter().map(CoreStats::accesses).sum::<u64>(), 64 * 300);
     }
 
     #[test]
