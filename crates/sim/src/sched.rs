@@ -34,11 +34,12 @@
 //! folds the due wheel slots and the due heap entries into one due-core
 //! mask. Together with three engine-side rules — completion is a count of
 //! unfinished cores, not a scan; the arbiter asks only the cores its
-//! policy inspects for a candidate; and only cores in the engine's
-//! pending mask (cores with outstanding MSHR entries) build one — this
-//! keeps the cost of a cache-hit instant independent of the core count
-//! and of how long lines are held, and takes the heap off the per-access
-//! path.
+//! policy inspects for a candidate; and only cores in the engine's ready
+//! masks build one (cores with an un-broadcast request, and cores heading
+//! a line whose holders have all released), so an attempt with no ready
+//! core returns at once — this keeps the cost of a cache-hit instant
+//! independent of the core count and of how long lines are held, and
+//! takes the heap off the per-access path.
 //!
 //! Heap ties are broken by a monotonically increasing sequence number, so
 //! the pop order of simultaneous wakes is deterministic; the wheel yields a
