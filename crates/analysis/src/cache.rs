@@ -11,16 +11,22 @@
 //!
 //! Keys are *content* keys: the trace enters as its 128-bit
 //! [`Trace::fingerprint`] (hashed once per trace and cached with it, so a
-//! lookup costs no trace walk), alongside the cache geometry, the hit
-//! latency and a class: the exact miss penalty, or "burst" when the
-//! penalty is at least θ. Each key holds the θ-stable intervals of
-//! [`crate::isolation`], sorted and disjoint, each with its counts; a
-//! query is answered by binary search for the interval holding its θ, so
-//! one walk serves every θ that replays it. In the burst class the counts
-//! do not depend on the penalty either, so the GA's fitness queries, whose
-//! penalty moves with every other core's timer, share the burst walks of
-//! a trace. Served counts are the uncached function's output for the
-//! query, as the module's tests check θ by θ.
+//! lookup costs no trace walk), alongside the cache geometry and the hit
+//! latency. The miss penalty is not part of the key: each key holds the
+//! regions of [`crate::isolation`] that its walks found, each with its
+//! counts, so one walk serves every (θ, P) that replays it.
+//!
+//! - *Burst walks* (penalty ≥ θ) hold for every penalty ≥ θ′ on a
+//!   θ-interval; the key keeps them sorted and disjoint and answers a
+//!   burst query by binary search for its θ.
+//! - *Flat walks* (penalty < θ) hold on a convex polygon of (θ, P) points
+//!   bounded by a few lines; a flat query is served by the first stored
+//!   polygon that contains its point.
+//!
+//! The GA's fitness queries, whose penalty (Eq. 1's WCL) moves with every
+//! other core's timer, so share the walks of a trace in both regimes.
+//! Served counts are the uncached function's output for the query, as the
+//! module's tests and a property test over a dense (θ, P) grid check.
 //!
 //! The cache also memoizes whole simulations ([`AnalysisCache::simulate`]):
 //! a no-probe run keyed by the workload's trace fingerprints and the full
@@ -47,17 +53,39 @@ use cohort_sim::{CacheGeometry, SimBuilder, SimConfig, SimStats};
 use cohort_trace::{Trace, Workload};
 use cohort_types::{Cycles, Result, TimerValue};
 
-use crate::isolation::{saturation_search, stable_hits, HitMissCounts, StableHits};
+use crate::isolation::{saturation_search, stable_hits, Envelopes, HitMissCounts, Region};
 
-/// Key of one hit curve: everything but θ that the counts depend on.
+/// Key of one hit curve: everything but θ and the penalty that the counts
+/// depend on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 struct CurveKey {
     trace: u128,
     geometry: CacheGeometry,
     hit_latency: Cycles,
-    /// The miss penalty, or `None` for the burst regime (penalty ≥ θ),
-    /// whose walks do not depend on it.
-    penalty: Option<Cycles>,
+}
+
+/// The walks of one [`CurveKey`], by regime.
+#[derive(Debug, Default)]
+struct Curve {
+    /// Burst walks: `(lo, hi, counts)` θ-intervals, sorted and disjoint.
+    burst: Vec<(u64, u64, HitMissCounts)>,
+    /// Flat walks: their regions' envelopes and counts.
+    flat: Vec<(Envelopes, HitMissCounts)>,
+}
+
+impl Curve {
+    /// The counts of the stored walk that `(theta, penalty)` replays.
+    fn get(&self, theta: u64, penalty: Cycles) -> Option<HitMissCounts> {
+        if penalty.get() >= theta {
+            let &(lo, _, counts) = self.burst.get(self.burst.partition_point(|w| w.1 < theta))?;
+            (lo <= theta).then_some(counts)
+        } else {
+            self.flat
+                .iter()
+                .find(|(envelopes, _)| envelopes.contains(theta, penalty.get()))
+                .map(|&(_, counts)| counts)
+        }
+    }
 }
 
 /// Key of one θ-saturation query (no timer: the search spans all of them).
@@ -87,6 +115,16 @@ pub struct CacheStats {
     pub hits: u64,
 }
 
+/// Trace walks behind an [`AnalysisCache`]'s unserved guaranteed-hit
+/// queries, by regime (see [`crate::stable_hits`]).
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+pub struct WalkStats {
+    /// Walks with penalty < θ, each storing a (θ, P)-stable region.
+    pub flat: u64,
+    /// Walks with penalty ≥ θ, each storing a θ-interval.
+    pub burst: u64,
+}
+
 impl CacheStats {
     /// Hit ratio in `[0, 1]` (0 before the first lookup).
     #[must_use]
@@ -103,9 +141,9 @@ impl CacheStats {
 ///
 /// Reads take a shared lock; only a first-time computation takes the write
 /// lock, briefly, to publish its result. Two threads racing on the same
-/// cold query may both walk the trace — the walk is deterministic and its
-/// interval is a whole class of θ, so both find the same interval and the
-/// second insert is a no-op, cheaper than holding a lock across the walk.
+/// cold query may both walk the trace — the walk is deterministic, so both
+/// find the same region and the second insert is a no-op, cheaper than
+/// holding a lock across the walk.
 ///
 /// The cache is **panic-tolerant**: pool jobs share it across worker
 /// threads and a job that panics (turned into `Error::JobPanicked` by
@@ -117,11 +155,13 @@ impl CacheStats {
 /// map and never exposes a partial result.
 #[derive(Debug, Default)]
 pub struct AnalysisCache {
-    /// Per key, the θ-stable intervals walked so far, sorted and disjoint.
-    curves: RwLock<HashMap<CurveKey, Vec<StableHits>>>,
+    /// Per key, the regions walked so far.
+    curves: RwLock<HashMap<CurveKey, Curve>>,
     saturation: RwLock<HashMap<SatKey, u64>>,
     lookups: AtomicU64,
     served: AtomicU64,
+    flat_walks: AtomicU64,
+    burst_walks: AtomicU64,
     runs: RwLock<HashMap<RunKey, SimStats>>,
     run_lookups: AtomicU64,
     run_served: AtomicU64,
@@ -135,10 +175,10 @@ impl AnalysisCache {
     }
 
     /// Memoized [`crate::guaranteed_hits`]: identical signature, identical
-    /// result. A query whose θ lies in a stored interval of its key is
-    /// served (counted as a hit); any other walks the trace once and
-    /// stores the walk's interval. An MSI query needs no walk and counts as
-    /// served.
+    /// result. A query whose (θ, penalty) lies in a stored region of its
+    /// key is served (counted as a hit); any other walks the trace once
+    /// and stores the walk's region. An MSI query needs no walk and counts
+    /// as served.
     #[must_use]
     pub fn guaranteed_hits(
         &self,
@@ -153,33 +193,36 @@ impl AnalysisCache {
             self.served.fetch_add(1, Ordering::Relaxed);
             return HitMissCounts { hits: 0, misses: trace.len() as u64 };
         };
-        let key = CurveKey {
-            trace: trace.fingerprint(),
-            geometry: *geometry,
-            hit_latency,
-            penalty: (miss_penalty < Cycles::new(theta)).then_some(miss_penalty),
-        };
+        let key = CurveKey { trace: trace.fingerprint(), geometry: *geometry, hit_latency };
         let served = self
             .curves
             .read()
             .unwrap_or_else(std::sync::PoisonError::into_inner)
             .get(&key)
-            .and_then(|intervals| {
-                let walk = intervals.get(intervals.partition_point(|w| w.hi < theta))?;
-                (walk.lo <= theta).then_some(walk.counts)
-            });
+            .and_then(|curve| curve.get(theta, miss_penalty));
         if let Some(counts) = served {
             self.served.fetch_add(1, Ordering::Relaxed);
             return counts;
         }
         let walk = stable_hits(trace, theta, geometry, hit_latency, miss_penalty);
+        let walks = match walk.region {
+            Region::Burst { .. } => &self.burst_walks,
+            Region::Flat(_) => &self.flat_walks,
+        };
+        walks.fetch_add(1, Ordering::Relaxed);
         let mut curves = self.curves.write().unwrap_or_else(std::sync::PoisonError::into_inner);
-        let intervals = curves.entry(key).or_default();
-        let at = intervals.partition_point(|w| w.hi < walk.lo);
-        // Intervals are whole classes of θ: one that reaches into this
-        // walk's is this walk's, inserted by a racing thread.
-        if intervals.get(at).is_none_or(|w| w.lo > walk.hi) {
-            intervals.insert(at, walk);
+        let curve = curves.entry(key).or_default();
+        // Regions are whole classes of (θ, P) or parts of one: a stored
+        // region that holds this walk's point holds this walk, inserted by
+        // a racing thread.
+        if curve.get(theta, miss_penalty).is_none() {
+            match walk.region {
+                Region::Burst { lo, hi } => {
+                    let at = curve.burst.partition_point(|w| w.1 < lo);
+                    curve.burst.insert(at, (lo, hi, walk.counts));
+                }
+                Region::Flat(envelopes) => curve.flat.push((envelopes, walk.counts)),
+            }
         }
         walk.counts
     }
@@ -274,12 +317,22 @@ impl AnalysisCache {
         }
     }
 
-    /// Number of memoized analysis entries (θ-stable intervals and
-    /// saturation points; [`Self::run_len`] counts the runs).
+    /// Walks made since creation (or the last [`Self::clear`]), by
+    /// regime. With one thread every walk stores one region.
+    #[must_use]
+    pub fn walks(&self) -> WalkStats {
+        WalkStats {
+            flat: self.flat_walks.load(Ordering::Relaxed),
+            burst: self.burst_walks.load(Ordering::Relaxed),
+        }
+    }
+
+    /// Number of memoized analysis entries (regions and saturation
+    /// points; [`Self::run_len`] counts the runs).
     #[must_use]
     pub fn len(&self) -> usize {
         let curves = self.curves.read().unwrap_or_else(std::sync::PoisonError::into_inner);
-        curves.values().map(Vec::len).sum::<usize>()
+        curves.values().map(|curve| curve.burst.len() + curve.flat.len()).sum::<usize>()
             + self.saturation.read().unwrap_or_else(std::sync::PoisonError::into_inner).len()
     }
 
@@ -297,6 +350,8 @@ impl AnalysisCache {
         self.runs.write().unwrap_or_else(std::sync::PoisonError::into_inner).clear();
         self.lookups.store(0, Ordering::Relaxed);
         self.served.store(0, Ordering::Relaxed);
+        self.flat_walks.store(0, Ordering::Relaxed);
+        self.burst_walks.store(0, Ordering::Relaxed);
         self.run_lookups.store(0, Ordering::Relaxed);
         self.run_served.store(0, Ordering::Relaxed);
     }
@@ -345,9 +400,9 @@ mod tests {
             assert_eq!(cold, first);
             assert_eq!(cold, memoized);
         }
-        // Each repeat is served, and so is the first MAX_THETA query: its
-        // θ lies in the interval the 4,096 walk stored (no θ-sensitive
-        // access of this trace misses at 4,096).
+        // Each repeat is served, and so is the first MAX_THETA query: it
+        // lies in the region the 4,096 walk stored (no θ-sensitive access
+        // of this trace misses at 4,096).
         let s = cache.stats();
         assert_eq!(s.lookups, 10);
         assert_eq!(s.hits, 6);
@@ -370,25 +425,34 @@ mod tests {
     fn distinct_parameters_get_distinct_entries() {
         let trace = kernel_trace();
         let cache = AnalysisCache::new();
-        // Burst regime (penalty ≥ θ): both penalties share one entry.
+        // Burst regime (penalty ≥ θ): both penalties share one interval.
         let t24 = TimerValue::timed(24).unwrap();
         for penalty in [PENALTY, Cycles::new(500)] {
             let counts = cache.guaranteed_hits(&trace, t24, &L1, HIT, penalty);
             assert_eq!(counts, guaranteed_hits(&trace, t24, &L1, HIT, penalty));
         }
         assert_eq!(cache.len(), 1);
-        // Below it (penalty < θ) each penalty gets its own entry.
+        // Below it (penalty < θ) a walk's region spans penalties too: the
+        // second penalty replays the first one's walk here.
         let t600 = TimerValue::timed(600).unwrap();
-        for penalty in [PENALTY, Cycles::new(500)] {
+        for penalty in [PENALTY, Cycles::new(217)] {
             let counts = cache.guaranteed_hits(&trace, t600, &L1, HIT, penalty);
             assert_eq!(counts, guaranteed_hits(&trace, t600, &L1, HIT, penalty));
         }
-        assert_eq!(cache.len(), 3);
-        // Every query is counted; only the shared regime entry was served.
-        assert_eq!(cache.stats(), CacheStats { lookups: 4, hits: 1 });
+        assert_eq!(cache.len(), 2);
+        // Another hit latency or geometry is another key.
+        let two_way = CacheGeometry::new(16 * 1024, 64, 2).unwrap();
+        for (geometry, hit) in [(two_way, HIT), (L1, Cycles::new(2))] {
+            let counts = cache.guaranteed_hits(&trace, t600, &geometry, hit, PENALTY);
+            assert_eq!(counts, guaranteed_hits(&trace, t600, &geometry, hit, PENALTY));
+        }
+        assert_eq!(cache.len(), 4);
+        assert_eq!(cache.stats(), CacheStats { lookups: 6, hits: 2 });
+        assert_eq!(cache.walks(), WalkStats { flat: 3, burst: 1 });
         cache.clear();
         assert!(cache.is_empty());
         assert_eq!(cache.stats(), CacheStats::default());
+        assert_eq!(cache.walks(), WalkStats::default());
     }
 
     #[test]
@@ -398,7 +462,7 @@ mod tests {
         let mut thetas: Vec<u64> = (1..=2_000).collect();
         thetas.extend([4_096, 30_000, TimerValue::MAX_THETA - 1, TimerValue::MAX_THETA]);
         // Ascending at one penalty, descending at the other, so intervals
-        // are inserted at both ends of a key's list.
+        // are inserted at both ends of the burst list.
         let queries = thetas
             .iter()
             .map(|&theta| (Cycles::new(54), theta))
@@ -411,20 +475,43 @@ mod tests {
                 "θ {theta}, penalty {penalty:?}"
             );
         }
-        // Each key's intervals are sorted, disjoint and non-empty.
-        let stored: Vec<Vec<StableHits>> = cache.curves.read().unwrap().values().cloned().collect();
-        for key in &stored {
-            assert!(key.iter().all(|w| w.lo <= w.hi), "{key:?}");
-            assert!(key.windows(2).all(|w| w[0].hi < w[1].lo), "{key:?}");
-        }
+        // The burst intervals are sorted, disjoint and non-empty.
+        let curves = cache.curves.read().unwrap();
+        let curve = curves.values().next().unwrap();
+        assert!(curve.burst.iter().all(|w| w.0 <= w.1), "{:?}", curve.burst);
+        assert!(curve.burst.windows(2).all(|w| w[0].1 < w[1].0), "{:?}", curve.burst);
         // One thread: every lookup not served walked once and stored one
-        // interval, and the intervals spare most of the walks.
+        // region, and the regions spare most of the walks.
         let s = cache.stats();
-        let walks = s.lookups - s.hits;
+        let walks = cache.walks();
         assert_eq!(s.lookups, 2 * thetas.len() as u64);
-        assert_eq!(walks, stored.iter().map(Vec::len).sum::<usize>() as u64);
-        assert_eq!(walks, cache.len() as u64);
-        assert!(walks * 4 < s.lookups, "{walks} walks for {} lookups", s.lookups);
+        assert_eq!(s.lookups - s.hits, walks.flat + walks.burst);
+        assert_eq!(walks.flat, curve.flat.len() as u64);
+        assert_eq!(walks.burst, curve.burst.len() as u64);
+        assert_eq!(walks.flat + walks.burst, cache.len() as u64);
+        assert!((walks.flat + walks.burst) * 4 < s.lookups, "{walks:?} for {} lookups", s.lookups);
+    }
+
+    /// The walk count pin: a fixed flat-regime grid over one kernel trace,
+    /// θ from 2 to 594 in steps of 8 against 29 penalties from 1 to 197
+    /// in steps of 7 (the GA's queries move both), on an owned memo.
+    #[test]
+    fn a_flat_grid_walks_a_pinned_number_of_times() {
+        let w = KernelSpec::new(Kernel::Radix, 4).with_total_requests(2_000).generate();
+        let trace = &w.traces()[0];
+        let cache = AnalysisCache::new();
+        for penalty in (1..=200).step_by(7).map(Cycles::new) {
+            for theta in (2..=600).step_by(8).filter(|&theta| theta > penalty.get()) {
+                let timer = TimerValue::timed(theta).unwrap();
+                assert_eq!(
+                    cache.guaranteed_hits(trace, timer, &L1, HIT, penalty),
+                    guaranteed_hits(trace, timer, &L1, HIT, penalty),
+                    "θ {theta}, penalty {penalty:?}"
+                );
+            }
+        }
+        assert_eq!(cache.stats(), CacheStats { lookups: 1_808, hits: 1_762 });
+        assert_eq!(cache.walks(), WalkStats { flat: 46, burst: 0 });
     }
 
     #[test]

@@ -35,11 +35,11 @@
 //!
 //! The GA calls this walk hundreds of times per optimisation, so the model
 //! cache is not the simulator's generic `SetAssocCache` but a flat kernel:
-//! three parallel arrays of `sets × ways` entries (tag, fill anchor,
-//! modified bit), set `s` owning the slice `[s·ways, (s+1)·ways)` and
-//! indexed by the geometry's one `SetIndexer` rule. Each set's slice is
-//! kept MRU-first with its resident lines as a prefix and empty ways (tag
-//! `None`) at the tail. Every access rotates the slice prefix ending at
+//! one array of `sets × ways` packed slots (tag, fill anchor, modified
+//! bit), set `s` owning the slice `[s·ways, (s+1)·ways)` and indexed by
+//! the geometry's one `SetIndexer` rule. Each set's slice is kept
+//! MRU-first with its resident lines as a prefix and empty ways at the
+//! tail. Every access rotates the slice prefix ending at
 //! the line's way — or, for a line not resident, the whole slice, whose
 //! last way is empty or the LRU victim — one step right, so the accessed
 //! line lands in way 0. That is exactly `SetAssocCache`'s `touch` (promote
@@ -80,33 +80,58 @@
 //! modified bit. [`guaranteed_hits`] takes this walk whenever `P ≥ θ`; it
 //! is the flat kernel's exact specialisation to the regime, as the
 //! direct-mapped loop is for one-way geometries, and a property test pins
-//! the two to the reference walk. The memo in [`crate::cache`] files every
-//! regime query under one "burst" class per (trace, geometry, hit
-//! latency), so the GA's fitness queries, whose penalty (Eq. 1's WCL)
-//! moves with every other core's θ, share the burst walks of a trace. One
-//! cycle below the regime the penalty matters again: at θ = P + 1 a line
-//! can outlive one intervening miss.
+//! the two to the reference walk. One cycle below the regime the penalty
+//! matters again: at θ = P + 1 a line can outlive one intervening miss.
 //!
-//! ## θ-stable intervals
+//! ## (θ, P)-stable regions
 //!
 //! Under LRU every access leaves its line at MRU, hit or miss, so which
 //! lines are resident before each access depends on the address stream
-//! alone, not on θ. At a fixed penalty the one step that reads θ is
+//! alone, not on θ or the penalty `P`. The one step that reads either is
 //! `elapsed < θ`, and a walk evaluates it only on a resident access whose
-//! permission is satisfied (a load, or a store to a modified line). Let
-//! `lo` be one more than the largest `elapsed` among those accesses that
-//! hit (0 if none did) and `hi` the smallest `elapsed` among those that
-//! missed (`MAX_THETA` if none did). By induction over the trace, a walk at
-//! any θ′ in `[lo, hi]` reaches every access in the same state and decides
-//! it the same way: a hit had `elapsed < lo ≤ θ′`, a θ-sensitive miss had
-//! `elapsed ≥ hi ≥ θ′`. So θ′ replays the whole trajectory and its counts,
-//! and no θ′ outside the interval does (the access that set the crossed
-//! bound would flip first). The intervals of one trace, geometry and pair
-//! of latencies are therefore the classes of θ that share a trajectory:
-//! they are disjoint. In the burst regime `elapsed` is the gaps and hit
-//! latencies since the run's miss, so there the trajectory does not depend
-//! on the penalty either, and a burst walk's interval holds for every
-//! `P′ ≥ θ′`. [`stable_hits`] reports the interval with the counts;
+//! permission is satisfied (a load, or a store to a modified line).
+//!
+//! Virtual time is `now = T + M·P`, where `T` sums the gaps and hit
+//! latencies so far and `M` counts the misses so far; both depend on the
+//! trajectory (which accesses hit), not on θ or `P`. A θ-sensitive step at
+//! `(T, M)` on a line filled at `(T_fill, M_fill)` therefore has
+//! `elapsed = a + m·P` with `a = T − T_fill` and `m = M − M_fill`; the
+//! flat kernel keeps each fill's instant and `M_fill`, and derives `a`
+//! from `elapsed` and `m`. A hit there holds at (θ′, P′) iff
+//! `θ′ − m·P′ ≥ a + 1`, a θ-sensitive miss iff `θ′ − m·P′ ≤ a`. Each is a
+//! half-plane bounded by the line `θ′ = c + m·P′`; per `m` the walk keeps
+//! the largest hit bound and the smallest miss bound. The walk's region is
+//! the convex polygon of the (θ′, P′) on or above the max-envelope of the
+//! hit lines and on or below the min-envelope of the miss lines.
+//!
+//! By induction over the trace, a walk at any (θ′, P′) in the region
+//! reaches every access with the same `(T, M)`, the same residency and the
+//! same fills and permissions, and decides it the same way: the access's
+//! own line holds at (θ′, P′). So (θ′, P′) replays the whole trajectory and
+//! its counts. Conversely the first access whose line (θ′, P′) violates
+//! flips at (θ′, P′), so the regions of distinct trajectories are
+//! disjoint. Two simplifications keep the walk's state small, and both
+//! only shrink the region, which stays exact:
+//!
+//! - Misses with `m ≥ K = ⌈MAX_THETA/P⌉` share the bound of `m = K`. The
+//!   line `θ′ ≤ a + K·P′` implies `θ′ ≤ a + m·P′` for every `P′ ≥ 0`, and
+//!   at the walk's own penalty it admits every θ′, because
+//!   `K·P ≥ MAX_THETA`. A hit has `m·P < θ`, so `m < K`: the bound array
+//!   has `K + 1` entries (fewer if the trace is shorter).
+//! - A miss bound of `MAX_THETA` or more says nothing, as no θ′ exceeds
+//!   it, and a line that is nowhere on its envelope for `P′ ≥ 0` is
+//!   dropped.
+//!
+//! At the walk's own penalty the region's θ-slice is therefore the whole
+//! interval of θ′ that replay the walk there.
+//!
+//! A flat walk (`P < θ`) reports [`Region::Flat`] and answers the queries
+//! with `P′ < θ′` inside it. In the burst regime `elapsed` is the gaps and
+//! hit latencies since the run's miss, so the trajectory depends on θ
+//! alone: a burst walk reports the θ-interval [`Region::Burst`] `lo..=hi`,
+//! with `lo` one more than the largest `elapsed` among its hits and `hi`
+//! the smallest among its θ-sensitive misses, and it holds at every
+//! `P′ ≥ θ′`. [`stable_hits`] reports the region with the counts;
 //! [`crate::cache`] stores it, so one walk answers every later query
 //! inside it.
 
@@ -137,7 +162,7 @@ impl HitMissCounts {
 /// For θ = −1 (MSI) the analysis returns zero hits — without timers the
 /// in-isolation analysis is not preserved under contention (Eq. 3's
 /// premise). For θ = 0 likewise: the window is empty, so every access
-/// misses. [`stable_hits`] is the same walk with its θ-stable interval.
+/// misses. [`stable_hits`] is the same walk with its (θ, P)-stable region.
 ///
 /// # Examples
 ///
@@ -171,32 +196,133 @@ pub fn guaranteed_hits(
     miss_penalty: Cycles,
 ) -> HitMissCounts {
     match timer.theta() {
-        Some(theta) => stable_hits(trace, theta, geometry, hit_latency, miss_penalty).counts,
+        Some(theta) => match walk(trace, theta, geometry, hit_latency, miss_penalty) {
+            Walk::Burst(walk) => walk.counts,
+            Walk::Flat(counts, _) => counts,
+        },
         // MSI: no guaranteed hits.
         None => HitMissCounts { hits: 0, misses: trace.len() as u64 },
     }
 }
 
-/// One walk's counts and the θ-stable interval `lo..=hi` of the module
-/// docs: every θ′ in it gives the same counts at the walk's penalty and,
-/// for a burst-regime walk (penalty ≥ θ), at every penalty ≥ θ′.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// One walk's counts and the (θ, P) points that replay it (see the module
+/// docs): every point of [`Self::region`] gives the same counts.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StableHits {
     /// The guaranteed hits and misses.
     pub counts: HitMissCounts,
-    /// Smallest θ that replays the walk.
-    pub lo: u64,
-    /// Largest θ that replays the walk, at most `MAX_THETA`.
-    pub hi: u64,
+    /// The points that replay the walk, the walk's own point among them.
+    pub region: Region,
 }
 
-/// [`guaranteed_hits`] at timer θ (at most `MAX_THETA`), with the
-/// interval of θ values that give the same walk (see the module docs).
+/// The (θ, P) points that replay one walk of [`stable_hits`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Region {
+    /// A burst-regime walk: every θ in `lo..=hi` at every penalty ≥ θ.
+    Burst {
+        /// Smallest θ that replays the walk.
+        lo: u64,
+        /// Largest θ that replays the walk, at most `MAX_THETA`.
+        hi: u64,
+    },
+    /// A flat-regime walk: the points with penalty < θ between its
+    /// envelopes.
+    Flat(Envelopes),
+}
+
+impl Region {
+    /// Whether the walk at `(theta, penalty)` replays this region's walk.
+    #[must_use]
+    pub fn contains(&self, theta: u64, penalty: Cycles) -> bool {
+        let penalty = penalty.get();
+        match self {
+            Region::Burst { lo, hi } => penalty >= theta && (*lo..=*hi).contains(&theta),
+            Region::Flat(envelopes) => penalty < theta && envelopes.contains(theta, penalty),
+        }
+    }
+}
+
+/// A convex polygon in the (P, θ) plane, as lines `θ = c + m·P`: its
+/// points lie on or above every line of the lower envelope (the hits'
+/// bounds) and on or below every line of the upper one (the misses').
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Envelopes {
+    /// `(m, c)` pairs: the lower envelope's, then the upper one's.
+    lines: Box<[(u64, u64)]>,
+    /// How many of `lines` belong to the lower envelope.
+    lower: usize,
+}
+
+impl Envelopes {
+    /// The lower envelope's `(m, c)` lines, slopes ascending.
+    fn lower(&self) -> &[(u64, u64)] {
+        &self.lines[..self.lower]
+    }
+
+    /// The upper envelope's `(m, c)` lines, slopes descending.
+    fn upper(&self) -> &[(u64, u64)] {
+        &self.lines[self.lower..]
+    }
+
+    /// Whether `(theta, penalty)` lies between the envelopes (the caller
+    /// checks the regime).
+    pub(crate) fn contains(&self, theta: u64, penalty: u64) -> bool {
+        let at = |&(m, c): &(u64, u64)| c.saturating_add(m.saturating_mul(penalty));
+        self.lower().iter().all(|line| at(line) <= theta)
+            && self.upper().iter().all(|line| theta <= at(line))
+    }
+
+    /// The envelopes of a flat walk's bounds.
+    fn of(bounds: &Bounds) -> Self {
+        let lines = bounds
+            .seen()
+            .iter()
+            .enumerate()
+            .map(|(m, &(hit, miss))| (m as i64, (hit as i64, miss as i64)));
+        let lower =
+            max_envelope(lines.clone().filter(|&(_, (c, _))| c > 0).map(|(m, (c, _))| (m, c)));
+        // min(c + m·P) = −max(−c − m·P), over slopes −m ascending.
+        let upper = max_envelope(
+            (lines.rev())
+                .filter(|&(_, (_, c))| c < TimerValue::MAX_THETA as i64)
+                .map(|(m, (_, c))| (-m, -c)),
+        );
+        let line = |&(m, c): &(i64, i64)| (m.unsigned_abs(), c.unsigned_abs());
+        let lines: Box<[(u64, u64)]> = lower.iter().chain(&upper).map(line).collect();
+        Envelopes { lines, lower: lower.len() }
+    }
+}
+
+/// The lines `(m, c)` of `lines` (slopes strictly ascending) on which
+/// `max(c + m·P)` is reached at some `P ≥ 0`.
+fn max_envelope(lines: impl Iterator<Item = (i64, i64)>) -> Vec<(i64, i64)> {
+    let mut hull: Vec<(i64, i64)> = Vec::new();
+    for (m, c) in lines {
+        // A steeper line at least as high at P = 0 is at least as high at
+        // every P ≥ 0.
+        while hull.last().is_some_and(|&(_, last)| last <= c) {
+            hull.pop();
+        }
+        // The last line is never the maximum if the new one overtakes the
+        // line before it no later than the last one does.
+        while let [.., (m1, c1), (m2, c2)] = hull[..] {
+            if (c1 - c) * (m2 - m1) > (c1 - c2) * (m - m1) {
+                break;
+            }
+            hull.pop();
+        }
+        hull.push((m, c));
+    }
+    hull
+}
+
+/// [`guaranteed_hits`] at timer θ (at most `MAX_THETA`), with the region
+/// of (θ, P) points that give the same walk (see the module docs).
 ///
 /// # Examples
 ///
 /// ```
-/// use cohort_analysis::stable_hits;
+/// use cohort_analysis::{stable_hits, Region};
 /// use cohort_sim::CacheGeometry;
 /// use cohort_trace::{Trace, TraceOp};
 /// use cohort_types::Cycles;
@@ -204,7 +330,10 @@ pub struct StableHits {
 /// // The revisit comes 5 cycles after the fill: every θ above 5 keeps it.
 /// let trace = Trace::from_ops(vec![TraceOp::store(0), TraceOp::store(0).after(5)]);
 /// let walk = stable_hits(&trace, 100, &CacheGeometry::paper_l1(), Cycles::new(1), Cycles::new(216));
-/// assert_eq!((walk.counts.hits, walk.lo, walk.hi), (1, 6, 65_535));
+/// assert_eq!((walk.counts.hits, walk.region), (1, Region::Burst { lo: 6, hi: 65_535 }));
+/// // Below the burst regime the region spans penalties too.
+/// let walk = stable_hits(&trace, 100, &CacheGeometry::paper_l1(), Cycles::new(1), Cycles::new(50));
+/// assert!(walk.region.contains(6, Cycles::new(5)) && !walk.region.contains(5, Cycles::new(4)));
 /// ```
 #[must_use]
 pub fn stable_hits(
@@ -214,9 +343,33 @@ pub fn stable_hits(
     hit_latency: Cycles,
     miss_penalty: Cycles,
 ) -> StableHits {
-    let theta = Cycles::new(theta);
+    match walk(trace, theta, geometry, hit_latency, miss_penalty) {
+        Walk::Burst(walk) => walk,
+        Walk::Flat(counts, bounds) => {
+            StableHits { counts, region: Region::Flat(Envelopes::of(&bounds)) }
+        }
+    }
+}
+
+/// One walk, a flat walk's region not yet built: [`guaranteed_hits`]
+/// drops it.
+enum Walk {
+    Burst(StableHits),
+    Flat(HitMissCounts, Bounds),
+}
+
+/// The walk of [`stable_hits`]: the closed form in the burst regime, else
+/// the flat kernel.
+fn walk(
+    trace: &Trace,
+    theta: u64,
+    geometry: &CacheGeometry,
+    hit_latency: Cycles,
+    miss_penalty: Cycles,
+) -> Walk {
+    let (hit_latency, miss_penalty) = (hit_latency.get(), miss_penalty.get());
     if miss_penalty >= theta {
-        burst_walk(trace, theta, hit_latency, miss_penalty)
+        Walk::Burst(burst_walk(trace, theta, hit_latency, miss_penalty))
     } else if geometry.ways == 1 {
         flat_walk::<true>(trace, theta, geometry, hit_latency, miss_penalty)
     } else {
@@ -224,105 +377,150 @@ pub fn stable_hits(
     }
 }
 
-impl StableHits {
-    /// A walk that has seen no access: no counts, every θ.
-    fn start() -> Self {
-        StableHits { counts: HitMissCounts::default(), lo: 0, hi: TimerValue::MAX_THETA }
-    }
-
-    /// Decides the one θ-sensitive step, a resident and permitted access
-    /// `elapsed` cycles after its fill, and narrows the interval to the θ
-    /// that decide it the same way.
-    fn window_holds(&mut self, elapsed: Cycles, theta: Cycles) -> bool {
-        let elapsed = elapsed.get();
-        if elapsed < theta.get() {
-            self.lo = self.lo.max(elapsed + 1);
-            true
-        } else {
-            self.hi = self.hi.min(elapsed);
-            false
-        }
-    }
-}
-
 /// The closed-form walk behind [`guaranteed_hits`] for the burst regime
 /// (see the module docs): only an access that continues its predecessor's
 /// run can hit, so the state is that line and its last fill.
-fn burst_walk(
-    trace: &Trace,
-    theta: Cycles,
-    hit_latency: Cycles,
-    miss_penalty: Cycles,
-) -> StableHits {
-    let mut walk = StableHits::start();
-    let mut now = Cycles::ZERO;
-    let (mut line, mut fill, mut modified) = (None, Cycles::ZERO, false);
+fn burst_walk(trace: &Trace, theta: u64, hit_latency: u64, miss_penalty: u64) -> StableHits {
+    let mut counts = HitMissCounts::default();
+    let (mut lo, mut hi) = (0, TimerValue::MAX_THETA);
+    let mut now = 0;
+    let (mut line, mut fill, mut modified) = (None, 0, false);
     for op in trace {
-        now += op.gap;
+        now += op.gap.get();
         let store = op.kind.is_store();
-        if line == Some(op.line) && (!store || modified) && walk.window_holds(now - fill, theta) {
-            walk.counts.hits += 1;
-            now += hit_latency;
-        } else {
-            walk.counts.misses += 1;
-            now += miss_penalty;
-            line = Some(op.line);
-            fill = now;
-            modified = store;
+        if line == Some(op.line) && (!store || modified) {
+            let elapsed = now - fill;
+            if elapsed < theta {
+                lo = lo.max(elapsed + 1);
+                counts.hits += 1;
+                now += hit_latency;
+                continue;
+            }
+            hi = hi.min(elapsed);
         }
+        counts.misses += 1;
+        now += miss_penalty;
+        line = Some(op.line);
+        fill = now;
+        modified = store;
     }
-    walk
+    StableHits { counts, region: Region::Burst { lo, hi } }
+}
+
+/// One way of the flat kernel: the resident line and its fill.
+#[derive(Debug, Clone, Copy)]
+struct Slot {
+    line: LineAddr,
+    /// The (worst-case) completion instant of the filling miss.
+    fill: u64,
+    /// Misses up to and including the fill, shifted left by one, with the
+    /// modified bit in bit 0; [`Slot::EMPTY`] for a way holding no line.
+    anchor: u64,
+}
+
+impl Slot {
+    const EMPTY: Slot = Slot { line: LineAddr::new(0), fill: 0, anchor: u64::MAX };
+
+    fn holds(&self, line: LineAddr) -> bool {
+        self.line == line && self.anchor != u64::MAX
+    }
 }
 
 /// The flat-kernel walk behind [`guaranteed_hits`] (see the module docs);
 /// `DIRECT_MAPPED` selects the rotation-free loop for one-way geometries.
 fn flat_walk<const DIRECT_MAPPED: bool>(
     trace: &Trace,
-    theta: Cycles,
+    theta: u64,
     geometry: &CacheGeometry,
-    hit_latency: Cycles,
-    miss_penalty: Cycles,
-) -> StableHits {
+    hit_latency: u64,
+    miss_penalty: u64,
+) -> Walk {
     let indexer = geometry.set_indexer();
     let ways = geometry.ways as usize;
-    let entries = geometry.sets() as usize * ways;
-    let mut tags: Vec<Option<LineAddr>> = vec![None; entries];
-    let mut fills = vec![Cycles::ZERO; entries];
-    let mut modified = vec![false; entries];
-    let mut walk = StableHits::start();
-    let mut now = Cycles::ZERO;
+    let mut slots = vec![Slot::EMPTY; geometry.sets() as usize * ways];
+    let mut bounds = Bounds::new(miss_penalty, trace.len());
+    let mut counts = HitMissCounts::default();
+    let mut now = 0;
     for op in trace {
-        now += op.gap;
+        now += op.gap.get();
         let set = indexer.index(op.line);
-        // The entry that holds the line after this access.
+        // The slot that holds the line after this access.
         let (slot, resident) = if DIRECT_MAPPED {
-            (set, tags[set] == Some(op.line))
+            (set, slots[set].holds(op.line))
         } else {
             let base = set * ways;
-            let way = tags[base..base + ways].iter().position(|&t| t == Some(op.line));
+            let way = slots[base..base + ways].iter().position(|s| s.holds(op.line));
             // Promote to MRU: the line's own way, else the last (empty or
             // LRU victim) way.
             let end = base + way.map_or(ways, |w| w + 1);
-            tags[base..end].rotate_right(1);
-            fills[base..end].rotate_right(1);
-            modified[base..end].rotate_right(1);
+            slots[base..end].rotate_right(1);
             (base, way.is_some())
         };
+        let slot = &mut slots[slot];
         let store = op.kind.is_store();
-        if resident && (!store || modified[slot]) && walk.window_holds(now - fills[slot], theta) {
-            walk.counts.hits += 1;
-            now += hit_latency;
-        } else {
-            walk.counts.misses += 1;
-            now += miss_penalty;
-            // Refill: a fresh window anchored at the (worst-case)
-            // completion instant, with the permission the request gains.
-            tags[slot] = Some(op.line);
-            fills[slot] = now;
-            modified[slot] = store;
+        if resident && (!store || slot.anchor & 1 == 1) {
+            let elapsed = now - slot.fill;
+            let m = counts.misses - (slot.anchor >> 1);
+            let a = elapsed - m * miss_penalty;
+            if elapsed < theta {
+                bounds.hit(m, a);
+                counts.hits += 1;
+                now += hit_latency;
+                continue;
+            }
+            bounds.miss(m, a);
+        }
+        // Refill: a fresh window anchored at the (worst-case) completion
+        // instant, with the permission the request gains.
+        counts.misses += 1;
+        now += miss_penalty;
+        *slot = Slot { line: op.line, fill: now, anchor: counts.misses << 1 | u64::from(store) };
+    }
+    Walk::Flat(counts, bounds)
+}
+
+/// The tightest bound per `m` of a flat walk's θ-sensitive steps (see the
+/// module docs): per `m`, the largest `a + 1` among the hits (0: none)
+/// and the smallest `a` among the misses (`MAX_THETA`: none), the misses
+/// with `m ≥ K` sharing the last entry.
+struct Bounds(Vec<(u64, u64)>);
+
+impl Bounds {
+    /// An entry no step has written.
+    const NONE: (u64, u64) = (0, TimerValue::MAX_THETA);
+
+    fn new(miss_penalty: u64, len: usize) -> Self {
+        let k = match miss_penalty {
+            0 => u64::MAX,
+            p => TimerValue::MAX_THETA.div_ceil(p),
+        };
+        Bounds(vec![Self::NONE; k.min(len as u64) as usize + 1])
+    }
+
+    /// The entries from `m = 0` up to the last one written.
+    fn seen(&self) -> &[(u64, u64)] {
+        let written = self.0.iter().rposition(|&bounds| bounds != Self::NONE);
+        &self.0[..written.map_or(0, |last| last + 1)]
+    }
+
+    fn at(&mut self, m: u64) -> &mut (u64, u64) {
+        let last = self.0.len() - 1;
+        &mut self.0[(m as usize).min(last)]
+    }
+
+    fn hit(&mut self, m: u64, a: u64) {
+        let bound = &mut self.at(m).0;
+        if a >= *bound {
+            *bound = a + 1;
         }
     }
-    walk
+
+    fn miss(&mut self, m: u64, a: u64) {
+        let bound = &mut self.at(m).1;
+        if a < *bound {
+            *bound = a;
+        }
+    }
 }
 
 /// Finds the timer saturation value `θ_sat`: the smallest θ at which the
@@ -484,6 +682,25 @@ mod tests {
         let trace = Trace::from_ops(vec![TraceOp::load(0); 7]);
         let counts = guaranteed_hits(&trace, timed(3), &L1, HIT, PENALTY);
         assert_eq!(counts.total(), 7);
+    }
+
+    #[test]
+    fn misses_past_k_share_the_last_bound() {
+        // Line 0, 100 other lines, line 0 again, all loads to distinct
+        // sets without gaps: at P = 1,000 the revisit misses with m = 100,
+        // past K = ⌈MAX_THETA/P⌉ = 66, and a = 0.
+        let ops = std::iter::once(0).chain(1..=100).chain([0]).map(TraceOp::load).collect();
+        let trace = Trace::from_ops(ops);
+        let walk = stable_hits(&trace, 2_000, &L1, HIT, Cycles::new(1_000));
+        assert_eq!(walk.counts, HitMissCounts { hits: 0, misses: 102 });
+        let Region::Flat(envelopes) = &walk.region else { panic!("{walk:?}") };
+        assert_eq!((envelopes.lower(), envelopes.upper()), (&[][..], &[(66, 0)][..]));
+        // The shared bound θ′ ≤ 66·P′ is stricter than the revisit's own
+        // θ′ ≤ 100·P′, and still wide of the walk: at P′ = 10 the revisit
+        // comes 1,000 cycles after the fill and hits.
+        assert!(walk.region.contains(2_000, Cycles::new(31)));
+        assert!(!walk.region.contains(2_000, Cycles::new(30)));
+        assert_eq!(guaranteed_hits(&trace, timed(2_000), &L1, HIT, Cycles::new(10)).hits, 1);
     }
 
     #[test]

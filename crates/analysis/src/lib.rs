@@ -11,8 +11,8 @@
 //! - [`guaranteed_hits`] — the in-isolation static cache analysis that
 //!   lower-bounds a timed core's hits: a line is only trusted for θ cycles
 //!   after each fill, because an adversarial co-runner can steal it at the
-//!   first counter expiry; [`stable_hits`] adds the interval of timer
-//!   values that replay the same walk;
+//!   first counter expiry; [`stable_hits`] adds the region of timer and
+//!   miss-penalty values that replay the same walk;
 //! - [`theta_saturation`] — the sweep that finds the timer value at which a
 //!   task's guaranteed hits saturate (the upper bound of the optimization
 //!   search box);
@@ -22,7 +22,7 @@
 //! - [`analyze_cohort`], [`analyze_pcc`], [`analyze_pendulum`] — whole-
 //!   system analyses pairing each core with its WCML bound;
 //! - [`AnalysisCache`] / [`analysis_cache`] — a process-wide memo of
-//!   guaranteed-hit intervals and θ-saturation results keyed on trace
+//!   guaranteed-hit regions and θ-saturation results keyed on trace
 //!   fingerprints, shared by the optimization engine's workers (whole-
 //!   system analyses walk the traces directly and leave it alone).
 //!
@@ -55,8 +55,10 @@ mod system;
 mod wcl;
 mod wcml;
 
-pub use cache::{analysis_cache, AnalysisCache, CacheStats};
-pub use isolation::{guaranteed_hits, stable_hits, theta_saturation, HitMissCounts, StableHits};
+pub use cache::{analysis_cache, AnalysisCache, CacheStats, WalkStats};
+pub use isolation::{
+    guaranteed_hits, stable_hits, theta_saturation, Envelopes, HitMissCounts, Region, StableHits,
+};
 pub use rta::{is_schedulable, max_affordable_wcml, response_times, PeriodicTask};
 pub use system::{analyze_cohort, analyze_pcc, analyze_pendulum, CoreBound, PendulumParams};
 pub use wcl::{wcl_miss, wcl_pcc, wcl_pendulum};

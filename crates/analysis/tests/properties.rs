@@ -4,6 +4,7 @@ use cohort_prop::prelude::*;
 
 use cohort_analysis::{guaranteed_hits, stable_hits, theta_saturation, HitMissCounts};
 use cohort_analysis::{wcl_miss, wcml_snoop, wcml_timed};
+use cohort_analysis::{AnalysisCache, Region, StableHits};
 use cohort_sim::{CacheGeometry, SetAssocCache};
 use cohort_trace::{micro, AccessKind, Kernel, KernelSpec, Trace, TraceOp};
 use cohort_types::LatencyConfig;
@@ -100,15 +101,16 @@ fn flat_kernel_matches_the_reference_walk() {
     }
 }
 
-/// θ-stable intervals against the reference walk, on seeded random traces
+/// Stable regions against the reference walk, on seeded random traces
 /// over direct-mapped, 2-way and 4-way geometries in both regimes: the
-/// interval a walk reports holds its θ, and the reference walk gives the
-/// walk's counts at `lo`, at `hi` and at a random θ′ between them — at the
-/// walk's penalty below the regime, at every tried `P′ ≥ θ′` in it.
+/// region a walk reports holds its (θ, P), and the reference walk gives the
+/// walk's counts at every point of a seeded sample around it that the
+/// region holds. Burst intervals are also tried at `lo`, at `hi` and at
+/// `P′ ∈ {θ′, θ′ + 1, θ′ + offset}`.
 #[test]
-fn theta_stable_intervals_replay_the_reference_walk() {
+fn stable_regions_replay_the_reference_walk() {
     let mut rng = SeedRng::seed_from_u64(28);
-    let mut widths = 0;
+    let (mut widths, mut flat_points) = (0, 0);
     for ways in [1u64, 2, 4] {
         for sets in [1u64, 4, 5, 16] {
             let geom = geometry(sets, ways);
@@ -124,33 +126,106 @@ fn theta_stable_intervals_replay_the_reference_walk() {
                     };
                     let walk = stable_hits(&trace, theta, &geom, hit, Cycles::new(penalty));
                     assert!(
-                        walk.lo <= theta && theta <= walk.hi,
-                        "θ {theta} outside {walk:?} ({sets}×{ways}, P {penalty})"
+                        walk.region.contains(theta, Cycles::new(penalty)),
+                        "(θ {theta}, P {penalty}) outside {walk:?} ({sets}×{ways})"
                     );
-                    assert!(walk.hi <= TimerValue::MAX_THETA);
-                    widths += walk.hi - walk.lo;
-                    let between = rng.gen_range(walk.lo..=walk.hi);
-                    for other in [walk.lo, walk.hi, between] {
-                        let timer = TimerValue::timed(other).unwrap();
-                        let penalties = if burst {
-                            vec![other, other + 1, other + rng.gen_range(2u64..=3_000)]
-                        } else {
-                            vec![penalty]
-                        };
-                        for p in penalties.into_iter().map(Cycles::new) {
-                            assert_eq!(
-                                reference_hits(&trace, timer, &geom, hit, p),
-                                walk.counts,
-                                "θ′ {other} in {walk:?} from θ {theta}, P {penalty}, P′ {p:?}, \
-                                 {sets}×{ways}, hit {hit:?}"
-                            );
+                    let mut points: Vec<(u64, u64)> = (0..24)
+                        .map(|_| {
+                            let other = rng.gen_range(1..=2 * theta).min(TimerValue::MAX_THETA);
+                            (other, rng.gen_range(0..=2 * penalty))
+                        })
+                        .collect();
+                    if let Region::Burst { lo, hi } = walk.region {
+                        assert!(hi <= TimerValue::MAX_THETA);
+                        widths += hi - lo;
+                        let between = rng.gen_range(lo..=hi);
+                        for other in [lo, hi, between] {
+                            let offset = rng.gen_range(2u64..=3_000);
+                            points.extend([other, other + 1, other + offset].map(|p| (other, p)));
                         }
+                    }
+                    for (other, p) in points {
+                        let p = Cycles::new(p);
+                        if !walk.region.contains(other, p) {
+                            continue;
+                        }
+                        flat_points += u64::from(!burst);
+                        assert_eq!(
+                            reference_hits(
+                                &trace,
+                                TimerValue::timed(other).unwrap(),
+                                &geom,
+                                hit,
+                                p
+                            ),
+                            walk.counts,
+                            "(θ′ {other}, P′ {p:?}) in {walk:?} from (θ {theta}, P {penalty}), \
+                             {sets}×{ways}, hit {hit:?}"
+                        );
                     }
                 }
             }
         }
     }
     assert!(widths > 0, "the cases must include intervals wider than one θ");
+    assert!(flat_points > 0, "the cases must include flat regions wider than one point");
+}
+
+/// The memo against cold walks on a dense (θ, P) grid that spans both
+/// regimes, on seeded random traces over direct-mapped, 2-way and 4-way
+/// geometries, through an owned memo: every answer equals the cold
+/// [`stable_hits`] count at its point, every walk's region holds the
+/// walk's own point, and no grid point lies in two walks' regions whose
+/// counts differ. The memo stores a subset of those regions.
+#[test]
+fn the_memo_answers_a_dense_grid_like_cold_walks() {
+    let mut rng = SeedRng::seed_from_u64(31);
+    let grid: Vec<(u64, u64)> = (1..=300u64)
+        .step_by(9)
+        .flat_map(|theta| (0..=320u64).step_by(11).map(move |penalty| (theta, penalty)))
+        .collect();
+    let (mut lookups, mut walks) = (0, 0);
+    for ways in [1u64, 2, 4] {
+        for sets in [1u64, 4, 16] {
+            let geom = geometry(sets, ways);
+            for _ in 0..3 {
+                let trace = random_trace(&mut rng, sets * ways * 3);
+                let hit = Cycles::new(rng.gen_range(0u64..5));
+                let cache = AnalysisCache::new();
+                let mut regions: Vec<StableHits> = Vec::new();
+                let cold: Vec<HitMissCounts> = grid
+                    .iter()
+                    .map(|&(theta, penalty)| {
+                        let walk = stable_hits(&trace, theta, &geom, hit, Cycles::new(penalty));
+                        assert!(walk.region.contains(theta, Cycles::new(penalty)), "{walk:?}");
+                        let counts = walk.counts;
+                        if !regions.contains(&walk) {
+                            regions.push(walk);
+                        }
+                        counts
+                    })
+                    .collect();
+                for (&(theta, penalty), &counts) in grid.iter().zip(&cold) {
+                    let timer = TimerValue::timed(theta).unwrap();
+                    let penalty = Cycles::new(penalty);
+                    assert_eq!(
+                        cache.guaranteed_hits(&trace, timer, &geom, hit, penalty),
+                        counts,
+                        "θ {theta}, P {penalty:?}, {sets}×{ways}, hit {hit:?}"
+                    );
+                    for walk in regions.iter().filter(|walk| walk.region.contains(theta, penalty)) {
+                        assert_eq!(walk.counts, counts, "θ {theta}, P {penalty:?} in {walk:?}");
+                    }
+                }
+                let s = cache.stats();
+                let w = cache.walks();
+                assert_eq!(s.lookups - s.hits, w.flat + w.burst);
+                lookups += s.lookups;
+                walks += w.flat + w.burst;
+            }
+        }
+    }
+    assert!(walks * 4 < lookups, "{walks} walks for {lookups} lookups");
 }
 
 /// The burst regime (miss penalty `P ≥ θ`) against the reference walk: the
@@ -198,9 +273,9 @@ fn burst_regime_matches_the_reference_walk() {
     assert!(hits > 0, "the regime cases must include guaranteed hits");
 }
 
-/// Why the memo keeps the miss penalty outside the burst regime: at θ =
-/// P + 1 a miss no longer outlasts the window, so a line survives one
-/// intervening miss and the penalty decides the count. Trace A B A C D A
+/// Why the burst regime's closed form stops at `P ≥ θ`: at θ = P + 1 a
+/// miss no longer outlasts the window, so a line survives one intervening
+/// miss and the penalty decides the count. Trace A B A C D A
 /// (loads, no gaps, distinct direct-mapped sets) at θ = 11: P = 3 keeps
 /// both revisits of A, P = 10 only the first, while P = 11 and P = 500
 /// (the regime) keep neither.

@@ -3,7 +3,7 @@
 //! which any other test running beside it in the same binary would move.
 
 use cohort::{run_experiment, Protocol};
-use cohort_analysis::{analysis_cache, CacheStats};
+use cohort_analysis::{analysis_cache, CacheStats, WalkStats};
 use cohort_bench::{optimize_cohort_timers, sweep_protocols, CritConfig, PENDULUM_THETA};
 use cohort_optim::GaConfig;
 use cohort_trace::{Kernel, KernelSpec};
@@ -23,9 +23,11 @@ fn one_kernel_pass_matches_separate_runs_and_serves_the_baselines() {
     // configurations are served both baselines.
     assert_eq!(analysis_cache().run_stats(), CacheStats { lookups: 12, hits: 4 });
     assert_eq!(analysis_cache().run_len(), 8);
-    // The inline GA's hit-curve queries: lookups − hits walks, each
-    // serving every later query whose θ lies in its θ-stable interval.
-    assert_eq!(analysis_cache().stats(), CacheStats { lookups: 213, hits: 170 });
+    // The inline GA's hit-curve queries: lookups − hits walks, less the
+    // θ-saturation searches that were not served, each walk serving every
+    // later query whose (θ, penalty) lies in its stable region.
+    assert_eq!(analysis_cache().stats(), CacheStats { lookups: 213, hits: 176 });
+    assert_eq!(analysis_cache().walks(), WalkStats { flat: 15, burst: 18 });
 
     for (config, runs) in CritConfig::ALL.into_iter().zip(&cells) {
         let spec = config.spec();

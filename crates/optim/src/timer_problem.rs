@@ -191,9 +191,11 @@ impl<'w> TimerProblem<'w> {
     }
 
     /// Guaranteed hit/miss counts for one core, memoized in the shared
-    /// [`analysis_cache`], which serves every θ inside the θ-stable
-    /// interval of an earlier walk. Under a finite LLC no hits are
-    /// guaranteed (back-invalidation).
+    /// [`analysis_cache`]. The penalty is Eq. 1's WCL, which moves with
+    /// every other core's θ, so the memo keys a curve without it and
+    /// serves every (θ, WCL) inside the (θ, penalty)-stable region of an
+    /// earlier walk. Under a finite LLC no hits are guaranteed
+    /// (back-invalidation).
     fn counts(&self, core: usize, timer: TimerValue, wcl: Cycles) -> (u64, u64) {
         if !self.llc.is_perfect() {
             return (0, self.workload.traces()[core].len() as u64);
