@@ -228,6 +228,90 @@ fn the_memo_answers_a_dense_grid_like_cold_walks() {
     assert!(walks * 4 < lookups, "{walks} walks for {lookups} lookups");
 }
 
+/// The memo against cold walks where the θ-saturation search probes: the
+/// uncontended penalty (the paper's slot width, 54 cycles) and θ on the
+/// search's probe sequence from `MAX_THETA` down, with each probe's
+/// neighbours θ ± 1. There `K = ⌈MAX_THETA/54⌉ = 1,214`, and the kernel
+/// traces (3,000 accesses per core) and a trace whose one revisit misses
+/// 1,300 misses after its fill write the bound that misses with `m ≥ K`
+/// share. That bound admits every θ at 54 itself, so the same θs are also
+/// asked at penalties just below it, which the search's regions may hold.
+/// After the memo's own search, which must find the cold search's θ_sat,
+/// every answer equals the cold [`stable_hits`] count at its point, every
+/// walk's region holds the walk's own point, and no point lies in two
+/// walks' regions whose counts differ.
+#[test]
+fn the_memo_answers_saturation_probes_like_cold_walks() {
+    let uncontended = LatencyConfig::paper().slot_width();
+    let max = TimerValue::MAX_THETA;
+    let mut rng = SeedRng::seed_from_u64(34);
+    let mut cases: Vec<(Trace, CacheGeometry)> = Vec::new();
+    for kernel in Kernel::ALL {
+        let w = KernelSpec::new(kernel, 2).with_total_requests(6_000).with_seed(3).generate();
+        for geom in [geometry(256, 1), geometry(64, 4)] {
+            cases.extend(w.traces().iter().map(|t| (t.clone(), geom)));
+        }
+    }
+    let cold_misses = (1..=1_300).map(|i| 256 * i + 1);
+    let past_k = std::iter::once(0).chain(cold_misses).chain([0]).map(TraceOp::load);
+    cases.push((Trace::from_ops(past_k.collect()), geometry(256, 1)));
+    for ways in [1u64, 2, 4] {
+        for sets in [1u64, 4, 16] {
+            let geom = geometry(sets, ways);
+            cases.extend((0..2).map(|_| (random_trace(&mut rng, sets * ways * 3), geom)));
+        }
+    }
+    let mut bisected = 0;
+    for (trace, geom) in &cases {
+        let hit = Cycles::new(1);
+        let cold = |theta, penalty| stable_hits(trace, theta, geom, hit, penalty);
+        // `saturation_search`'s probes, replayed on cold walks.
+        let saturated = cold(max, uncontended).counts.hits;
+        let mut probes = vec![max, 1];
+        let sat = if cold(1, uncontended).counts.hits == saturated {
+            1
+        } else {
+            let (mut lo, mut hi) = (1, max);
+            while lo + 1 < hi {
+                let mid = lo + (hi - lo) / 2;
+                probes.push(mid);
+                if cold(mid, uncontended).counts.hits == saturated {
+                    hi = mid;
+                } else {
+                    lo = mid;
+                }
+            }
+            bisected += 1;
+            hi
+        };
+        let cache = AnalysisCache::new();
+        assert_eq!(cache.theta_saturation(trace, geom, hit, uncontended), sat);
+        assert_eq!(theta_saturation(trace, geom, hit, uncontended), sat);
+        let thetas = probes.iter().flat_map(|&p| [p - 1, p, p + 1]);
+        let mut points: Vec<(u64, Cycles)> = thetas
+            .filter(|p| (1..=max).contains(p))
+            .flat_map(|theta| [54, 53, 50, 40].map(|p| (theta, Cycles::new(p))))
+            .collect();
+        points.sort_unstable();
+        points.dedup();
+        let walks: Vec<StableHits> = points.iter().map(|&(t, p)| cold(t, p)).collect();
+        for (&(theta, penalty), walk) in points.iter().zip(&walks) {
+            assert!(walk.region.contains(theta, penalty), "(θ {theta}, P {penalty:?}): {walk:?}");
+            let timer = TimerValue::timed(theta).unwrap();
+            assert_eq!(
+                cache.guaranteed_hits(trace, timer, geom, hit, penalty),
+                walk.counts,
+                "(θ {theta}, P {penalty:?}), {} ops, {geom:?}",
+                trace.len()
+            );
+            for other in walks.iter().filter(|other| other.region.contains(theta, penalty)) {
+                assert_eq!(other.counts, walk.counts, "(θ {theta}, P {penalty:?}) in {other:?}");
+            }
+        }
+    }
+    assert!(bisected > 0, "some searches must bisect");
+}
+
 /// The burst regime (miss penalty `P ≥ θ`) against the reference walk: the
 /// six kernels × 3 seeds plus `random_shared` and `line_bursts` micro
 /// traces, on 256×1, 64×4, 8×2 and a 5×3 (non-power-of-two) geometry, hit

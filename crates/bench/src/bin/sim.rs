@@ -6,7 +6,8 @@
 //! the way to DRAM, and timer-held shared lines keep a standing waiter
 //! population; the scheduler dispatches the one due component instead of
 //! rescanning every core and waiting line. The dense workloads bound the
-//! other end: bus-saturated sharing where every cycle has work.
+//! other end: bus-saturated sharing where every cycle has work. The paper
+//! pass times the simulations of the paper's own Fig. 5/6 cells.
 //!
 //! Before timing, compares two runs of each timed workload and of the
 //! protocol preset matrix under seeded fault plans (event logs, stats and
@@ -22,14 +23,18 @@ use std::time::Instant;
 
 use serde_json::json;
 
+use cohort::Protocol;
 use cohort_bench::report::{ReportWriter, SIM};
-use cohort_bench::CliOptions;
+use cohort_bench::{
+    bench_ga, optimize_cohort_timers, CliOptions, CritConfig, CORES, PENDULUM_THETA,
+};
+use cohort_optim::GaConfig;
 use cohort_sim::{
     ArbiterKind, CacheGeometry, DataPath, Event, EventLogProbe, FaultPlan, InjectedFault, LlcModel,
     ProtocolFlavor, SimBuilder, SimConfig, SimStats,
 };
-use cohort_trace::{micro, Trace, TraceOp, Workload};
-use cohort_types::{LatencyConfig, Result, TimerValue};
+use cohort_trace::{micro, Kernel, KernelSpec, Trace, TraceOp, Workload};
+use cohort_types::{splitmix64, LatencyConfig, Result, TimerValue};
 
 /// One measured workload: its shape and how fast the simulator ran it.
 struct Measurement {
@@ -106,6 +111,66 @@ fn measure(name: &str, config: &SimConfig, workload: &Workload) -> Result<Measur
         accesses: workload.total_accesses(),
         cycles_simulated: stats.cycles.get(),
         seconds: start.elapsed().as_secs_f64(),
+    })
+}
+
+/// Rounds of the paper pass; the fastest is kept.
+const PAPER_ROUNDS: usize = 3;
+
+/// The simulations of the first pass of `perfbench --workload paper_sweep
+/// --seed 7`: the six kernels at a quarter of their default request count,
+/// each under the three criticality configurations and the four protocols
+/// a Fig. 5/6 cell compares, 72 simulations in all (one configuration's 24
+/// in `--quick`). Each cell's GA timer search runs before the clock
+/// starts, so only building and running the simulators is timed. A pass
+/// takes a few hundred milliseconds, so the fastest of [`PAPER_ROUNDS`]
+/// rounds is kept.
+fn paper_pass(quick: bool) -> Result<Measurement> {
+    let configs = if quick { &CritConfig::ALL[..1] } else { &CritConfig::ALL[..] };
+    // perfbench's trace seeds: splitmix64 on stream `pass + 1`, then on
+    // stream `kernel + 1`.
+    let pass_seed = splitmix64(7, 1);
+    let workloads: Vec<Workload> = Kernel::ALL
+        .into_iter()
+        .map(|kernel| {
+            KernelSpec::new(kernel, CORES)
+                .with_total_requests(kernel.default_total_requests() / 4)
+                .with_seed(splitmix64(pass_seed, kernel as u64 + 1))
+                .generate()
+        })
+        .collect();
+    let ga = GaConfig { workers: 1, ..bench_ga(false) };
+    let mut simulations = Vec::new();
+    for &config in configs {
+        let spec = config.spec();
+        for workload in &workloads {
+            let timers = optimize_cohort_timers(config, workload, &ga)?;
+            let critical = config.critical_mask();
+            for protocol in [
+                Protocol::Cohort { timers },
+                Protocol::Pcc,
+                Protocol::Pendulum { critical, theta: PENDULUM_THETA },
+                Protocol::MsiFcfs,
+            ] {
+                simulations.push((protocol.sim_config(&spec)?, workload));
+            }
+        }
+    }
+    let (mut seconds, mut cycles) = (f64::INFINITY, 0);
+    for _ in 0..PAPER_ROUNDS {
+        let start = Instant::now();
+        cycles = 0;
+        for (config, workload) in &simulations {
+            cycles += SimBuilder::new(config.clone(), workload).build()?.run()?.cycles.get();
+        }
+        seconds = seconds.min(start.elapsed().as_secs_f64());
+    }
+    Ok(Measurement {
+        workload: "paper_pass".to_string(),
+        cores: CORES,
+        accesses: simulations.iter().map(|(_, w)| w.total_accesses()).sum(),
+        cycles_simulated: cycles,
+        seconds,
     })
 }
 
@@ -205,16 +270,18 @@ fn main() -> Result<()> {
         measure("sparse_dram", &sparse_config, &sparse)?,
         measure("dense_ping_pong", &dense_config, &ping_pong)?,
         measure("dense_random_shared", &dense_config, &shared)?,
+        paper_pass(quick)?,
     ];
 
     for m in &measurements {
         println!(
-            "{:<20} {:>2} cores  {:>8} accesses  {:>10} cycles  {:>12.0} cyc/s",
+            "{:<20} {:>2} cores  {:>8} accesses  {:>10} cycles  {:>12.0} cyc/s  {:>8.1} ms",
             m.workload,
             m.cores,
             m.accesses,
             m.cycles_simulated,
             m.cycles_per_sec(),
+            m.seconds * 1e3,
         );
     }
 

@@ -141,6 +141,7 @@ impl Arbiter {
     }
 
     /// Notifies the arbiter that `core` was granted the bus (any action).
+    #[inline]
     pub fn on_grant(&mut self, core: usize) {
         if let Policy::RoundRobin { order } = &mut self.policy {
             rotate_to_back(order, core);
@@ -149,6 +150,7 @@ impl Arbiter {
 
     /// Notifies the arbiter that `core`'s oldest request completed (data
     /// received) — the RROF rotation point.
+    #[inline]
     pub fn on_request_served(&mut self, core: usize) {
         if let Policy::Rrof { order } = &mut self.policy {
             rotate_to_back(order, core);
@@ -176,6 +178,7 @@ fn first_with_candidate(
     cores.find_map(|core| candidate(core).map(|cand| (core, cand)))
 }
 
+#[inline]
 fn rotate_to_back(order: &mut VecDeque<usize>, core: usize) {
     if let Some(pos) = order.iter().position(|&c| c == core) {
         order.remove(pos);

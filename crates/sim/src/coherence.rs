@@ -145,6 +145,7 @@ impl LineCoh {
     }
 
     /// Every core currently holding a copy (owner first if a core owns it).
+    #[inline]
     pub fn holders(&self) -> impl Iterator<Item = usize> {
         self.owner_core.into_iter().chain(self.sharers())
     }
@@ -153,6 +154,7 @@ impl LineCoh {
     /// `c`). The exclusivity invariant makes walking it with [`cores_in`]
     /// visit the same cores in the same order as [`LineCoh::holders`].
     #[must_use]
+    #[inline]
     pub fn holder_mask(&self) -> u64 {
         self.sharers | self.owner_core.map_or(0, |c| 1 << c)
     }
@@ -164,6 +166,7 @@ impl LineCoh {
     }
 
     /// Appends a snooped request.
+    #[inline]
     pub fn enqueue(&mut self, waiter: Waiter) {
         self.waiters.push_back(waiter);
     }
@@ -181,6 +184,7 @@ impl LineCoh {
     /// Removes and returns the first queued request from `core` (used when
     /// priority insertion may have displaced the head after a transfer was
     /// already in flight).
+    #[inline]
     pub fn dequeue_for(&mut self, core: usize) -> Option<Waiter> {
         let pos = self.waiters.iter().position(|w| w.core == core)?;
         self.waiters.remove(pos)
@@ -233,6 +237,7 @@ pub(crate) fn cores_in(mut mask: u64) -> impl Iterator<Item = usize> {
 struct LineHasher(u64);
 
 impl Hasher for LineHasher {
+    #[inline]
     fn finish(&self) -> u64 {
         self.0
     }
@@ -243,6 +248,7 @@ impl Hasher for LineHasher {
         }
     }
 
+    #[inline]
     fn write_u64(&mut self, word: u64) {
         self.0 = splitmix64(self.0 ^ word, 0);
     }
@@ -280,12 +286,14 @@ impl CoherenceMap {
 
     /// The slot of a live line, if it has one.
     #[must_use]
+    #[inline]
     pub(crate) fn slot(&self, line: LineAddr) -> Option<CohSlot> {
         self.index.get(&line).copied()
     }
 
     /// Returns the state of a live line (a trivial line has none).
     #[must_use]
+    #[inline]
     pub fn get(&self, line: LineAddr) -> Option<&LineCoh> {
         self.slot(line).map(|slot| &self[slot])
     }
@@ -293,6 +301,7 @@ impl CoherenceMap {
     /// The slot of `line`, binding a free (or new) slot with trivial state
     /// if the line is not live. The slot stays bound until [`CoherenceMap::gc`]
     /// finds it trivial.
+    #[inline]
     pub(crate) fn acquire(&mut self, line: LineAddr) -> CohSlot {
         let vacant = match self.index.entry(line) {
             Entry::Occupied(live) => return *live.get(),
@@ -319,6 +328,7 @@ impl CoherenceMap {
     }
 
     /// Frees the slot if its line carries no information any more.
+    #[inline]
     pub(crate) fn gc(&mut self, slot: CohSlot) {
         let entry = &mut self.slots[slot.0 as usize];
         if entry.live && entry.coh.is_trivial() {

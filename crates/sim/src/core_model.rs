@@ -79,22 +79,26 @@ impl CoreModel {
     }
 
     /// The core's oldest request that has not yet been broadcast.
+    #[inline]
     pub(crate) fn oldest_unbroadcast(&self) -> Option<&MshrEntry> {
         self.mshr.iter().find(|m| !m.broadcast)
     }
 
     /// Whether a miss for `line` is already in flight.
+    #[inline]
     pub(crate) fn has_inflight(&self, line: LineAddr) -> bool {
         self.mshr.iter().any(|m| m.line == line)
     }
 
     /// Allocates an MSHR entry. Caller must have checked capacity.
+    #[inline]
     pub(crate) fn allocate(&mut self, entry: MshrEntry) {
         debug_assert!(self.mshr.len() < self.mshr_capacity, "MSHR overflow");
         self.mshr.push(entry);
     }
 
     /// Completes (removes) the in-flight miss for `line`, returning it.
+    #[inline]
     pub(crate) fn complete(&mut self, line: LineAddr) -> Option<MshrEntry> {
         let pos = self.mshr.iter().position(|m| m.line == line)?;
         Some(self.mshr.remove(pos))
@@ -103,6 +107,7 @@ impl CoreModel {
     /// Marks the oldest un-broadcast request for `line` as broadcast and
     /// records the line's coherence slot. Returns whether an un-broadcast
     /// request is left.
+    #[inline]
     pub(crate) fn mark_broadcast(&mut self, line: LineAddr, coh: CohSlot) -> bool {
         if let Some(m) = self.mshr.iter_mut().find(|m| m.line == line && !m.broadcast) {
             m.broadcast = true;
@@ -112,6 +117,7 @@ impl CoreModel {
     }
 
     /// The coherence slot of the broadcast request for `line`, if any.
+    #[inline]
     pub(crate) fn broadcast_slot(&self, line: LineAddr) -> Option<CohSlot> {
         self.mshr.iter().find(|m| m.line == line).and_then(|m| m.coh)
     }

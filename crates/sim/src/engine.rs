@@ -24,6 +24,11 @@
 //! A discrete-event scheduler advances that clock (see the
 //! [`crate::sched`] module docs): each instant dispatches only the
 //! components whose wake entries are due.
+//!
+//! The engine is compiled in every crate that instantiates
+//! [`Simulator`], so a non-generic helper it calls per instant or per
+//! miss carries `#[inline]`; otherwise those copies call it out of line.
+//! The `sched` module docs list the rule and the helpers left out.
 
 use std::collections::BTreeMap;
 

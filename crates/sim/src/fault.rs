@@ -262,6 +262,7 @@ impl FaultState {
     /// `true` when the plan contains faults that may desynchronize the L1
     /// arrays from the coherence bookkeeping (relaxes the engine's internal
     /// debug assertions about that agreement).
+    #[inline]
     pub(crate) fn may_corrupt_state(&self) -> bool {
         self.plan
             .specs
@@ -284,6 +285,7 @@ impl FaultState {
     /// The earliest arming instant of a not-yet-fired fault, which the
     /// engine arms as a wake (so a first attempt does not depend on how a
     /// caller slices `run_until`).
+    #[inline]
     pub(crate) fn next_activation(&self) -> Option<Cycles> {
         self.plan
             .specs
@@ -297,6 +299,7 @@ impl FaultState {
     /// `true` when some unfired step fault is armed at or before `now`.
     /// The engine attempts these at every instant where some wake source
     /// is genuinely due, until they land.
+    #[inline]
     pub(crate) fn has_due_step_fault(&self, now: Cycles) -> bool {
         self.plan.specs.iter().zip(&self.fired).any(|(s, &fired)| {
             !fired
@@ -310,6 +313,7 @@ impl FaultState {
 
     /// Armed, unfired faults the engine applies from its step loop
     /// (everything except the bus faults, which fire at grant time).
+    #[inline]
     pub(crate) fn due_step_faults(&self, now: Cycles) -> Vec<(usize, FaultSpec)> {
         self.plan
             .specs
@@ -328,12 +332,14 @@ impl FaultState {
     }
 
     /// Marks a step fault as applied at `now`.
+    #[inline]
     pub(crate) fn mark_fired(&mut self, index: usize, now: Cycles) {
         self.record(index, now);
     }
 
     /// Consumes an armed [`FaultKind::BusDrop`] for a grant of `core` at
     /// `now`, if any.
+    #[inline]
     pub(crate) fn take_bus_drop(&mut self, now: Cycles, core: usize) -> bool {
         let hit = self.plan.specs.iter().enumerate().find(|(i, s)| {
             !self.fired[*i] && s.core == core && s.at <= now && matches!(s.kind, FaultKind::BusDrop)
@@ -349,6 +355,7 @@ impl FaultState {
     /// Consumes armed [`FaultKind::BusDelay`]/[`FaultKind::BusDuplicate`]
     /// faults for a tenure granted to `core` at `now`, returning the extra
     /// bus-busy cycles they add (`request_latency` per duplicate).
+    #[inline]
     pub(crate) fn take_bus_extra(
         &mut self,
         now: Cycles,
@@ -383,6 +390,7 @@ impl FaultState {
     /// release instant. Pure in its inputs (the engine calls it from hit
     /// classification, candidate readiness, next-event scheduling and
     /// switch latching alike, and all must agree).
+    #[inline]
     pub(crate) fn adjust_release(&self, holder: usize, normal: Cycles, pending: Cycles) -> Cycles {
         let mut release = normal;
         for s in &self.plan.specs {

@@ -64,6 +64,21 @@
 //! event log, statistics and fault records of every protocol preset
 //! across the scenario families, so a change to any of these rules shows
 //! as a moved digest.
+//!
+//! # One compiled path
+//!
+//! [`Simulator`](crate::Simulator) is generic over its probe, so its code
+//! is generated in each crate that names a probe type: the analysis
+//! memo's runs, the experiment jobs, the bench bins. A non-generic
+//! function of this crate is generated here once, and without LTO those
+//! copies of the engine can only call it. Every non-generic helper the
+//! engine calls per instant or per miss is therefore `#[inline]`: the
+//! wheel and heap operations here, and the MSHR, coherence, timer,
+//! arbiter and fault helpers. Out of line stay only `FaultState::record`,
+//! which runs once per fired fault, and the cold helpers
+//! (`SimStats::execution_time` once per run, `LineAddr::set_index` for a
+//! set count that is not a power of two). DESIGN §3.3.1 has the
+//! measurements.
 
 use std::cmp::{Ordering, Reverse};
 use std::collections::BinaryHeap;
@@ -167,6 +182,7 @@ impl Default for CoreWheel {
 impl CoreWheel {
     /// Arms core `id` at `at`, which must not precede `base`. Returns
     /// `false`, arming nothing, when `at` is at or beyond the horizon.
+    #[inline]
     fn arm(&mut self, id: usize, at: u64) -> bool {
         debug_assert!(at >= self.base, "core wake at {at} precedes the wheel base {}", self.base);
         if at - self.base >= WHEEL_SLOTS as u64 {
@@ -182,6 +198,7 @@ impl CoreWheel {
     }
 
     /// Clears core `id`'s armed slot, if it still has one.
+    #[inline]
     fn unarm(&mut self, id: usize) {
         let slot = (self.armed[id] & WHEEL_MASK) as usize;
         self.slots[slot] &= !(1 << id);
@@ -190,6 +207,7 @@ impl CoreWheel {
         }
     }
 
+    #[inline]
     fn clear_slot(&mut self, slot: usize) {
         if self.next.is_some_and(|next| (next & WHEEL_MASK) as usize == slot) {
             self.next = None;
@@ -203,6 +221,7 @@ impl CoreWheel {
 
     /// The earliest armed instant, if any, scanning the ring only when the
     /// cached instant was cleared.
+    #[inline]
     fn next_at(&mut self) -> Option<u64> {
         if self.next.is_none() {
             self.next = self.scan();
@@ -212,6 +231,7 @@ impl CoreWheel {
     }
 
     /// The earliest armed instant by a scan of the occupancy bitmap.
+    #[inline]
     fn scan(&self) -> Option<u64> {
         if self.summary == 0 {
             return None;
@@ -234,6 +254,7 @@ impl CoreWheel {
     }
 
     /// Pops every slot due at or before `t` and returns their cores.
+    #[inline]
     fn pop_due(&mut self, t: u64) -> u64 {
         let mut cores = 0;
         while let Some(at) = self.next_at().filter(|&at| at <= t) {
@@ -280,6 +301,7 @@ pub(crate) struct EventSched {
 
 impl EventSched {
     /// Pushes a wake at `at` (absolute cycles).
+    #[inline]
     pub fn arm(&mut self, at: u64, source: WakeSource) {
         self.seq += 1;
         self.heap.push(Reverse(WakeEntry { at, seq: self.seq, source }));
@@ -289,6 +311,7 @@ impl EventSched {
     /// at or before `now` are carried to the next dispatch (see
     /// `carry_cores`), instants within the horizon go on the wheel and the
     /// rest on the heap.
+    #[inline]
     pub fn arm_core(&mut self, now: u64, id: usize, ready_at: u64) {
         self.wheel.unarm(id);
         if ready_at <= now {
@@ -301,11 +324,13 @@ impl EventSched {
     /// Arms the bus-transaction completion wake. A tenure that ends at or
     /// before `now` (zero-latency configurations) completes at the next
     /// instant, because this instant's completion phase has already run.
+    #[inline]
     pub fn arm_txn(&mut self, now: u64, ends: u64) {
         self.arm(ends.max(now + 1), WakeSource::TxnEnd);
     }
 
     /// Arms a TDM slot-boundary wake, deduplicated per boundary.
+    #[inline]
     pub fn arm_slot(&mut self, boundary: u64) {
         if self.armed_slot != boundary {
             self.armed_slot = boundary;
@@ -317,6 +342,7 @@ impl EventSched {
     /// pending activation is re-derived after every dispatched instant,
     /// so without the dedup the heap would grow by one entry per
     /// dispatch).
+    #[inline]
     pub fn arm_fault(&mut self, at: u64) {
         if self.armed_fault != Some(at) {
             self.armed_fault = Some(at);
@@ -338,6 +364,7 @@ impl EventSched {
     }
 
     /// The earliest pending wake instant, if any.
+    #[inline]
     pub fn next_wake_at(&mut self) -> Option<u64> {
         let heap = self.heap.peek().map(|Reverse(e)| e.at);
         match (heap, self.wheel.next_at()) {
@@ -349,6 +376,7 @@ impl EventSched {
     /// Pops every wake due at or before `t`, returning the due-core mask
     /// and whether a TDM slot boundary was among them. Release wakes are
     /// queued on `dirty_lines` for the release phase.
+    #[inline]
     pub fn pop_due(&mut self, t: u64) -> (u64, bool) {
         let mut cores = self.wheel.pop_due(t);
         let mut slot = false;

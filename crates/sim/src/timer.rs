@@ -48,6 +48,7 @@ use cohort_types::{Cycles, TimerValue};
 /// # Ok::<(), cohort_types::Error>(())
 /// ```
 #[must_use]
+#[inline]
 pub fn release_time(anchor: Cycles, timer: TimerValue, pending_since: Cycles) -> Cycles {
     match timer.theta() {
         None | Some(0) => pending_since.max(anchor),
