@@ -1,11 +1,12 @@
-//! Dev tool: fuzz the analytical bounds (Eq. 1, PCC, PENDULUM) against the
-//! simulator at scale. Prints the worst margin seen; exits non-zero output
-//! on a violation.
+//! Dev tool: fuzz the library's per-request bounds (Eq. 1 `wcl_miss`,
+//! `wcl_pcc`, `wcl_pendulum`) against the simulator at scale. Prints each
+//! violation, then `violations: N` last.
+use cohort_analysis::{wcl_miss, wcl_pcc, wcl_pendulum};
 use cohort_sim::{
     ArbiterKind, CacheGeometry, DataPath, LlcModel, ProtocolFlavor, SimBuilder, SimConfig,
 };
 use cohort_trace::{AccessKind, Trace, TraceOp, Workload};
-use cohort_types::{wcl_miss, Cycles, LineAddr, SeedRng, TimerValue};
+use cohort_types::{Cycles, LatencyConfig, LineAddr, SeedRng, TimerValue};
 
 fn workload(rng: &mut SeedRng, cores: usize) -> Workload {
     let traces: Vec<Trace> = (0..cores)
@@ -32,14 +33,9 @@ fn workload(rng: &mut SeedRng, cores: usize) -> Workload {
 }
 
 fn main() {
-    // Derived from the same LatencyConfig the simulator runs with, so a
-    // latency retune keeps the fuzzer honest. (Eq. 1 is the shared
-    // `wcl_miss`; the PCC and PENDULUM formulas are inlined because
-    // cohort-analysis sits above cohort-sim in the crate DAG, and the root
-    // integration tests cross-check the library formulas against the
-    // simulator.)
-    let lat = cohort_types::LatencyConfig::paper();
-    let sw = lat.slot_width().get();
+    // The bounds take the same LatencyConfig the simulator runs with, so a
+    // latency retune keeps the fuzzer honest.
+    let lat = LatencyConfig::paper();
     let mut violations = 0u64;
     for seed in 0..30000u64 {
         let mut rng = SeedRng::seed_from_u64(seed);
@@ -81,8 +77,7 @@ fn main() {
                 let config =
                     SimConfig::builder(cores).data_path(DataPath::ViaSharedMemory).build().unwrap();
                 let stats = SimBuilder::new(config, &w).build().unwrap().run().unwrap();
-                let staged = lat.request.get() + 2 * lat.data.get();
-                let bound = 2 * staged + (cores as u64 - 1) * 2 * lat.data.get();
+                let bound = wcl_pcc(cores, &lat).get();
                 for i in 0..cores {
                     if stats.cores[i].worst_request.get() > bound {
                         violations += 1;
@@ -105,21 +100,17 @@ fn main() {
                 } else {
                     (LlcModel::Perfect, 0)
                 };
+                let latency = lat.with_memory(memory);
                 let config = SimConfig::builder(cores)
                     .timers(timers)
                     .arbiter(ArbiterKind::Tdm { critical: critical.clone() })
                     .waiter_priority(critical.clone())
                     .llc(llc)
-                    .latency(cohort_types::LatencyConfig::paper().with_memory(memory))
+                    .latency(latency)
                     .build()
                     .unwrap();
                 let stats = SimBuilder::new(config, &w).build().unwrap().run().unwrap();
-                let sw_eff = sw + memory;
-                let period = sw_eff * n_cr as u64;
-                let bound = period
-                    + (n_cr as u64 - 1) * (theta + 2 * period)
-                    + (cores - n_cr) as u64 * (theta + period)
-                    + sw_eff;
+                let bound = wcl_pendulum(n_cr, cores - n_cr, theta, &latency).get();
                 for i in 0..n_cr {
                     if stats.cores[i].worst_request.get() > bound {
                         violations += 1;

@@ -49,14 +49,8 @@ impl PeriodicTask {
 
     /// Whole-job WCET: compute plus worst-case memory latency.
     #[must_use]
-    pub fn wcet(&self) -> Cycles {
+    fn wcet(&self) -> Cycles {
         self.compute + self.wcml
-    }
-
-    /// Utilisation of this task (WCET / period).
-    #[must_use]
-    pub fn utilisation(&self) -> f64 {
-        self.wcet().get() as f64 / self.period.get() as f64
     }
 }
 
@@ -247,9 +241,7 @@ mod tests {
     }
 
     #[test]
-    fn utilisation() {
-        let t = task(100, 25, 25);
-        assert!((t.utilisation() - 0.5).abs() < 1e-12);
-        assert_eq!(t.wcet(), Cycles::new(50));
+    fn wcet_adds_compute_and_memory() {
+        assert_eq!(task(100, 25, 25).wcet(), Cycles::new(50));
     }
 }

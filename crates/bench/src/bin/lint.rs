@@ -5,7 +5,8 @@
 //! ```
 //!
 //! Walks every library source file of the workspace, runs the DET / FPR /
-//! LCK passes, applies `// lint:allow(<code>) <justification>` markers,
+//! LCK / PUB passes (PUB reads tests, bins, examples and perfbench for
+//! callers), applies `// lint:allow(<code>) <justification>` markers,
 //! prints every diagnostic (suppressed ones flagged as justified), and
 //! checks the machine-readable report (`lint/1`) against its schema, so
 //! it exits non-zero when any *unsuppressed* diagnostic remains. `--json`

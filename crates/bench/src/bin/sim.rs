@@ -9,6 +9,10 @@
 //! other end: bus-saturated sharing where every cycle has work. The paper
 //! pass times the simulations of the paper's own Fig. 5/6 cells.
 //!
+//! Every entry follows one timing rule: a round builds and runs its
+//! simulations, rounds repeat until at least three have run and at least
+//! 100 ms has been timed, and the fastest round is reported.
+//!
 //! Before timing, compares two runs of each timed workload and of the
 //! protocol preset matrix under seeded fault plans (event logs, stats and
 //! injected-fault records). The verdict is the report's `determinism`
@@ -100,31 +104,43 @@ fn dram_bound_config(cores: usize) -> SimConfig {
         .expect("valid config")
 }
 
-/// Times one run of `workload` under `config`.
-fn measure(name: &str, config: &SimConfig, workload: &Workload) -> Result<Measurement> {
-    let mut sim = SimBuilder::new(config.clone(), workload).build()?;
-    let start = Instant::now();
-    let stats = sim.run()?;
+/// Least wall time, in seconds, one measurement is repeated for.
+const MIN_TIMED_SECS: f64 = 0.1;
+/// Least number of rounds one measurement takes.
+const MIN_ROUNDS: usize = 3;
+
+/// Times one round of `simulations` (each built, then run to completion),
+/// repeated until at least [`MIN_ROUNDS`] rounds and [`MIN_TIMED_SECS`] of
+/// timed wall time, and keeps the fastest round: a lone round of a few
+/// milliseconds is mostly timer and host noise.
+fn measure(name: &str, simulations: &[(SimConfig, &Workload)]) -> Result<Measurement> {
+    let (mut seconds, mut timed, mut rounds, mut cycles) = (f64::INFINITY, 0.0, 0, 0);
+    while rounds < MIN_ROUNDS || timed < MIN_TIMED_SECS {
+        let start = Instant::now();
+        cycles = 0;
+        for (config, workload) in simulations {
+            cycles += SimBuilder::new(config.clone(), workload).build()?.run()?.cycles.get();
+        }
+        let round = start.elapsed().as_secs_f64();
+        seconds = seconds.min(round);
+        timed += round;
+        rounds += 1;
+    }
     Ok(Measurement {
         workload: name.to_string(),
-        cores: workload.cores(),
-        accesses: workload.total_accesses(),
-        cycles_simulated: stats.cycles.get(),
-        seconds: start.elapsed().as_secs_f64(),
+        cores: simulations.first().map_or(0, |(_, workload)| workload.cores()),
+        accesses: simulations.iter().map(|(_, workload)| workload.total_accesses()).sum(),
+        cycles_simulated: cycles,
+        seconds,
     })
 }
-
-/// Rounds of the paper pass; the fastest is kept.
-const PAPER_ROUNDS: usize = 3;
 
 /// The simulations of the first pass of `perfbench --workload paper_sweep
 /// --seed 7`: the six kernels at a quarter of their default request count,
 /// each under the three criticality configurations and the four protocols
 /// a Fig. 5/6 cell compares, 72 simulations in all (one configuration's 24
 /// in `--quick`). Each cell's GA timer search runs before the clock
-/// starts, so only building and running the simulators is timed. A pass
-/// takes a few hundred milliseconds, so the fastest of [`PAPER_ROUNDS`]
-/// rounds is kept.
+/// starts, so only building and running the simulators is timed.
 fn paper_pass(quick: bool) -> Result<Measurement> {
     let configs = if quick { &CritConfig::ALL[..1] } else { &CritConfig::ALL[..] };
     // perfbench's trace seeds: splitmix64 on stream `pass + 1`, then on
@@ -156,22 +172,7 @@ fn paper_pass(quick: bool) -> Result<Measurement> {
             }
         }
     }
-    let (mut seconds, mut cycles) = (f64::INFINITY, 0);
-    for _ in 0..PAPER_ROUNDS {
-        let start = Instant::now();
-        cycles = 0;
-        for (config, workload) in &simulations {
-            cycles += SimBuilder::new(config.clone(), workload).build()?.run()?.cycles.get();
-        }
-        seconds = seconds.min(start.elapsed().as_secs_f64());
-    }
-    Ok(Measurement {
-        workload: "paper_pass".to_string(),
-        cores: CORES,
-        accesses: simulations.iter().map(|(_, w)| w.total_accesses()).sum(),
-        cycles_simulated: cycles,
-        seconds,
-    })
+    measure("paper_pass", &simulations)
 }
 
 /// Runs one scenario twice; returns whether the event logs, final stats
@@ -267,9 +268,9 @@ fn main() -> Result<()> {
 
     eprintln!("sim: timing");
     let measurements = vec![
-        measure("sparse_dram", &sparse_config, &sparse)?,
-        measure("dense_ping_pong", &dense_config, &ping_pong)?,
-        measure("dense_random_shared", &dense_config, &shared)?,
+        measure("sparse_dram", &[(sparse_config, &sparse)])?,
+        measure("dense_ping_pong", &[(dense_config.clone(), &ping_pong)])?,
+        measure("dense_random_shared", &[(dense_config, &shared)])?,
         paper_pass(quick)?,
     ];
 

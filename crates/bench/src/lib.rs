@@ -355,7 +355,7 @@ pub struct CliOptions {
 }
 
 /// The usage line shared by every bin's flag-error message.
-pub const CLI_USAGE: &str =
+const CLI_USAGE: &str =
     "usage: [--full|--quick] [--json <path>] [--metrics] [--trace <path>] [--workers <n>]";
 
 impl CliOptions {

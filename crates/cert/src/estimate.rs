@@ -15,7 +15,7 @@ use crate::trial::{FaultTrialOutcome, SchedSpace, SchedTrialOutcome};
 
 /// How many convicting seeds one batch payload names for the minimizer
 /// (the aggregate counts always cover every conviction).
-pub const CONVICTING_SEEDS_CAP: usize = 16;
+const CONVICTING_SEEDS_CAP: usize = 16;
 
 /// The z value of the 95% Wilson score interval.
 pub const WILSON_Z95: f64 = 1.959_963_984_540_054;
@@ -147,7 +147,7 @@ pub struct FaultAggregate {
     pub machine_violations: u64,
     /// Detection-latency distribution (cycles, log2 buckets).
     pub detection: Log2Histogram,
-    /// The first convicting seeds, capped at [`CONVICTING_SEEDS_CAP`] per
+    /// The first convicting seeds, capped at `CONVICTING_SEEDS_CAP` per
     /// batch, for the minimizer.
     pub convicting_seeds: Vec<u64>,
 }

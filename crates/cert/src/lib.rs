@@ -47,8 +47,6 @@ pub mod trial;
 
 pub use batch::{Campaign, CertBatch};
 pub use driver::{run_certification, CertConfig, CertOutcome};
-pub use estimate::{
-    wilson, FaultAggregate, Rate, SchedAggregate, SchedBucket, CONVICTING_SEEDS_CAP, WILSON_Z95,
-};
+pub use estimate::{wilson, FaultAggregate, Rate, SchedAggregate, SchedBucket, WILSON_Z95};
 pub use minimize::Counterexample;
 pub use trial::{FaultCampaignSpace, FaultTrialOutcome, SchedSpace, SchedTrialOutcome};

@@ -79,12 +79,6 @@ impl ModeController {
         self.current
     }
 
-    /// The offline configuration the controller consults.
-    #[must_use]
-    pub fn configuration(&self) -> &ModeConfiguration {
-        &self.config
-    }
-
     /// Finds the lowest mode at or above `from` whose (feasible) entry
     /// bounds `core`'s WCML within `requirement`.
     ///
@@ -139,12 +133,6 @@ impl ModeController {
             }
             None => Ok(ModeDecision::Unschedulable),
         }
-    }
-
-    /// Resets the controller to the normal mode (e.g. when the environment
-    /// relaxes and the system re-admits all requirements).
-    pub fn reset(&mut self) {
-        self.current = Mode::NORMAL;
     }
 }
 
@@ -219,8 +207,6 @@ mod tests {
         // A later relaxed requirement does not de-escalate automatically.
         let d = c.requirement_changed(CoreId::new(0), Cycles::new(10_000)).unwrap();
         assert_eq!(d, ModeDecision::Stay(Mode::new(2).unwrap()));
-        c.reset();
-        assert_eq!(c.current(), Mode::NORMAL);
     }
 
     #[test]

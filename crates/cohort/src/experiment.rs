@@ -164,7 +164,7 @@ mod tests {
             let outcome = run_experiment(&s, p, &w).unwrap();
             outcome.check_soundness().unwrap_or_else(|e| panic!("{e}"));
             for (core, trace) in outcome.stats.cores.iter().zip(w.traces()) {
-                assert_eq!(core.accesses(), trace.len() as u64, "{}", p.name());
+                assert_eq!(core.accesses(), trace.len() as u64, "{}", p.label());
             }
         }
     }

@@ -10,7 +10,7 @@ use cohort_sim::CacheGeometry;
 
 /// Width of the timer threshold register, the per-line counters and each
 /// Mode-Switch LUT field (the paper finds 16 bits sufficient).
-pub const TIMER_BITS: u64 = 16;
+const TIMER_BITS: u64 = 16;
 
 /// Hardware overhead of CoHoRT on one core's cache controller.
 ///
@@ -54,24 +54,12 @@ impl HardwareCost {
         }
     }
 
-    /// Total added bits on this core.
-    #[must_use]
-    pub fn total_bits(&self) -> u64 {
-        self.counter_bits + self.register_bits + self.lut_bits
-    }
-
     /// The per-line storage overhead of the countdown counter relative to
     /// the line's data bits — the paper's "around 3 % for a 64 B line".
     #[must_use]
+    // lint:allow(pub-unused) checks the paper's §III-B "around 3 % per 64 B line" claim
     pub fn line_overhead_fraction(&self) -> f64 {
         TIMER_BITS as f64 / self.line_data_bits as f64
-    }
-
-    /// Overhead of everything except the counters (register + LUT) —
-    /// "a negligible 80 bits" for five levels.
-    #[must_use]
-    pub fn control_bits(&self) -> u64 {
-        self.register_bits + self.lut_bits
     }
 }
 
@@ -86,8 +74,6 @@ mod tests {
         assert_eq!(cost.counter_bits, 16 * 256);
         assert_eq!(cost.register_bits, 16);
         assert_eq!(cost.lut_bits, 80);
-        assert_eq!(cost.control_bits(), 96);
-        assert_eq!(cost.total_bits(), 16 * 256 + 96);
         // 16 bits per 512-bit line = 3.125 %.
         assert!((cost.line_overhead_fraction() - 0.03125).abs() < 1e-12);
     }

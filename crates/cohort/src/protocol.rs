@@ -135,14 +135,6 @@ impl Protocol {
         self.kind().slug()
     }
 
-    /// Short name used on figure axes and in reports.
-    ///
-    /// Alias of [`Self::label`], kept for source compatibility.
-    #[must_use]
-    pub fn name(&self) -> &'static str {
-        self.label()
-    }
-
     /// Builds the simulator configuration realising this protocol on the
     /// given platform.
     ///
@@ -260,9 +252,9 @@ mod tests {
 
     #[test]
     fn names() {
-        assert_eq!(Protocol::Msi.name(), "MSI");
-        assert_eq!(Protocol::Pcc.name(), "PCC");
-        assert_eq!(Protocol::Cohort { timers: vec![] }.name(), "CoHoRT");
+        assert_eq!(Protocol::Msi.label(), "MSI");
+        assert_eq!(Protocol::Pcc.label(), "PCC");
+        assert_eq!(Protocol::Cohort { timers: vec![] }.label(), "CoHoRT");
         assert_eq!(Protocol::MsiFcfs.label(), "MSI+FCFS");
         assert_eq!(Protocol::Pendulum { critical: vec![], theta: 1 }.slug(), "pendulum");
     }

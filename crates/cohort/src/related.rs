@@ -44,7 +44,7 @@ pub struct TableOneRow {
 
 /// The rows of Table I, in the paper's order.
 #[must_use]
-pub fn table_one() -> Vec<TableOneRow> {
+fn table_one() -> Vec<TableOneRow> {
     use Support::{Limited, No, Optimized, Yes};
     vec![
         TableOneRow {

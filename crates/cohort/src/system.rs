@@ -40,11 +40,6 @@ impl CoreSpec {
     pub fn requirements(&self) -> &Requirements {
         &self.requirements
     }
-
-    /// Mutable access (run-time requirement changes, Fig. 7).
-    pub fn requirements_mut(&mut self) -> &mut Requirements {
-        &mut self.requirements
-    }
 }
 
 /// The whole platform: cores, criticality levels, cache/bus parameters.
@@ -111,16 +106,6 @@ impl SystemSpec {
             .ok_or(Error::UnknownCore { index: id.index(), cores: self.cores.len() })
     }
 
-    /// Mutable access to one core (run-time requirement changes).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::UnknownCore`] for an out-of-range id.
-    pub fn core_mut(&mut self, id: CoreId) -> Result<&mut CoreSpec> {
-        let cores = self.cores.len();
-        self.cores.get_mut(id.index()).ok_or(Error::UnknownCore { index: id.index(), cores })
-    }
-
     /// The number of criticality levels `L` (and thus of operational
     /// modes): the highest criticality among the cores.
     #[must_use]
@@ -175,8 +160,10 @@ impl SystemSpecBuilder {
         self
     }
 
-    /// Adds a fully specified core.
+    /// Adds a fully specified core: the one way a core's per-mode WCML
+    /// requirements reach the offline mode flow.
     #[must_use]
+    // lint:allow(pub-unused) the only input of per-mode Γ requirements, which the offline mode flow (constraint C1) reads
     pub fn core_spec(mut self, core: CoreSpec) -> Self {
         self.cores.push(core);
         self
@@ -267,18 +254,5 @@ mod tests {
     #[test]
     fn empty_spec_rejected() {
         assert!(SystemSpec::builder().build().is_err());
-    }
-
-    #[test]
-    fn runtime_requirement_change() {
-        let mut spec = paper_spec();
-        spec.core_mut(CoreId::new(0))
-            .unwrap()
-            .requirements_mut()
-            .set(Mode::NORMAL, Cycles::new(77));
-        assert_eq!(
-            spec.core(CoreId::new(0)).unwrap().requirements().at(Mode::NORMAL),
-            Some(Cycles::new(77))
-        );
     }
 }

@@ -514,7 +514,7 @@ impl ResultStore {
 
     /// Pins `key`: a pinned entry is never chosen for eviction. Live GA
     /// checkpoints pin their job's key automatically.
-    pub fn pin(&self, key: Fingerprint) {
+    fn pin(&self, key: Fingerprint) {
         self.lock_pins().insert(key);
     }
 

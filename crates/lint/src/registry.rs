@@ -5,7 +5,7 @@
 /// memoization and certification guarantees rest on. DET lints apply only
 /// here — nondeterminism in presentation/bench code is measurement, not a
 /// hazard.
-pub const OUTCOME_DETERMINING: &[&str] = &[
+const OUTCOME_DETERMINING: &[&str] = &[
     "cohort-sim",
     "cohort-optim",
     "cohort-fleet",
@@ -40,6 +40,10 @@ pub enum LintCode {
     /// the mutex and takes healthy threads down with it
     /// (`PoisonError::into_inner` is house style since PR 5).
     LckUnwrap,
+    /// A `pub fn`/`pub const`/`pub static` of a library crate that no
+    /// code outside its own file names: rustc's `dead_code` never fires
+    /// on public items, so lost callers leave dead surface behind.
+    PubUnused,
     /// A suppression marker without a written justification.
     SupBare,
     /// A suppression marker that matched no diagnostic — stale markers
@@ -49,12 +53,13 @@ pub enum LintCode {
 
 impl LintCode {
     /// Every lint class, in reporting order.
-    pub const ALL: [LintCode; 7] = [
+    pub const ALL: [LintCode; 8] = [
         LintCode::DetUnordered,
         LintCode::DetWallclock,
         LintCode::DetRng,
         LintCode::FprMissedField,
         LintCode::LckUnwrap,
+        LintCode::PubUnused,
         LintCode::SupBare,
         LintCode::SupUnused,
     ];
@@ -68,6 +73,7 @@ impl LintCode {
             LintCode::DetRng => "det-rng",
             LintCode::FprMissedField => "fpr-missed-field",
             LintCode::LckUnwrap => "lck-unwrap",
+            LintCode::PubUnused => "pub-unused",
             LintCode::SupBare => "sup-bare",
             LintCode::SupUnused => "sup-unused",
         }
@@ -105,6 +111,10 @@ impl LintCode {
             LintCode::LckUnwrap => {
                 "unwrap on a poisoned lock propagates one worker's panic to every \
                  sibling; recover the guard with PoisonError::into_inner"
+            }
+            LintCode::PubUnused => {
+                "public surface nothing calls is still compiled, documented and tested; \
+                 the least code that gives the same results has none"
             }
             LintCode::SupBare => {
                 "a suppression must say why the hazard is sound; bare markers hide \

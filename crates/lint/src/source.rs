@@ -70,12 +70,6 @@ impl SourceFile {
     pub fn code_line(&self, line: usize) -> &str {
         self.code.get(line.wrapping_sub(1)).map_or("", String::as_str)
     }
-
-    /// The full scrubbed text, newline-joined (for span-level scans).
-    #[must_use]
-    pub fn joined_code(&self) -> String {
-        self.code.join("\n")
-    }
 }
 
 /// Strips comments and literal contents from `source`, preserving the
@@ -381,29 +375,55 @@ fn collect_rs(dir: &Path, out: &mut Vec<PathBuf>) -> Result<()> {
 ///
 /// Returns [`Error::Codec`] when the workspace layout cannot be read.
 pub fn walk_workspace(root: &Path) -> Result<Vec<SourceFile>> {
-    let mut files = Vec::new();
+    walk(root, &workspace_packages(root)?, &["src"])
+}
+
+/// Walks every file that may call library code without being library
+/// code itself: each workspace package's `src/bin/`, `tests/`,
+/// `examples/` and `benches/`, plus the benchmark harness's
+/// `perfbench/src/`. The `pub-unused` pass reads them for callers only.
+///
+/// # Errors
+///
+/// Returns [`Error::Codec`] when the workspace layout cannot be read.
+pub fn walk_references(root: &Path) -> Result<Vec<SourceFile>> {
+    let mut files =
+        walk(root, &workspace_packages(root)?, &["src/bin", "tests", "examples", "benches"])?;
+    files.extend(walk(root, &[root.join("perfbench")], &["src"])?);
+    Ok(files)
+}
+
+/// The package directories of the workspace: `crates/*`, sorted, then
+/// the root package.
+fn workspace_packages(root: &Path) -> Result<Vec<PathBuf>> {
     let mut crate_dirs: Vec<PathBuf> = Vec::new();
     let crates = root.join("crates");
     if crates.is_dir() {
-        let mut dirs: Vec<PathBuf> = fs::read_dir(&crates)
+        crate_dirs = fs::read_dir(&crates)
             .map_err(|e| Error::Codec(format!("cannot read {}: {e}", crates.display())))?
             .filter_map(|entry| entry.ok().map(|e| e.path()))
             .filter(|p| p.is_dir())
             .collect();
-        dirs.sort();
-        crate_dirs.extend(dirs);
+        crate_dirs.sort();
     }
     crate_dirs.push(root.to_path_buf());
-    for crate_dir in crate_dirs {
-        let src = crate_dir.join("src");
-        if !src.is_dir() {
-            continue;
-        }
+    Ok(crate_dirs)
+}
+
+/// Lexes every `.rs` file under each package's `subdirs`.
+fn walk(root: &Path, packages: &[PathBuf], subdirs: &[&str]) -> Result<Vec<SourceFile>> {
+    let mut files = Vec::new();
+    for crate_dir in packages {
         let name = package_name(&crate_dir.join("Cargo.toml")).unwrap_or_else(|| {
             crate_dir.file_name().map_or_else(String::new, |n| n.to_string_lossy().into_owned())
         });
         let mut paths = Vec::new();
-        collect_rs(&src, &mut paths)?;
+        for subdir in subdirs {
+            let dir = crate_dir.join(subdir);
+            if dir.is_dir() {
+                collect_rs(&dir, &mut paths)?;
+            }
+        }
         for path in paths {
             let text = fs::read_to_string(&path)
                 .map_err(|e| Error::Codec(format!("cannot read {}: {e}", path.display())))?;
@@ -423,7 +443,7 @@ pub fn walk_workspace(root: &Path) -> Result<Vec<SourceFile>> {
 /// Whether the byte range `[start, end)` of `text` is an isolated word
 /// (not embedded in a longer identifier).
 #[must_use]
-pub fn is_word_boundary(text: &str, start: usize, end: usize) -> bool {
+fn is_word_boundary(text: &str, start: usize, end: usize) -> bool {
     let ident = |c: char| c.is_alphanumeric() || c == '_';
     let before_ok = start == 0 || !text[..start].chars().next_back().is_some_and(ident);
     let after_ok = end >= text.len() || !text[end..].chars().next().is_some_and(ident);
@@ -478,7 +498,7 @@ mod tests {
         let src = "let s = \"line one\nInstant::now\nthree\";\nfn after() {}\n";
         let file = SourceFile::parse("a.rs", "demo", src);
         assert_eq!(file.code.len(), 5);
-        assert!(!file.joined_code().contains("Instant"));
+        assert!(!file.code.iter().any(|line| line.contains("Instant")));
         assert!(file.code_line(4).contains("fn after"));
     }
 

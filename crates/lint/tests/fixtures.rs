@@ -9,7 +9,7 @@ use cohort_lint::{analyze_files, Analysis, LintCode, SourceFile};
 /// Analyzes one fixture as a library file of `crate_name`.
 fn analyze_fixture(name: &str, source: &str, crate_name: &str) -> Analysis {
     let rel_path = format!("crates/lint/tests/fixtures/{name}");
-    analyze_files(&[SourceFile::parse(&rel_path, crate_name, source)])
+    analyze_files(&[SourceFile::parse(&rel_path, crate_name, source)], &[])
 }
 
 /// Asserts the analysis holds exactly one diagnostic and returns it.
@@ -104,5 +104,67 @@ fn det_fixtures_are_silent_outside_outcome_determining_crates() {
         include_str!("fixtures/det_unordered.rs"),
         "cohort-bench",
     );
-    assert!(analysis.diagnostics.is_empty(), "DET scope is the five guarantee crates");
+    assert!(analysis.diagnostics.is_empty(), "DET scope is the six outcome-determining crates");
+}
+
+/// A library file whose `pub fn orphan` is named only by its own test
+/// module, whose `pub` helper is test code and exempt.
+const ORPHAN: &str = "pub fn orphan() -> u32 {\n    1\n}\n\n#[cfg(test)]\nmod tests {\n    pub fn doubled() -> u32 {\n        2 * super::orphan()\n    }\n\n    #[test]\n    fn two() {\n        assert_eq!(doubled(), 2);\n    }\n}\n";
+
+/// Analyzes `library` files (diagnostics) against `references` (callers
+/// only), each given as (path, source).
+fn analyze_with(library: &[(&str, &str)], references: &[(&str, &str)]) -> Analysis {
+    let lex = |files: &[(&str, &str)]| -> Vec<SourceFile> {
+        files.iter().map(|(path, source)| SourceFile::parse(path, "demo", source)).collect()
+    };
+    analyze_files(&lex(library), &lex(references))
+}
+
+#[test]
+fn pub_unused_fires_for_an_item_named_only_in_its_own_file() {
+    let analysis = analyze_with(&[("crates/demo/src/util.rs", ORPHAN)], &[]);
+    let diag = single(&analysis);
+    assert_eq!((diag.code, diag.line), (LintCode::PubUnused, 1));
+    assert!(diag.message.contains("`pub fn orphan`"));
+}
+
+#[test]
+fn pub_unused_ignores_reexports_doc_comments_and_strings() {
+    let lib = "//! Call [`orphan`] for one.\nmod util;\npub use util::{\n    orphan,\n};\n";
+    let bin = "fn main() {\n    println!(\"orphan\"); // orphan\n}\n";
+    let analysis = analyze_with(
+        &[("crates/demo/src/lib.rs", lib), ("crates/demo/src/util.rs", ORPHAN)],
+        &[("crates/demo/src/bin/tool.rs", bin)],
+    );
+    let diag = single(&analysis);
+    assert_eq!((diag.code, diag.file.as_str()), (LintCode::PubUnused, "crates/demo/src/util.rs"));
+}
+
+#[test]
+fn pub_unused_accepts_a_caller_in_any_other_file() {
+    let caller = "fn main() {\n    assert_eq!(demo::orphan(), 1);\n}\n";
+    for path in [
+        "crates/other/tests/it.rs",
+        "crates/demo/src/bin/tool.rs",
+        "crates/demo/examples/demo.rs",
+        "perfbench/src/main.rs",
+    ] {
+        let analysis = analyze_with(&[("crates/demo/src/util.rs", ORPHAN)], &[(path, caller)]);
+        assert!(analysis.diagnostics.is_empty(), "{path} is a caller: {:#?}", analysis.diagnostics);
+    }
+}
+
+#[test]
+fn pub_unused_suppression_needs_a_finding() {
+    let kept = format!("// lint:allow(pub-unused) kept to check a paper claim\n{ORPHAN}");
+    let analysis = analyze_with(&[("crates/demo/src/util.rs", &kept)], &[]);
+    assert_eq!((analysis.diagnostics.len(), analysis.unsuppressed()), (1, 0));
+    let diag = &analysis.diagnostics[0];
+    assert_eq!((diag.code, diag.line), (LintCode::PubUnused, 2));
+
+    let caller = "fn main() {\n    demo::orphan();\n}\n";
+    let analysis =
+        analyze_with(&[("crates/demo/src/util.rs", &kept)], &[("crates/demo/tests/it.rs", caller)]);
+    let diag = single(&analysis);
+    assert_eq!((diag.code, diag.line), (LintCode::SupUnused, 1), "the marker went stale");
 }

@@ -6,7 +6,8 @@
 
 use std::path::Path;
 
-use cohort_lint::{analyze_files, analyze_workspace, registry, source::walk_workspace};
+use cohort_lint::source::{walk_references, walk_workspace};
+use cohort_lint::{analyze_files, analyze_workspace, registry};
 
 #[test]
 fn workspace_is_lint_clean() {
@@ -42,11 +43,13 @@ fn the_disk_fault_layer_is_deterministic_without_suppressions() {
         "the fleet (and its Disk impls) must stay in the DET lint scope"
     );
     let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("..").join("..");
-    let files = walk_workspace(&root).expect("workspace walk");
-    let disk: Vec<_> =
-        files.into_iter().filter(|f| f.rel_path == "crates/fleet/src/disk.rs").collect();
+    let (disk, mut callers): (Vec<_>, Vec<_>) = walk_workspace(&root)
+        .expect("workspace walk")
+        .into_iter()
+        .partition(|f| f.rel_path == "crates/fleet/src/disk.rs");
     assert_eq!(disk.len(), 1, "the walker must scan the Disk implementations");
-    let analysis = analyze_files(&disk);
+    callers.extend(walk_references(&root).expect("reference walk"));
+    let analysis = analyze_files(&disk, &callers);
     assert!(
         analysis.diagnostics.is_empty(),
         "disk.rs must carry zero hazards, suppressed or not:\n{}",

@@ -293,9 +293,9 @@ pub struct TimerAssignment {
 /// behind every optimizer entry point (the flow of the paper's Fig. 2a).
 ///
 /// Build it with [`GaRun::new`], chain the optional pieces, and finish
-/// with [`GaRun::run`] (raw [`GaOutcome`], never fails) or
-/// [`GaRun::run_feasible`] (evaluated [`TimerAssignment`], errors when
-/// the best chromosome still violates a C1 constraint):
+/// with [`GaRun::run`] (raw [`GaOutcome`], never fails);
+/// [`optimize_timers`] is the evaluated form (a [`TimerAssignment`], or an
+/// error when the best chromosome still violates a C1 constraint):
 ///
 /// ```
 /// use cohort_optim::{GaConfig, GaRun, TimerProblem};
@@ -392,31 +392,11 @@ impl<'a, 'w> GaRun<'a, 'w> {
         ga.run_observed(&seeds, observer, |genes| self.problem.fitness(genes))
             .expect("corner seeds are in-space and truncated to the population")
     }
-
-    /// Runs the GA and evaluates the winner into a [`TimerAssignment`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::Infeasible`] if the best solution found still
-    /// violates a C1 constraint — the caller (e.g. the mode controller)
-    /// treats this as "this mode is unschedulable".
-    pub fn run_feasible(self) -> Result<TimerAssignment> {
-        let problem = self.problem;
-        let outcome = self.run();
-        let assignment = problem.evaluate(&outcome.best);
-        if !assignment.feasible {
-            return Err(Error::Infeasible(format!(
-                "best assignment {:?} still violates a WCML requirement",
-                assignment.timers
-            )));
-        }
-        Ok(assignment)
-    }
 }
 
-/// Runs the GA over a [`TimerProblem`] (the flow of the paper's Fig. 2a).
-///
-/// Shorthand for [`GaRun::run_feasible`] with no extra seeds or observer.
+/// Runs the GA over a [`TimerProblem`] (the flow of the paper's Fig. 2a)
+/// with no extra seeds or observer, and evaluates the winner into a
+/// [`TimerAssignment`].
 ///
 /// # Errors
 ///
@@ -428,7 +408,15 @@ impl<'a, 'w> GaRun<'a, 'w> {
 ///
 /// See the crate-level example.
 pub fn optimize_timers(problem: &TimerProblem<'_>, config: &GaConfig) -> Result<TimerAssignment> {
-    GaRun::new(problem).config(config).run_feasible()
+    let outcome = GaRun::new(problem).config(config).run();
+    let assignment = problem.evaluate(&outcome.best);
+    if !assignment.feasible {
+        return Err(Error::Infeasible(format!(
+            "best assignment {:?} still violates a WCML requirement",
+            assignment.timers
+        )));
+    }
+    Ok(assignment)
 }
 
 /// The do-nothing observer behind a [`GaRun`] with no explicit observer.

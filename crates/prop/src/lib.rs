@@ -23,7 +23,7 @@
 //! the same inputs. There is no shrinking: a failing case panics like any
 //! test, and the runner names the case and its seed on stderr.
 //! [`prop_assume!`] rejects a case; rejected cases are redrawn, up to
-//! [`MAX_REJECTS`] per property.
+//! `MAX_REJECTS` per property.
 //!
 //! The strategies are the ones the suites use: integer and float ranges,
 //! [`any`] for `bool`/`u8`/`u64`, [`Just`], tuples, [`collection::vec`],
@@ -39,10 +39,11 @@ use std::ops::{Range, RangeInclusive};
 use cohort_types::{splitmix64, FingerprintBuilder, SeedRng, Uniform};
 
 /// Cases per property unless the block sets `#![cases(n)]`.
+// lint:allow(pub-unused) the exported `properties!` macro names it through `$crate::` in callers' crates
 pub const DEFAULT_CASES: u32 = 256;
 
 /// Rejected cases a property may draw before the runner gives up.
-pub const MAX_REJECTS: u32 = 1_024;
+const MAX_REJECTS: u32 = 1_024;
 
 /// A generator of test inputs.
 pub trait Strategy {
@@ -310,7 +311,7 @@ impl Drop for CaseGuard<'_> {
 /// # Panics
 ///
 /// Re-raises a failing case's panic, and panics if more than
-/// [`MAX_REJECTS`] cases are rejected.
+/// `MAX_REJECTS` cases are rejected.
 pub fn run<S: Strategy>(
     name: &str,
     cases: u32,

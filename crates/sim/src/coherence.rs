@@ -199,7 +199,7 @@ impl LineCoh {
     /// Returns `true` if this entry carries no information (LLC-owned, no
     /// holders, no waiters) and can be garbage-collected.
     #[must_use]
-    pub fn is_trivial(&self) -> bool {
+    fn is_trivial(&self) -> bool {
         self.owner_core.is_none() && self.sharers == 0 && self.waiters.is_empty()
     }
 

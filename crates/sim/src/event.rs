@@ -198,8 +198,7 @@ impl EventLogProbe {
         self.events.iter()
     }
 
-    /// Clones the retained events into a contiguous chronological slice
-    /// (what [`render_timeline`](crate::render_timeline) consumes).
+    /// Clones the retained events into a contiguous chronological slice.
     #[must_use]
     pub fn to_vec(&self) -> Vec<Event> {
         self.events.iter().cloned().collect()

@@ -62,7 +62,6 @@ mod metrics;
 mod probe;
 mod sched;
 mod stats;
-mod timeline;
 mod timer;
 mod watchdog;
 
@@ -81,6 +80,5 @@ pub use invariant::{InvariantKind, InvariantProbe, InvariantViolation};
 pub use metrics::{CoreMetrics, MetricsProbe, MetricsReport};
 pub use probe::{BusTenure, NoProbe, SimProbe, TenureKind};
 pub use stats::{CoreStats, SimStats};
-pub use timeline::{render_timeline, TimelineOptions};
 pub use timer::{release_time, CountdownCounter};
 pub use watchdog::{WcmlGuard, WcmlViolation, WcmlViolationKind};

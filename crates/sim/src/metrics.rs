@@ -48,8 +48,8 @@ use crate::{ArbiterKind, DataPath, SimConfig, SimStats};
 pub struct CoreMetrics {
     /// Latency of every completed request (hits and misses).
     pub latency: Log2Histogram,
-    /// Sum of those latencies (saturating), the numerator of
-    /// [`CoreMetrics::latency_mean`].
+    /// Sum of those latencies (saturating), the numerator of the report's
+    /// per-core `latency_mean`.
     pub latency_sum: u64,
     /// The Eq. 1 analytical worst-case miss latency, when the configuration
     /// is analysable (RROF arbitration, direct data path, one MSHR);
@@ -81,7 +81,7 @@ impl CoreMetrics {
 
     /// Arithmetic mean request latency (0 when no request completed).
     #[must_use]
-    pub fn latency_mean(&self) -> f64 {
+    fn latency_mean(&self) -> f64 {
         match self.latency.count() {
             0 => 0.0,
             n => self.latency_sum as f64 / n as f64,

@@ -40,7 +40,7 @@
 //! let mut probe = HitCounter::default();
 //! let mut sim = SimBuilder::new(config, &micro::ping_pong(2, 4)).probe(&mut probe).build()?;
 //! let stats = sim.run()?;
-//! assert_eq!(probe.0, stats.total_hits());
+//! assert_eq!(probe.0, stats.cores.iter().map(|core| core.hits).sum::<u64>());
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 

@@ -105,13 +105,13 @@ impl SimStats {
 
     /// Private-cache hits summed over every core.
     #[must_use]
-    pub fn total_hits(&self) -> u64 {
+    fn total_hits(&self) -> u64 {
         self.cores.iter().map(|c| c.hits).sum()
     }
 
     /// Misses (including upgrades) summed over every core.
     #[must_use]
-    pub fn total_misses(&self) -> u64 {
+    fn total_misses(&self) -> u64 {
         self.cores.iter().map(|c| c.misses).sum()
     }
 

@@ -108,6 +108,7 @@ impl CountdownCounter {
     /// of a cycle, `PendingInv` selects invalidate; otherwise the counter
     /// replenishes and keeps counting. With Enable low (θ = −1), the line is
     /// invalidated exactly when `PendingInv` is high.
+    // lint:allow(pub-unused) the Figure-3 circuit's reference model: its doc example and the test of release_time drive it
     pub fn tick(&mut self, pending_inv: bool) -> bool {
         debug_assert!(self.loaded, "tick before load");
         match self.threshold.theta() {

@@ -81,7 +81,7 @@ impl Kernel {
 
     /// The paper-faithful total request count (ocean at its full 2.5 M).
     #[must_use]
-    pub const fn full_total_requests(self) -> u64 {
+    const fn full_total_requests(self) -> u64 {
         match self {
             Kernel::Ocean => 2_500_000,
             k => k.default_total_requests(),

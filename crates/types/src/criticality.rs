@@ -25,9 +25,6 @@ use crate::{Error, Result};
 pub struct Criticality(u32);
 
 impl Criticality {
-    /// The lowest criticality level (1).
-    pub const LOWEST: Criticality = Criticality(1);
-
     /// Creates a criticality level.
     ///
     /// # Errors
@@ -143,7 +140,7 @@ mod tests {
     fn levels_are_one_based() {
         assert!(Criticality::new(0).is_err());
         assert!(Mode::new(0).is_err());
-        assert_eq!(Criticality::new(1).unwrap(), Criticality::LOWEST);
+        assert_eq!(Criticality::new(1).unwrap().level(), 1);
         assert_eq!(Mode::new(1).unwrap(), Mode::NORMAL);
     }
 

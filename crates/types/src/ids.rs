@@ -104,10 +104,11 @@ impl From<u64> for Address {
 /// # Examples
 ///
 /// ```
-/// use cohort_types::LineAddr;
+/// use cohort_types::{Address, LineAddr};
 ///
-/// let l = LineAddr::new(0x41);
-/// assert_eq!(l.byte_address(64).raw(), 0x1040);
+/// // Every byte of a 64 B line maps to the same line address.
+/// assert_eq!(Address::new(0x1040).line(64), LineAddr::new(0x41));
+/// assert_eq!(Address::new(0x107f).line(64), LineAddr::new(0x41));
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct LineAddr(u64);
@@ -123,17 +124,6 @@ impl LineAddr {
     #[must_use]
     pub const fn raw(self) -> u64 {
         self.0
-    }
-
-    /// Returns the first byte address covered by this line.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `line_size` is not a power of two.
-    #[must_use]
-    pub fn byte_address(self, line_size: u64) -> Address {
-        assert!(line_size.is_power_of_two(), "line size must be a power of two");
-        Address(self.0 << line_size.trailing_zeros())
     }
 
     /// Returns the set index of this line in a cache with `sets` sets.
@@ -169,7 +159,6 @@ mod tests {
         let a = Address::new(0x1278);
         let line = a.line(64);
         assert_eq!(line.raw(), 0x49);
-        assert_eq!(line.byte_address(64).raw(), 0x1240);
     }
 
     #[test]

@@ -36,14 +36,6 @@ impl Requirements {
         Requirements { by_mode: BTreeMap::new() }
     }
 
-    /// Creates a requirement set constraining every mode with one budget.
-    #[must_use]
-    pub fn uniform(budget: Cycles) -> Self {
-        let mut reqs = Requirements::new();
-        reqs.set(Mode::NORMAL, budget);
-        reqs
-    }
-
     /// Sets the WCML budget `Γ^m` for `mode` (and, by inheritance, for all
     /// higher modes without their own entry).
     pub fn set(&mut self, mode: Mode, budget: Cycles) {
@@ -83,7 +75,7 @@ impl Requirements {
 /// let task = Task::new("lidar-fusion", Criticality::new(4)?, 47_000)
 ///     .with_requirement(Mode::NORMAL, Cycles::new(5_000_000));
 /// assert_eq!(task.accesses(), 47_000);
-/// assert!(task.requirement_at(Mode::NORMAL).is_some());
+/// assert!(task.requirements().at(Mode::NORMAL).is_some());
 /// # Ok::<(), cohort_types::Error>(())
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -132,18 +124,6 @@ impl Task {
         &self.requirements
     }
 
-    /// Returns a mutable view of the requirement table (used by run-time
-    /// requirement changes in the mode-switch experiment).
-    pub fn requirements_mut(&mut self) -> &mut Requirements {
-        &mut self.requirements
-    }
-
-    /// Returns the effective WCML budget `Γ_j^{m}` at `mode`.
-    #[must_use]
-    pub fn requirement_at(&self, mode: Mode) -> Option<Cycles> {
-        self.requirements.at(mode)
-    }
-
     /// Validates the task against a system with `levels` criticality levels.
     ///
     /// # Errors
@@ -177,7 +157,8 @@ mod tests {
 
     #[test]
     fn uniform_constrains_all_modes() {
-        let reqs = Requirements::uniform(Cycles::new(42));
+        let mut reqs = Requirements::new();
+        reqs.set(Mode::NORMAL, Cycles::new(42));
         for m in 1..=5 {
             assert_eq!(reqs.at(mode(m)), Some(Cycles::new(42)));
         }
@@ -200,7 +181,7 @@ mod tests {
         assert_eq!(t.name(), "fft");
         assert_eq!(t.criticality().level(), 3);
         assert_eq!(t.accesses(), 47_000);
-        assert_eq!(t.requirement_at(mode(2)), Some(Cycles::new(1_000)));
+        assert_eq!(t.requirements().at(mode(2)), Some(Cycles::new(1_000)));
     }
 
     #[test]

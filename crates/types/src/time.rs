@@ -66,25 +66,6 @@ impl Cycles {
     pub const fn saturating_sub(self, rhs: Cycles) -> Cycles {
         Cycles(self.0.saturating_sub(rhs.0))
     }
-
-    /// Returns `self` rounded up to the next multiple of `quantum`.
-    ///
-    /// Used by slot-aligned arbiters (TDM) and by the analysis when a timer
-    /// expires mid-slot and the transfer must wait for the slot boundary.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `quantum` is zero.
-    #[must_use]
-    pub fn round_up_to(self, quantum: Cycles) -> Cycles {
-        assert!(quantum.0 > 0, "quantum must be positive");
-        let rem = self.0 % quantum.0;
-        if rem == 0 {
-            self
-        } else {
-            Cycles(self.0 + (quantum.0 - rem))
-        }
-    }
 }
 
 impl fmt::Display for Cycles {
@@ -146,15 +127,6 @@ mod tests {
         let mut c = a;
         c += b;
         assert_eq!(c.get(), 54);
-    }
-
-    #[test]
-    fn round_up_to_quantum() {
-        let q = Cycles::new(54);
-        assert_eq!(Cycles::new(0).round_up_to(q).get(), 0);
-        assert_eq!(Cycles::new(1).round_up_to(q).get(), 54);
-        assert_eq!(Cycles::new(54).round_up_to(q).get(), 54);
-        assert_eq!(Cycles::new(55).round_up_to(q).get(), 108);
     }
 
     #[test]

@@ -91,22 +91,6 @@ impl TimerValue {
             TimerValue::Msi => -1,
         }
     }
-
-    /// Decodes the paper's signed encoding (θ ≥ 0 or exactly −1).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::TimerOutOfRange`] for values below −1 or above the
-    /// 16-bit range.
-    pub fn decode(encoded: i32) -> Result<Self> {
-        match encoded {
-            -1 => Ok(TimerValue::Msi),
-            t if t >= 0 => TimerValue::timed(t as u64),
-            t => {
-                Err(Error::TimerOutOfRange { value: t.unsigned_abs() as u64, max: Self::MAX_THETA })
-            }
-        }
-    }
 }
 
 impl fmt::Display for TimerValue {
@@ -138,11 +122,10 @@ mod tests {
     }
 
     #[test]
-    fn encode_decode_round_trip() {
-        for v in [TimerValue::MSI, TimerValue::timed(0).unwrap(), TimerValue::timed(300).unwrap()] {
-            assert_eq!(TimerValue::decode(v.encode()).unwrap(), v);
-        }
-        assert!(TimerValue::decode(-2).is_err());
+    fn encoding_is_theta_or_minus_one() {
+        assert_eq!(TimerValue::MSI.encode(), -1);
+        assert_eq!(TimerValue::timed(0).unwrap().encode(), 0);
+        assert_eq!(TimerValue::timed(300).unwrap().encode(), 300);
     }
 
     #[test]

@@ -7,7 +7,7 @@ use std::collections::HashMap; // lint:allow(det-unordered) BFS dedup set keyed 
 use crate::model::{ModelConfig, ModelEvent, ModelState, ModelViolation};
 
 /// Hard cap on explored states, a safety valve against mis-sized configs.
-pub const DEFAULT_MAX_STATES: usize = 5_000_000;
+const DEFAULT_MAX_STATES: usize = 5_000_000;
 
 /// A minimal event sequence leading from the initial state to a violation.
 #[derive(Debug, Clone)]
@@ -70,7 +70,7 @@ pub fn explore(config: &ModelConfig) -> CheckReport {
 
 /// [`explore`] with an explicit state cap.
 #[must_use]
-pub fn explore_bounded(config: &ModelConfig, max_states: usize) -> CheckReport {
+fn explore_bounded(config: &ModelConfig, max_states: usize) -> CheckReport {
     let initial = ModelState::initial(config);
 
     // Arena of discovered states; `parent[i]` records how state `i` was

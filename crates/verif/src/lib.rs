@@ -42,15 +42,12 @@ pub mod checker;
 pub mod model;
 pub mod replay;
 
-pub use checker::{explore, explore_bounded, CheckReport, Counterexample, DEFAULT_MAX_STATES};
+pub use checker::{explore, CheckReport, Counterexample};
 pub use model::{
     ModelConfig, ModelEvent, ModelState, ModelViolation, Mutation, ThetaClass, ViolationKind,
-    MAX_CORES, MAX_LINES,
+    MAX_CORES,
 };
-pub use replay::{
-    replay, replay_workload, workload_from_trace, workload_from_violation, ReplayOutcome,
-    REPLAY_THETA,
-};
+pub use replay::{replay, replay_workload, workload_from_violation, ReplayOutcome};
 
 /// All θ-class assignments (mixes) for `cores` cores, in lexicographic
 /// order — `3^cores` entries. The exhaustive sweeps run every one.

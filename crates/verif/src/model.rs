@@ -27,7 +27,7 @@ use core::fmt;
 /// Maximum number of cores the fixed-size model state supports.
 pub const MAX_CORES: usize = 3;
 /// Maximum number of distinct cache lines the model supports.
-pub const MAX_LINES: usize = 2;
+const MAX_LINES: usize = 2;
 
 /// Abstract per-core timer-register class.
 ///
@@ -52,7 +52,7 @@ impl ThetaClass {
 
     /// Whether a fill at a core of this class starts a protection window.
     #[must_use]
-    pub const fn protects(self) -> bool {
+    const fn protects(self) -> bool {
         matches!(self, ThetaClass::Timed)
     }
 }
@@ -185,7 +185,7 @@ impl fmt::Display for ModelViolation {
 pub struct ModelConfig {
     /// Per-core timer class; length gives the core count (≤ [`MAX_CORES`]).
     pub thetas: Vec<ThetaClass>,
-    /// Number of distinct cache lines (1..=[`MAX_LINES`]).
+    /// Number of distinct cache lines (1..=`MAX_LINES`).
     pub lines: usize,
     /// How many loads/stores each core may perform (bounds the state space).
     pub ops_per_core: u8,
@@ -200,7 +200,7 @@ impl ModelConfig {
     /// # Panics
     ///
     /// Panics if `thetas` is empty or exceeds [`MAX_CORES`], or `lines`
-    /// is 0 or exceeds [`MAX_LINES`].
+    /// is 0 or exceeds `MAX_LINES`.
     #[must_use]
     pub fn new(thetas: &[ThetaClass], lines: usize) -> Self {
         assert!(

@@ -25,7 +25,7 @@ use cohort_types::{Cycles, Result, TimerValue};
 use crate::model::{ModelConfig, ModelEvent, ThetaClass};
 
 /// Representative θ used for [`ThetaClass::Timed`] cores at replay time.
-pub const REPLAY_THETA: u64 = 4;
+const REPLAY_THETA: u64 = 4;
 
 /// Cycle spacing between consecutive abstract events in the replayed
 /// schedule. Larger than the worst-case single-transfer latency so the
@@ -65,7 +65,7 @@ impl ReplayOutcome {
 /// Maps an abstract line index to a concrete [`cohort_types::LineAddr`]
 /// raw value (offset by one so line 0 is not the all-zeros address).
 #[must_use]
-pub const fn concrete_line(line: u8) -> u64 {
+const fn concrete_line(line: u8) -> u64 {
     line as u64 + 1
 }
 
@@ -75,7 +75,7 @@ pub const fn concrete_line(line: u8) -> u64 {
 ///
 /// Never panics: [`REPLAY_THETA`] is within the 16-bit timer range.
 #[must_use]
-pub fn concrete_timer(theta: ThetaClass) -> TimerValue {
+fn concrete_timer(theta: ThetaClass) -> TimerValue {
     match theta {
         ThetaClass::Msi => TimerValue::Msi,
         ThetaClass::Zero => TimerValue::timed(0).expect("0 is a valid theta"),
@@ -89,7 +89,7 @@ pub fn concrete_timer(theta: ThetaClass) -> TimerValue {
 /// issue time `k × EVENT_STRIDE`, approximating the abstract interleaving
 /// on the real (clocked, arbitrated) bus.
 #[must_use]
-pub fn workload_from_trace(config: &ModelConfig, trace: &[ModelEvent]) -> Workload {
+fn workload_from_trace(config: &ModelConfig, trace: &[ModelEvent]) -> Workload {
     let cores = config.cores();
     let mut ops: Vec<Vec<TraceOp>> = vec![Vec::new(); cores];
     // Global target issue cycle of each core's previous access; gaps are
