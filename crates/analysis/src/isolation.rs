@@ -386,8 +386,8 @@ fn burst_walk(trace: &Trace, theta: u64, hit_latency: u64, miss_penalty: u64) ->
     let mut now = 0;
     let (mut line, mut fill, mut modified) = (None, 0, false);
     for op in trace {
-        now += op.gap.get();
-        let store = op.kind.is_store();
+        now += op.gap().get();
+        let store = op.kind().is_store();
         if line == Some(op.line) && (!store || modified) {
             let elapsed = now - fill;
             if elapsed < theta {
@@ -442,7 +442,7 @@ fn flat_walk<const DIRECT_MAPPED: bool>(
     let mut counts = HitMissCounts::default();
     let mut now = 0;
     for op in trace {
-        now += op.gap.get();
+        now += op.gap().get();
         let set = indexer.index(op.line);
         // The slot that holds the line after this access.
         let (slot, resident) = if DIRECT_MAPPED {
@@ -457,7 +457,7 @@ fn flat_walk<const DIRECT_MAPPED: bool>(
             (base, way.is_some())
         };
         let slot = &mut slots[slot];
-        let store = op.kind.is_store();
+        let store = op.kind().is_store();
         if resident && (!store || slot.anchor & 1 == 1) {
             let elapsed = now - slot.fill;
             let m = counts.misses - (slot.anchor >> 1);

@@ -28,9 +28,9 @@ fn reference_hits(
     let mut counts = HitMissCounts::default();
     let mut now = Cycles::ZERO;
     for op in trace {
-        now += op.gap;
+        now += op.gap();
         let hit = cache.peek(op.line).is_some_and(|&(fill, modified)| {
-            now.get() - fill.get() < theta && (!op.kind.is_store() || modified)
+            now.get() - fill.get() < theta && (!op.kind().is_store() || modified)
         });
         if hit {
             counts.hits += 1;
@@ -39,7 +39,7 @@ fn reference_hits(
         } else {
             counts.misses += 1;
             now += miss_penalty;
-            cache.insert(op.line, (now, op.kind.is_store()));
+            cache.insert(op.line, (now, op.kind().is_store()));
         }
     }
     counts

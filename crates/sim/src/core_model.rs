@@ -50,7 +50,7 @@ pub(crate) struct CoreModel {
 
 impl CoreModel {
     pub(crate) fn new(trace: Trace, mshr_capacity: usize) -> Self {
-        let first_gap = trace.ops().first().map_or(Cycles::ZERO, |op| op.gap);
+        let first_gap = trace.ops().first().map_or(Cycles::ZERO, |op| op.gap());
         CoreModel {
             trace,
             cursor: 0,

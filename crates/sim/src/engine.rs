@@ -784,13 +784,13 @@ impl<P: SimProbe> Simulator<P> {
             // Trace drained; wait for outstanding misses to finish.
             return;
         };
-        match self.classify(id, op.line, op.kind.is_store()) {
+        match self.classify(id, op.line, op.kind().is_store()) {
             Outcome::Hit { way } => {
                 let completion = self.now + hit_latency;
                 let core = &mut self.cores[id];
                 core.cursor += 1;
                 core.last_completion = completion;
-                let next_gap = core.current_op().map_or(Cycles::ZERO, |o| o.gap);
+                let next_gap = core.current_op().map_or(Cycles::ZERO, |o| o.gap());
                 core.ready_at = completion + next_gap;
                 let ready = core.ready_at.get();
                 self.sched.arm_core(self.now.get(), id, ready);
@@ -800,7 +800,7 @@ impl<P: SimProbe> Simulator<P> {
                 let l1line = self.l1s[id].promote_way(way);
                 // MESI: the first store to an Exclusive line upgrades
                 // silently — write permission without a bus transaction.
-                if op.kind.is_store() && l1line.state == LineState::Exclusive {
+                if op.kind().is_store() && l1line.state == LineState::Exclusive {
                     l1line.state = LineState::Modified;
                 }
                 if P::ACTIVE {
@@ -827,7 +827,7 @@ impl<P: SimProbe> Simulator<P> {
                 self.unbroadcast |= 1 << id;
                 // Issuing the miss occupies the core for one cycle; it then
                 // continues with subsequent accesses (hits-over-misses).
-                let next_gap = core.current_op().map_or(Cycles::ZERO, |o| o.gap);
+                let next_gap = core.current_op().map_or(Cycles::ZERO, |o| o.gap());
                 core.ready_at = self.now + Cycles::new(1) + next_gap;
                 let ready = core.ready_at.get();
                 self.sched.arm_core(self.now.get(), id, ready);

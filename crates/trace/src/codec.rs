@@ -53,9 +53,9 @@ pub fn to_json(workload: &Workload) -> Result<String> {
                 .map(|op| {
                     let mut o = serde_json::Map::new();
                     o.insert("line".into(), serde_json::Value::from(op.line.raw()));
-                    let kind = if op.kind.is_store() { "Store" } else { "Load" };
+                    let kind = if op.kind().is_store() { "Store" } else { "Load" };
                     o.insert("kind".into(), serde_json::Value::from(kind));
-                    o.insert("gap".into(), serde_json::Value::from(op.gap.get()));
+                    o.insert("gap".into(), serde_json::Value::from(op.gap().get()));
                     serde_json::Value::Object(o)
                 })
                 .collect();
@@ -73,7 +73,8 @@ pub fn to_json(workload: &Workload) -> Result<String> {
 ///
 /// # Errors
 ///
-/// Returns [`Error::Codec`] if the input is not a valid workload document.
+/// Returns [`Error::Codec`] if the input is not a valid workload document,
+/// including an op whose `gap` exceeds [`TraceOp::MAX_GAP`].
 pub fn from_json(json: &str) -> Result<Workload> {
     fn field<'v>(v: &'v serde_json::Value, key: &str) -> Result<&'v serde_json::Value> {
         v.get(key).ok_or_else(|| Error::Codec(format!("missing field `{key}`")))
@@ -106,8 +107,11 @@ pub fn from_json(json: &str) -> Result<Workload> {
                     return Err(Error::Codec(format!("unknown access kind {other:?}")));
                 }
             };
-            let gap = Cycles::new(as_u64(field(op, "gap")?, "gap")?);
-            ops.push(TraceOp::new(line, kind, gap));
+            let gap = as_u64(field(op, "gap")?, "gap")?;
+            if gap > TraceOp::MAX_GAP {
+                return Err(Error::Codec(format!("compute gap {gap} exceeds 2^63 - 1 cycles")));
+            }
+            ops.push(TraceOp::new(line, kind, Cycles::new(gap)));
         }
         traces.push(Trace::from_ops(ops));
     }
@@ -135,11 +139,11 @@ pub fn to_binary(workload: &Workload) -> Result<Vec<u8>> {
     for trace in workload.traces() {
         buf.extend_from_slice(&(trace.len() as u64).to_le_bytes());
         for op in trace {
-            let gap = u32::try_from(op.gap.get()).map_err(|_| {
-                Error::Codec(format!("compute gap {} exceeds the 32-bit field", op.gap.get()))
+            let gap = u32::try_from(op.gap().get()).map_err(|_| {
+                Error::Codec(format!("compute gap {} exceeds the 32-bit field", op.gap().get()))
             })?;
             buf.extend_from_slice(&op.line.raw().to_le_bytes());
-            buf.push(u8::from(op.kind.is_store()));
+            buf.push(u8::from(op.kind().is_store()));
             buf.extend_from_slice(&gap.to_le_bytes());
         }
     }
@@ -301,6 +305,19 @@ mod tests {
         let bad_kind =
             r#"{"name": "x", "traces": [{"ops": [{"line": 0, "kind": "Fetch", "gap": 0}]}]}"#;
         assert!(from_json(bad_kind).unwrap_err().to_string().contains("access kind"));
+    }
+
+    #[test]
+    fn json_rejects_gaps_above_the_op_range() {
+        let op = |gap: u64| {
+            format!(
+                r#"{{"name": "x", "traces": [{{"ops": [{{"line": 0, "kind": "Load", "gap": {gap}}}]}}]}}"#
+            )
+        };
+        let err = from_json(&op(9_223_372_036_854_775_808)).unwrap_err();
+        assert!(matches!(err, Error::Codec(_)) && err.to_string().contains("2^63"), "{err}");
+        let max = from_json(&op(TraceOp::MAX_GAP)).unwrap();
+        assert_eq!(max.traces()[0].ops()[0].gap().get(), TraceOp::MAX_GAP);
     }
 
     #[test]

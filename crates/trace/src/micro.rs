@@ -184,7 +184,7 @@ mod tests {
     fn ping_pong_shares_one_line() {
         let w = ping_pong(3, 5);
         for t in w.traces() {
-            assert!(t.iter().all(|op| op.line.raw() == 0 && op.kind.is_store()));
+            assert!(t.iter().all(|op| op.line.raw() == 0 && op.kind().is_store()));
             assert_eq!(t.len(), 5);
         }
     }
@@ -234,7 +234,7 @@ mod tests {
         // Every core writes line A = 0x40 as its first access.
         for t in f4.traces() {
             assert_eq!(t.ops()[0].line.raw(), 0x40);
-            assert!(t.ops()[0].kind.is_store());
+            assert!(t.ops()[0].kind().is_store());
         }
     }
 }

@@ -96,11 +96,11 @@ impl Trace {
             self.ops
                 .iter()
                 .fold(FingerprintBuilder::with_length(self.ops.len() as u64), |digest, op| {
-                    let kind = match op.kind {
+                    let kind = match op.kind() {
                         AccessKind::Load => 0,
                         AccessKind::Store => 1,
                     };
-                    digest.u64(op.line.raw()).u64(kind).u64(op.gap.get())
+                    digest.u64(op.line.raw()).u64(kind).u64(op.gap().get())
                 })
                 .finish()
                 .get()
@@ -115,11 +115,11 @@ impl Trace {
         let mut compute = Cycles::ZERO;
         let mut lines = HashSet::new();
         for op in self.ops.iter() {
-            match op.kind {
+            match op.kind() {
                 AccessKind::Load => loads += 1,
                 AccessKind::Store => stores += 1,
             }
-            compute += op.gap;
+            compute += op.gap();
             lines.insert(op.line);
         }
         TraceStats { loads, stores, unique_lines: lines.len() as u64, compute }

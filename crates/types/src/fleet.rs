@@ -25,6 +25,23 @@ use crate::{Error, Result};
 pub(crate) const OFFSET_A: u64 = 0xcbf2_9ce4_8422_2325;
 const OFFSET_B: u64 = 0x6c62_272e_07bb_0142;
 const PRIME: u64 = 0x0000_0100_0000_01b3;
+/// The second stream's multiplier.
+const PRIME_B: u64 = PRIME.rotate_left(1) | 1;
+
+/// `prime^k` for k = 0..=8. FNV-1a on a zero byte is a plain
+/// multiplication by the prime, so k zero bytes multiply a stream by
+/// `prime^k` ([`FingerprintBuilder::u64`]).
+const fn powers(prime: u64) -> [u64; 9] {
+    let mut table = [1u64; 9];
+    let mut k = 1;
+    while k < 9 {
+        table[k] = table[k - 1].wrapping_mul(prime);
+        k += 1;
+    }
+    table
+}
+const POWERS_A: [u64; 9] = powers(PRIME);
+const POWERS_B: [u64; 9] = powers(PRIME_B);
 
 /// A 128-bit content-address: two independent FNV-1a streams over the
 /// hashed content, matching the trace fingerprints the analysis memo is
@@ -131,7 +148,7 @@ impl FingerprintBuilder {
     #[inline]
     fn push(&mut self, byte: u8) {
         self.a = (self.a ^ u64::from(byte)).wrapping_mul(PRIME);
-        self.b = (self.b ^ u64::from(byte)).wrapping_mul(PRIME.rotate_left(1) | 1);
+        self.b = (self.b ^ u64::from(byte)).wrapping_mul(PRIME_B);
     }
 
     /// Feeds raw bytes.
@@ -156,12 +173,21 @@ impl FingerprintBuilder {
     }
 
     /// Feeds a `u64` in little-endian byte order.
+    ///
+    /// The value's high zero bytes, which come last, fold into one
+    /// multiplication per stream by the prime's power: the digest is the
+    /// one [`Self::bytes`] gives for `value.to_le_bytes()`, but only the
+    /// bytes up to the highest non-zero one are hashed (trace lines, kinds
+    /// and gaps are small).
     #[inline]
     #[must_use]
     pub fn u64(mut self, value: u64) -> Self {
-        for byte in value.to_le_bytes() {
+        let zeros = (value.leading_zeros() / 8) as usize;
+        for &byte in &value.to_le_bytes()[..8 - zeros] {
             self.push(byte);
         }
+        self.a = self.a.wrapping_mul(POWERS_A[zeros]);
+        self.b = self.b.wrapping_mul(POWERS_B[zeros]);
         self
     }
 

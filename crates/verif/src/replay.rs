@@ -155,7 +155,7 @@ pub fn workload_from_violation(workload: &Workload, violation: &WcmlViolation) -
             let mut nominal = 0u64;
             let mut kept = Vec::new();
             for op in trace.ops() {
-                nominal = nominal.saturating_add(op.gap.get());
+                nominal = nominal.saturating_add(op.gap().get());
                 if nominal > horizon {
                     break;
                 }
@@ -244,10 +244,10 @@ mod tests {
         let t1 = &workload.traces()[1].ops();
         assert_eq!(t0.len(), 1, "internal events produce no ops");
         assert_eq!(t1.len(), 1);
-        assert!(t0[0].kind.is_store());
+        assert!(t0[0].kind().is_store());
         assert_eq!(t0[0].line.raw(), concrete_line(0));
         // c1's store is event 3 of the trace → spaced after c0's.
-        assert!(t1[0].gap > t0[0].gap);
+        assert!(t1[0].gap() > t0[0].gap());
     }
 
     #[test]
@@ -256,7 +256,7 @@ mod tests {
         let trace = [ModelEvent::Evict { core: 0, line: 0 }];
         let workload = workload_from_trace(&config, &trace);
         let op = workload.traces()[0].ops()[0];
-        assert!(op.kind.is_load());
+        assert!(op.kind().is_load());
         assert_eq!(op.line.raw(), concrete_line(0) + L1_SETS);
         assert_eq!(
             op.line.raw() % L1_SETS,
